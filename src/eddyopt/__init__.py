@@ -23,14 +23,10 @@ from .trace import (
     SurfaceOperators, zeros_control, eval_psi, eval_phi, surface_curl_matrix,
     surface_mass_matrix, lift, tangential_trace, eval_control_on_faces,
 )
-from .solver import (
-    StateOperator, AdjointState, SolverError, solve_state, solve_adjoint,
-    adjoint_action,
-)
+from .solver import StateOperator, SolverError
 from .wirtinger import (
-    ReducedProblem, ReducedGradient, CostReport, reduced_cost,
-    reduced_gradient, steepest_descent_direction, directional_derivative,
-    fd_check, loglog_slope, bfgs_minimize,
+    ReducedProblem, ReducedGradient, CostReport, steepest_descent_direction,
+    directional_derivative, fd_check, loglog_slope, bfgs_minimize,
 )
 
 __all__ = [
@@ -43,9 +39,7 @@ __all__ = [
     "interpolate", "evaluate_field", "hcurl_error", "integrate",
     "SurfaceOperators", "zeros_control", "eval_psi", "eval_phi",
     "surface_curl_matrix", "surface_mass_matrix", "lift", "tangential_trace",
-    "eval_control_on_faces", "StateOperator", "AdjointState", "SolverError",
-    "solve_state", "solve_adjoint", "adjoint_action", "ReducedProblem",
-    "ReducedGradient", "CostReport", "reduced_cost", "reduced_gradient",
-    "steepest_descent_direction", "directional_derivative", "fd_check",
-    "loglog_slope", "bfgs_minimize",
+    "eval_control_on_faces", "StateOperator", "SolverError", "ReducedProblem",
+    "ReducedGradient", "CostReport", "steepest_descent_direction",
+    "directional_derivative", "fd_check", "loglog_slope", "bfgs_minimize",
 ]

@@ -14,8 +14,6 @@ Every command is deterministic for a fixed seed.  The exit code is 0 only
 if all internal assertions (rate/slope/plateau/termination checks) pass.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import json
@@ -28,11 +26,10 @@ import numpy as np
 
 from . import analytic, mesh as meshmod
 from .analytic import ElectrodeParams
-from .mesh import (Mesh, generate_cube, generate_cylinder, mesh_size,
-                   parse_msh, refine_uniform, write_msh, mesh_to_json)
+from .mesh import (generate_cube, generate_cylinder, mesh_size, parse_msh,
+                   refine_uniform, write_msh, mesh_to_json)
 from .nedelec import FESpace, ProblemConfig, evaluate_field, hcurl_error, interpolate
 from .solver import StateOperator
-from .trace import tangential_trace
 from .wirtinger import ReducedProblem, bfgs_minimize, fd_check, loglog_slope
 
 
@@ -59,7 +56,6 @@ class RunConfig:
     electrode: ElectrodeParams
     out: str
     seed: int = 0
-    threads: int | None = None
     vtk: bool = False
     optimize: dict = field(default_factory=dict)
     gradcheck: dict = field(default_factory=dict)
@@ -102,7 +98,7 @@ def resolve_field(spec, electrode, name):
     return _as_complex_vec(spec, name)
 
 
-def load_config(path, command, out=None, order=None, seed=None, threads=None):
+def load_config(path, command, out=None, order=None, seed=None):
     """Read the JSON config file and apply command-line overrides."""
     with open(path, encoding="utf-8") as fh:
         try:
@@ -135,7 +131,6 @@ def load_config(path, command, out=None, order=None, seed=None, threads=None):
         electrode=electrode,
         out=out if out is not None else raw.get("out", "out"),
         seed=seed if seed is not None else int(raw.get("seed", 0)),
-        threads=threads if threads is not None else raw.get("threads"),
         vtk=bool(raw.get("vtk", False)),
         optimize=raw.get("optimize", {}),
         gradcheck=raw.get("gradcheck", {}),
@@ -242,13 +237,6 @@ def write_vtk_state(path, mesh, space, u, title="state"):
             fh.write(f"VECTORS {title}_{part} double\n")
             for v in arr:
                 fh.write(f"{v[0]!r} {v[1]!r} {v[2]!r}\n")
-
-
-def _apply_threads(threads):
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(int(threads))
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +492,13 @@ def main(argv=None):
                        help="FE order (0 or 1)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for probe directions")
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread-count hint for BLAS/OpenMP")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, out=args.out,
-                          order=args.order, seed=args.seed,
-                          threads=args.threads)
+                          order=args.order, seed=args.seed)
     except (OSError, ConfigError) as exc:
         print(f"eddyctl: {exc}", file=sys.stderr)
         return 2
-    _apply_threads(cfg.threads)
     try:
         return _COMMANDS[cfg.command](cfg)
     except (ConfigError, meshmod.MeshError) as exc:

@@ -12,7 +12,7 @@ Built-in generators: unit cube (Kuhn subdivision) and a structured
 cylinder (extruded triangulated disk).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import json
 import numpy as np
@@ -80,10 +80,7 @@ class Mesh:
         return self.boundary_edges.shape[0]
 
     def tet_volumes(self):
-        v = self.vertices[self.tets]
-        return np.einsum(
-            "ti,ti->t", v[:, 1] - v[:, 0],
-            np.cross(v[:, 2] - v[:, 0], v[:, 3] - v[:, 0])) / 6.0
+        return _signed_volumes(self.vertices, self.tets)
 
     def boundary_vertices(self):
         return np.unique(self.boundary_faces)
@@ -398,7 +395,7 @@ def generate_cube(n):
     return build_mesh(verts, np.array(tets, dtype=np.int64))
 
 
-def _split_prism(bot, top, volumes=None):
+def _split_prism(bot, top):
     # Dompierre min-id rule: rotate the prism so the smallest global id sits
     # at position 0, then cut the remaining quad face along the diagonal
     # through the smaller of its candidate ids.
@@ -472,17 +469,17 @@ def generate_cylinder(R, L, n_r, n_theta, n_z):
     dz = L / n_z
     for layer in range(n_z):
         off0, off1 = layer * n_disk, (layer + 1) * n_disk
-        for (a, b, c), area in zip(tris, tri_area):
+        for (a, b, c) in tris:
             bot = (off0 + a, off0 + b, off0 + c)
             top = (off1 + a, off1 + b, off1 + c)
-            cut = _split_prism(bot, top)
-            vol = sum(
-                abs(_signed_volumes(verts, np.array([t], dtype=np.int64))[0])
-                for t in cut)
-            if not np.isclose(vol, area * dz, rtol=1e-10, atol=0.0):
-                raise MeshError("prism split does not tile the prism")
-            tets.extend(cut)
-    return build_mesh(verts, np.array(tets, dtype=np.int64))
+            tets.extend(_split_prism(bot, top))
+    tets = np.array(tets, dtype=np.int64)
+    # the three tets of each prism, in order, must fill it exactly
+    vol = np.abs(_signed_volumes(verts, tets)).reshape(-1, 3).sum(axis=1)
+    if not np.all(np.isclose(vol, np.tile(tri_area, n_z) * dz,
+                             rtol=1e-10, atol=0.0)):
+        raise MeshError("prism split does not tile the prism")
+    return build_mesh(verts, tets)
 
 
 def refine_uniform(mesh):

@@ -15,12 +15,14 @@ by inverting a moment matrix over an explicit spanning set of the local
 polynomial space.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .quadrature import gauss_01, triangle_rule, tet_rule, map_to_triangles, map_to_tets
+from .trace import lifting_matrix
 
 CHUNK = 2048
 
@@ -94,18 +96,6 @@ class FESpace:
         self.n_edge_dofs = (k + 1) * ne
         self.n_dofs = self.n_edge_dofs + (2 * nf if k == 1 else 0)
 
-        kinds, ents, moms = [], [], []
-        for e in range(ne):
-            for m in range(k + 1):
-                kinds.append("edge"), ents.append(e), moms.append(m)
-        if k == 1:
-            for f in range(nf):
-                for d in range(2):
-                    kinds.append("face"), ents.append(f), moms.append(d)
-        self.dof_kind = np.array(kinds)
-        self.dof_entity = np.array(ents, dtype=np.int64)
-        self.dof_moment = np.array(moms, dtype=np.int64)
-
         te = mesh.tet_edges
         if k == 0:
             self.cell_dofs = te.copy()
@@ -129,7 +119,12 @@ class FESpace:
 
     @property
     def n_local(self):
-        return 6 if self.k == 0 else 20
+        return span_dim(self.k)
+
+    @cached_property
+    def lifting(self):
+        """Sparse lifting matrix of the boundary controls (built once)."""
+        return lifting_matrix(self)
 
 
 @dataclass
@@ -159,11 +154,6 @@ class ProblemConfig:
             raise ValueError("regularization weights must be nonnegative")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both vanish")
-
-
-# SystemMatrix is a complex scipy CSR matrix; FieldVector a complex ndarray.
-SystemMatrix = sp.csr_matrix
-FieldVector = np.ndarray
 
 
 def _coeff_kind(c):

@@ -1,8 +1,9 @@
 """Control space on the boundary surface: edge basis, closed-form surface
 curl/mass matrices, lifting into the volume space, and the tangential trace.
 
-A control is one complex coefficient per boundary edge, z = sum_e z_e
-phi_e, where phi_e is the lowest-order surface edge function: on each of
+A control is one complex coefficient per boundary edge, ordered as
+mesh.boundary_edges, z = sum_e z_e phi_e, where phi_e is the lowest-order
+surface edge function: on each of
 the two faces sharing e it equals |e| (lambda_l grad_G lambda_m -
 lambda_m grad_G lambda_l) with (l, m) the edge endpoints in ascending id
 order. phi_e has unit tangential component along e, vanishing tangential
@@ -16,11 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import MeshError
-
-
-# ControlVector: complex ndarray with one entry per boundary edge, ordered
-# by ascending global edge id (mesh.boundary_edges).
-ControlVector = np.ndarray
 
 
 def zeros_control(mesh):
@@ -170,34 +166,15 @@ def surface_mass_matrix(mesh):
 
 @dataclass(frozen=True)
 class SurfaceOperators:
-    """Bundled surface matrices with per-face reference data.
-
-    K is the surface-curl Gram matrix, M the mass matrix; B_F caches the
-    2x2 metric inverse (B^T B)^(-1) of each boundary face built from its
-    squared edge lengths, and areas the face areas.
-    """
+    """Bundled surface matrices: K the surface-curl Gram matrix, M the
+    mass matrix of the phi_e basis."""
 
     K: sp.csr_matrix
     M: sp.csr_matrix
-    B_F: np.ndarray
-    areas: np.ndarray
 
     @classmethod
     def build(cls, mesh):
-        verts = mesh.vertices[mesh.boundary_faces]
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        l1 = np.einsum("fd,fd->f", e1, e1)
-        l2 = np.einsum("fd,fd->f", e2, e2)
-        dot = np.einsum("fd,fd->f", e1, e2)
-        A = mesh.boundary_areas
-        B = np.empty((len(verts), 2, 2))
-        B[:, 0, 0] = l2
-        B[:, 1, 1] = l1
-        B[:, 0, 1] = B[:, 1, 0] = -dot
-        B /= (4.0 * A * A)[:, None, None]
-        return cls(K=surface_curl_matrix(mesh), M=surface_mass_matrix(mesh),
-                   B_F=B, areas=A.copy())
+        return cls(K=surface_curl_matrix(mesh), M=surface_mass_matrix(mesh))
 
 
 def eval_control_on_faces(mesh, z, face_idx, ref_pts):
@@ -229,42 +206,48 @@ def eval_control_on_faces(mesh, z, face_idx, ref_pts):
     return pts, vals
 
 
-def lift(space, z):
-    """Extend a control into the volume space by matching boundary moments.
+def lifting_matrix(space):
+    """Sparse matrix L of the lifting of a control into the volume space.
 
     Boundary-edge mean moments take the control coefficients, the odd edge
     moments of z vanish, and for k = 1 the boundary-face moments of the
     piecewise-linear surface field are filled in closed form; every
-    interior moment is zero, so the tangential trace of the result is
-    exactly z.
+    interior moment is zero, so the tangential trace of L z is exactly z.
+    FESpace.lifting caches the result.
     """
     mesh = space.mesh
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (mesh.n_boundary_edges,):
-        raise MeshError("control vector does not match the boundary")
-    out = np.zeros(space.n_dofs, dtype=complex)
+    n_ctrl = mesh.n_boundary_edges
     k = space.k
-    out[(k + 1) * mesh.boundary_edges] = z
-    if k == 0:
-        return out
+    rows = [(k + 1) * mesh.boundary_edges]
+    cols = [np.arange(n_ctrl)]
+    data = [np.ones(n_ctrl)]
+    if k == 1:
+        bidx, a, b, lengths, _ = _face_edge_tables(mesh)
+        g = face_lambda_gradients(mesh.vertices[mesh.boundary_faces])
+        gids = mesh.boundary_face_ids
+        sorted_verts = mesh.vertices[mesh.faces[gids]]
+        # face moment directions of the volume space use the ascending-id triple
+        q = np.stack([sorted_verts[:, 1] - sorted_verts[:, 0],
+                      sorted_verts[:, 2] - sorted_verts[:, 0]], axis=1)
+        f = np.arange(len(gids))
+        for d in range(2):
+            for i in range(3):
+                grad_diff = g[f, b[:, i]] - g[f, a[:, i]]
+                rows.append(space.n_edge_dofs + 2 * gids + d)
+                cols.append(bidx[:, i])
+                data.append(lengths[:, i] / 3.0
+                            * np.einsum("fd,fd->f", q[:, d], grad_diff))
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (space.n_dofs, n_ctrl)).tocsr()
 
-    bidx, a, b, lengths, _ = _face_edge_tables(mesh)
-    bverts = mesh.vertices[mesh.boundary_faces]
-    g = face_lambda_gradients(bverts)
-    gids = mesh.boundary_face_ids
-    sorted_verts = mesh.vertices[mesh.faces[gids]]
-    # face moment directions of the volume space use the ascending-id triple
-    q = np.stack([sorted_verts[:, 1] - sorted_verts[:, 0],
-                  sorted_verts[:, 2] - sorted_verts[:, 0]], axis=1)
-    f = np.arange(len(gids))
-    for d in range(2):
-        mom = np.zeros(len(gids), dtype=complex)
-        for i in range(3):
-            grad_diff = g[f, b[:, i]] - g[f, a[:, i]]
-            mom += (z[bidx[:, i]] * lengths[:, i] / 3.0
-                    * np.einsum("fd,fd->f", q[:, d], grad_diff))
-        out[space.n_edge_dofs + 2 * gids + d] = mom
-    return out
+
+def lift(space, z):
+    """Extend a control into the volume space: space.lifting @ z."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (space.mesh.n_boundary_edges,):
+        raise MeshError("control vector does not match the boundary")
+    return space.lifting @ z
 
 
 def tangential_trace(space, u):

@@ -16,11 +16,10 @@ steepest descent is -G. BFGS runs on the stacked real parametrization
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .nedelec import assemble_curl_mass, assemble_load, integrate, _vector_field_at
 from .solver import StateOperator
-from .trace import SurfaceOperators, lift, _face_edge_tables, face_lambda_gradients
+from .trace import SurfaceOperators
 
 
 @dataclass
@@ -46,34 +45,6 @@ class ReducedGradient:
     tracking: np.ndarray
     curl_part: np.ndarray
     mass_part: np.ndarray
-
-
-def lifting_matrix(space):
-    """Sparse matrix of the lifting: lift(space, z) == L @ z."""
-    mesh = space.mesh
-    n_ctrl = mesh.n_boundary_edges
-    k = space.k
-    rows = [(k + 1) * mesh.boundary_edges]
-    cols = [np.arange(n_ctrl)]
-    data = [np.ones(n_ctrl)]
-    if k == 1:
-        bidx, a, b, lengths, _ = _face_edge_tables(mesh)
-        g = face_lambda_gradients(mesh.vertices[mesh.boundary_faces])
-        gids = mesh.boundary_face_ids
-        sv = mesh.vertices[mesh.faces[gids]]
-        q = np.stack([sv[:, 1] - sv[:, 0], sv[:, 2] - sv[:, 0]], axis=1)
-        f = np.arange(len(gids))
-        for d in range(2):
-            for i in range(3):
-                grad_diff = g[f, b[:, i]] - g[f, a[:, i]]
-                val = lengths[:, i] / 3.0 * np.einsum(
-                    "fd,fd->f", q[:, d], grad_diff)
-                rows.append(space.n_edge_dofs + 2 * gids + d)
-                cols.append(bidx[:, i])
-                data.append(val)
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        (space.n_dofs, n_ctrl)).tocsr()
 
 
 class ReducedProblem:
@@ -103,9 +74,6 @@ class ReducedProblem:
                     "...d,...d->...", _vector_field_at(config.u_d, p),
                     _vector_field_at(config.u_d, p).conj()).real,
                 q_c))
-        B = space.boundary_dofs
-        self.L_B = lifting_matrix(space)[B]
-        self.A_IB_H = self.op.A_IB.getH().tocsr()
         self.n_evaluations = 0
 
     @property
@@ -123,19 +91,13 @@ class ReducedProblem:
         self.n_evaluations += 1
         return self._parts(z, self.op.solve_state(z))
 
-    def gradient(self, z):
-        return self.cost_and_gradient(z)[1]
-
     def cost_and_gradient(self, z):
         self.n_evaluations += 1
         z = np.asarray(z, dtype=complex)
         u = self.op.solve_state(z)
         report = self._parts(z, u)
         rho = self.M_c @ u - self.d
-        w = self.op.solve_adjoint(rho)
-        I, B = self.space.interior_dofs, self.space.boundary_dofs
-        y = rho[B] - self.A_IB_H @ w[I]
-        T = self.L_B.T @ y
+        T = self.op.adjoint_pairing(self.op.solve_adjoint(rho), rho)
         curl_part = 0.5 * self.config.alpha * (self.surf.K @ z)
         mass_part = 0.5 * self.config.beta * (self.surf.M @ z)
         grad = ReducedGradient(
@@ -143,14 +105,6 @@ class ReducedProblem:
             tracking=0.5 * T, curl_part=curl_part, mass_part=mass_part)
         report.grad_norm = float(np.linalg.norm(grad.G))
         return report, grad
-
-
-def reduced_cost(problem, z):
-    return problem.cost(z)
-
-
-def reduced_gradient(problem, z):
-    return problem.gradient(z)
 
 
 def steepest_descent_direction(G):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eddyopt.mesh import generate_cube, generate_cylinder
+from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
 from eddyopt.nedelec import FESpace, ProblemConfig, interpolate
-from eddyopt.solver import (
-    AdjointState, StateOperator, adjoint_action, solve_adjoint, solve_state,
-)
+from eddyopt.solver import SolverError, StateOperator
 from eddyopt.trace import lift, tangential_trace, zeros_control
 
 
@@ -72,9 +70,8 @@ def test_adjoint_action_matches_an_extra_state_solve(k, mesh_idx):
                + 1j * rng.standard_normal(space.n_dofs))
         u = op.solve_state(z)
         du = op.solve_state(z + xi) - u
-        w = solve_adjoint(op, rho)
-        assert isinstance(w, AdjointState)
-        got = adjoint_action(op, w, rho, xi)
+        w = op.solve_adjoint(rho)
+        got = np.vdot(xi, op.adjoint_pairing(w, rho))
         want = np.vdot(du, rho)
         assert abs(got - want) / abs(want) <= 1e-9
 
@@ -104,12 +101,39 @@ def test_solve_counters_track_factorization_reuse():
     rng = np.random.default_rng(0)
     z = _random_control(mesh, rng)
     for _ in range(3):
-        solve_state(op, z)
+        op.solve_state(z)
     rho = np.ones(space.n_dofs, dtype=complex)
     for _ in range(2):
-        w = solve_adjoint(op, rho)
-    adjoint_action(op, w, rho, z)
+        w = op.solve_adjoint(rho)
+    op.adjoint_pairing(w, rho)
     assert (op.n_factorizations, op.n_state_solves, op.n_adjoint_solves) == (1, 3, 2)
+
+
+def test_wrong_length_control_is_rejected():
+    mesh = generate_cube(1)
+    for k in (0, 1):
+        space = FESpace(mesh, k)
+        op = StateOperator(mesh, space, ProblemConfig())
+        z = np.ones(mesh.n_boundary_edges + 1, dtype=complex)
+        with pytest.raises(MeshError):
+            lift(space, z)
+        with pytest.raises(MeshError):
+            op.solve_state(z)
+
+
+def test_residual_check_rejects_an_unreachable_tolerance():
+    # a relative residual of 1e-20 is below the float64 floor of any solve
+    mesh = generate_cube(2)
+    space = FESpace(mesh, 0)
+    op = StateOperator(mesh, space, ProblemConfig(solver_tol=1e-20))
+    rng = np.random.default_rng(13)
+    with pytest.raises(SolverError):
+        op.solve_state(_random_control(mesh, rng))
+    rho = (rng.standard_normal(space.n_dofs)
+           + 1j * rng.standard_normal(space.n_dofs))
+    with pytest.raises(SolverError):
+        op.solve_adjoint(rho)
+    assert (op.n_state_solves, op.n_adjoint_solves) == (0, 0)
 
 
 def test_dirichlet_solution_superposes_boundary_and_load_parts():
