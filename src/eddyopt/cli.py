@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,7 +213,7 @@ def _write_csv(path, header, rows):
 
 def _write_summary(outdir, payload):
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -275,7 +276,7 @@ def cmd_validate(cfg):
     exact = lambda x: analytic.exact_H(x, el)
     exact_curl = lambda x: analytic.exact_curl_H(x, el)
     k = cfg.order
-    rows, ok, failure = [], True, None
+    rows, ok, failure, trace = [], True, None, None
     for tag, m in mesh_family(cfg):
         t0 = time.perf_counter()
         try:
@@ -295,6 +296,7 @@ def cmd_validate(cfg):
                                 m, space, u)
         except Exception as exc:  # partial CSV on failure
             ok, failure = False, f"level {tag}: {exc}"
+            trace = traceback.format_exc()
             break
     _write_csv(os.path.join(cfg.out, "convergence.csv"),
                ["level", "h", "n_dofs", "hcurl_error", "seconds"], rows)
@@ -308,7 +310,7 @@ def cmd_validate(cfg):
     _write_summary(cfg.out, {
         "command": "validate", "order": k, "rate": slope,
         "rate_target": target, "levels_completed": len(rows),
-        "failure": failure, "ok": bool(ok),
+        "failure": failure, "traceback": trace, "ok": bool(ok),
     })
     return 0 if ok else 1
 
@@ -372,6 +374,20 @@ def cmd_gradcheck(cfg):
     return 0 if ok else 1
 
 
+def _gap(value, ref):
+    """Relative gap to the finest level; None (null, an empty CSV cell)
+    when the reference is 0 and the gap is undefined."""
+    return abs(value - ref) / abs(ref) if ref else None
+
+
+def _monotone(gaps, key):
+    """Whether the gaps shrink level by level; None if any is undefined."""
+    g = [row[key] for row in gaps]
+    if not g or None in g:
+        return None
+    return all(a >= b for a, b in zip(g, g[1:]))
+
+
 def cmd_optimize(cfg):
     """BFGS control optimization across mesh levels.
 
@@ -387,7 +403,7 @@ def cmd_optimize(cfg):
     max_iter = int(cfg.optimize.get("max_iter", 500))
     k = cfg.order
 
-    results, hist_rows, ok, failure = [], [], True, None
+    results, hist_rows, ok, failure, trace = [], [], True, None, None
     for tag, m in mesh_family(cfg):
         t0 = time.perf_counter()
         try:
@@ -426,6 +442,7 @@ def cmd_optimize(cfg):
                                 m, space, u)
         except Exception as exc:
             ok, failure = False, f"level {tag}: {exc}"
+            trace = traceback.format_exc()
             break
 
     _write_csv(os.path.join(cfg.out, "history.csv"),
@@ -436,17 +453,9 @@ def cmd_optimize(cfg):
     if len(results) >= 2 and ok:
         ref = results[-1]
         for r in results[:-1]:
-            gaps.append({
-                "level": r["level"],
-                "gap_J": abs(r["J"] - ref["J"]) / abs(ref["J"]),
-                "gap_J1": abs(r["J1"] - ref["J1"]) / abs(ref["J1"]),
-            })
-        mono_J = all(gaps[i]["gap_J"] >= gaps[i + 1]["gap_J"]
-                     for i in range(len(gaps) - 1))
-        mono_J1 = all(gaps[i]["gap_J1"] >= gaps[i + 1]["gap_J1"]
-                      for i in range(len(gaps) - 1))
-    else:
-        mono_J = mono_J1 = None
+            gaps.append({"level": r["level"],
+                         "gap_J": _gap(r["J"], ref["J"]),
+                         "gap_J1": _gap(r["J1"], ref["J1"])})
 
     _write_csv(os.path.join(cfg.out, "study.csv"),
                ["level", "h", "n_dofs", "n_controls", "J", "J1", "J2", "J3",
@@ -461,8 +470,9 @@ def cmd_optimize(cfg):
     _write_summary(cfg.out, {
         "command": "optimize", "order": k, "tol": tol,
         "levels_completed": len(results),
-        "gaps": gaps, "monotone_gap_J": mono_J, "monotone_gap_J1": mono_J1,
-        "failure": failure, "ok": bool(ok),
+        "gaps": gaps, "monotone_gap_J": _monotone(gaps, "gap_J"),
+        "monotone_gap_J1": _monotone(gaps, "gap_J1"),
+        "failure": failure, "traceback": trace, "ok": bool(ok),
     })
     return 0 if ok else 1
 

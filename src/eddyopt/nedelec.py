@@ -25,6 +25,9 @@ from .quadrature import gauss_01, triangle_rule, tet_rule, map_to_triangles, map
 from .trace import lifting_matrix
 
 CHUNK = 2048
+# Edge Gauss points and face-rule degree of the moment interpolant.
+INTERP_GAUSS = 8
+INTERP_FACE_DEGREE = 8
 
 
 class AssemblyError(ValueError):
@@ -46,36 +49,36 @@ def span_dim(k):
 def span_eval(k, pts):
     """Spanning fields of the local space at pts (..., 3).
 
-    Returns (vals, curls), each (..., S, 3). The span is {a + b cross x}
-    for k = 0 and (P1)^3 plus the 8 quadratic fields x cross (Q x) for
-    k = 1.
+    Returns (vals, curls), each (..., 3, S): the S fields run along the
+    last axis, the layout `_expand` multiplies without a copy. The span
+    is {a + b cross x} for k = 0 and (P1)^3 plus the 8 quadratic fields
+    x cross (Q x) for k = 1.
     """
+    if k not in (0, 1):
+        raise AssemblyError(f"order {k} not supported (k in {{0, 1}})")
     pts = np.asarray(pts, dtype=float)
-    base = pts.shape[:-1]
+    shape = pts.shape + (span_dim(k),)
+    out = np.empty(shape), np.zeros(shape)
+    # written field by field through (..., S, 3) views
+    vals, curls = (np.swapaxes(a, -1, -2) for a in out)
     eye = np.eye(3)
     if k == 0:
-        vals = np.empty(base + (6, 3))
-        curls = np.zeros(base + (6, 3))
         for i in range(3):
             vals[..., i, :] = eye[i]
             vals[..., 3 + i, :] = np.cross(eye[i], pts)
             curls[..., 3 + i, :] = 2.0 * eye[i]
-        return vals, curls
-    if k == 1:
-        vals = np.empty(base + (20, 3))
-        curls = np.zeros(base + (20, 3))
+        return out
+    for i in range(3):
+        vals[..., i, :] = eye[i]
+    for c in range(3):
         for i in range(3):
-            vals[..., i, :] = eye[i]
-        for c in range(3):
-            for i in range(3):
-                s = 3 + 3 * c + i
-                vals[..., s, :] = pts[..., c, None] * eye[i]
-                curls[..., s, :] = np.cross(eye[c], eye[i])
-        qx = np.einsum("jcd,...d->...jc", _Q8, pts)
-        vals[..., 12:, :] = np.cross(pts[..., None, :], qx)
-        curls[..., 12:, :] = -3.0 * qx
-        return vals, curls
-    raise AssemblyError(f"order {k} not supported (k in {{0, 1}})")
+            s = 3 + 3 * c + i
+            vals[..., s, :] = pts[..., c, None] * eye[i]
+            curls[..., s, :] = np.cross(eye[c], eye[i])
+    qx = np.einsum("jcd,...d->...jc", _Q8, pts)
+    vals[..., 12:, :] = np.cross(pts[..., None, :], qx)
+    curls[..., 12:, :] = -3.0 * qx
+    return out
 
 
 class FESpace:
@@ -126,6 +129,13 @@ class FESpace:
         """Sparse lifting matrix of the boundary controls (built once)."""
         return lifting_matrix(self)
 
+    @cached_property
+    def basis(self):
+        """Element basis data (C, centers, scales) of every tet, see
+        `_basis_coeffs` (built once, chunk by chunk)."""
+        parts = [_basis_coeffs(self, sl) for sl in _chunks(self.mesh.n_tets)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
 
 @dataclass
 class ProblemConfig:
@@ -156,17 +166,6 @@ class ProblemConfig:
             raise ValueError("alpha and beta cannot both vanish")
 
 
-def _coeff_kind(c):
-    if callable(c):
-        return "callable"
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 0:
-        return "scalar"
-    if c.shape == (3, 3):
-        return "matrix"
-    raise AssemblyError("coefficient must be scalar, 3x3, or callable")
-
-
 def _check_spd(mat, what):
     # mat (..., 3, 3)
     sym = np.abs(mat - np.swapaxes(mat, -1, -2)).max()
@@ -177,26 +176,30 @@ def _check_spd(mat, what):
 
 
 def _coeff_at(c, pts, what):
-    """Evaluate a coefficient at points; returns ('scalar', s) or (..., 3, 3)."""
-    kind = _coeff_kind(c)
-    if kind == "scalar":
-        s = float(c)
-        if s <= 0.0:
-            raise AssemblyError(f"{what} is not positive definite")
-        return "scalar", s
-    if kind == "matrix":
-        m = np.asarray(c, dtype=float)
-        _check_spd(m, what)
-        return "matrix", np.broadcast_to(m, pts.shape[:-1] + (3, 3))
-    v = np.asarray(c(pts))
-    if v.shape == pts.shape[:-1]:
-        if np.any(v <= 0.0):
-            raise AssemblyError(f"{what} is not positive definite")
-        return "field_scalar", v
-    if v.shape == pts.shape[:-1] + (3, 3):
+    """Coefficient at points pts (..., 3), checked to be positive.
+
+    Returns shape (...) for a scalar-valued coefficient and (..., 3, 3)
+    for a matrix-valued one, constant or callable.
+    """
+    base = pts.shape[:-1]
+    if callable(c):
+        v = np.asarray(c(pts), dtype=float)
+        shapes = (base, base + (3, 3))
+        message = f"{what} callable returned shape {v.shape}"
+    else:
+        v = np.asarray(c, dtype=float)
+        shapes = ((), (3, 3))
+        message = "coefficient must be scalar, 3x3, or callable"
+    if v.shape not in shapes:
+        raise AssemblyError(message)
+    if not np.isfinite(v).all():
+        raise AssemblyError(f"{what} is not finite")
+    if v.shape == shapes[1]:
         _check_spd(v, what)
-        return "matrix", v
-    raise AssemblyError(f"{what} callable returned shape {v.shape}")
+        return np.broadcast_to(v, base + (3, 3))
+    if np.any(v <= 0.0):
+        raise AssemblyError(f"{what} is not positive definite")
+    return np.broadcast_to(v, base)
 
 
 def _vector_field_at(f, pts):
@@ -239,14 +242,14 @@ def _face_moment_rows(mesh, sl, degree):
     return pts, rw, q
 
 
-def _basis_coeffs(mesh, space, sl):
+def _basis_coeffs(space, sl):
     """Moment-matrix inversion for tets in slice sl.
 
     Returns (C (cells, S, S), centers (cells, 3), scales (cells,)): the
     element basis dual to the global moments is Phi_m = sum_s C[s, m] *
     span_s((x - center)/scale), with curls scaled by 1/scale.
     """
-    k = space.k
+    mesh, k = space.mesh, space.k
     tv = mesh.vertices[mesh.tets[sl]]
     centers = tv.mean(axis=1)
     scales = mesh.edge_lengths[mesh.tet_edges[sl]].max(axis=1)
@@ -257,18 +260,14 @@ def _basis_coeffs(mesh, space, sl):
     pts, wts, t = _edge_moment_rows(mesh, sl, k, k + 2)
     loc = (pts - centers[:, None, None, :]) / scales[:, None, None, None]
     vals, _ = span_eval(k, loc)
-    vt = np.einsum("cengd,ced->ceng", vals, t)
+    vt = np.einsum("cendg,ced->ceng", vals, t)
     for m, w in enumerate(wts):
-        rows = np.einsum("ceng,n->ceg", vt, w)
-        if k == 0:
-            V[:, :, :] = rows
-        else:
-            V[:, m:12:2, :] = rows
+        V[:, m:6 * (k + 1):k + 1, :] = np.einsum("ceng,n->ceg", vt, w)
     if k == 1:
         pts, rw, q = _face_moment_rows(mesh, sl, 2)
         loc = (pts - centers[:, None, None, :]) / scales[:, None, None, None]
         vals, _ = span_eval(k, loc)
-        vq = np.einsum("cfngd,cfed->cfneg", vals, q)
+        vq = np.einsum("cfndg,cfed->cfneg", vals, q)
         rows = 2.0 * np.einsum("cfneg,n->cfeg", vq, rw)
         V[:, 12:, :] = rows.reshape(n_cells, 8, S)
     try:
@@ -278,26 +277,52 @@ def _basis_coeffs(mesh, space, sl):
     return C, centers, scales
 
 
+def _expand(span, C):
+    """sum_s span[c, q, d, s] C[c, s, m] as one product per cell.
+
+    Returns (cells, q, m, 3) as a view whose last two axes are swapped,
+    so that `_gram` reads it without a copy.
+    """
+    n, q, _, S = span.shape
+    rows = span.reshape(n, 3 * q, S) @ C
+    return np.swapaxes(rows.reshape(n, q, 3, -1), -1, -2)
+
+
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
     """Basis values/curls at mapped reference points for tets in sl.
 
     Returns (phys (C, m, 3), jac (C,), Phi (C, m, n_local, 3),
     curlPhi (C, m, n_local, 3)); jac = 6 * volume.
     """
-    C, centers, scales = _basis_coeffs(mesh, space, sl)
+    C, centers, scales = (a[sl] for a in space.basis)
     verts = mesh.vertices[mesh.tets[sl]]
     phys, jac = map_to_tets(verts, ref_pts)
     loc = (phys - centers[:, None, :]) / scales[:, None, None]
     vals, curls = span_eval(space.k, loc)
-    curls = curls / scales[:, None, None, None]
-    Phi = np.einsum("cqsd,csm->cqmd", vals, C)
-    curlPhi = np.einsum("cqsd,csm->cqmd", curls, C)
-    return phys, jac, Phi, curlPhi
+    curl_C = C / scales[:, None, None]
+    return phys, jac, _expand(vals, C), _expand(curls, curl_C)
 
 
 def _chunks(n):
     for lo in range(0, n, CHUNK):
         yield slice(lo, min(lo + CHUNK, n))
+
+
+def _gram(w, coeff, F):
+    """Element matrices sum_q w_q F_m^T coeff F_n as one batched product.
+
+    w (C, q) are weights times Jacobians, F (C, q, m, 3) basis fields and
+    coeff a per-point coefficient from `_coeff_at`.
+    """
+    if coeff.ndim > w.ndim:  # matrix-valued: rows F_m^T coeff
+        left = F @ coeff
+    else:
+        left, w = F, w * coeff
+    n, q, m, _ = F.shape
+    left = w[..., None, None] * np.swapaxes(left, -1, -2)
+    left = left.reshape(n, 3 * q, m)
+    right = np.swapaxes(F, -1, -2).reshape(n, 3 * q, m)
+    return np.swapaxes(left, -1, -2) @ right
 
 
 def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
@@ -311,45 +336,16 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     rp, rw = tet_rule(degree)
     n_loc = space.n_local
     rows, cols, kdata, mdata = [], [], [], []
-    mu_kind = _coeff_kind(mu)
-    ka_kind = _coeff_kind(kappa)
-    if mu_kind == "scalar" and float(mu) <= 0:
-        raise AssemblyError("mu is not positive definite")
-    if ka_kind == "scalar" and float(kappa) <= 0:
-        raise AssemblyError("kappa is not positive definite")
-
     for sl in _chunks(mesh.n_tets):
         phys, jac, Phi, curlPhi = element_basis(mesh, space, rp, sl)
         w = rw[None, :] * jac[:, None]
-
-        if mu_kind == "scalar":
-            Kel = np.einsum("cq,cqmd,cqnd->cmn", w, curlPhi, curlPhi)
-            Kel *= 1.0 / float(mu)
-        else:
-            kind, val = _coeff_at(mu, phys, "mu")
-            if kind == "field_scalar":
-                Kel = np.einsum("cq,cqmd,cqnd->cmn", w / val, curlPhi, curlPhi)
-            else:
-                minv = np.linalg.inv(val)
-                Kel = np.einsum("cq,cqde,cqmd,cqne->cmn",
-                                w, minv, curlPhi, curlPhi)
-        if ka_kind == "scalar":
-            Mel = np.einsum("cq,cqmd,cqnd->cmn", w, Phi, Phi)
-            Mel *= float(kappa)
-        else:
-            kind, val = _coeff_at(kappa, phys, "kappa")
-            if kind == "field_scalar":
-                Mel = np.einsum("cq,cqmd,cqnd->cmn", w * val, Phi, Phi)
-            else:
-                Mel = np.einsum("cq,cqde,cqmd,cqne->cmn", w, val, Phi, Phi)
-
-        Kel = 0.5 * (Kel + np.swapaxes(Kel, 1, 2))
-        Mel = 0.5 * (Mel + np.swapaxes(Mel, 1, 2))
+        mu_at = _coeff_at(mu, phys, "mu")
+        mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
+        kdata.append(_gram(w, mu_inv, curlPhi).ravel())
+        mdata.append(_gram(w, _coeff_at(kappa, phys, "kappa"), Phi).ravel())
         dofs = space.cell_dofs[sl]
         rows.append(np.repeat(dofs, n_loc, axis=1).ravel())
         cols.append(np.tile(dofs, (1, n_loc)).ravel())
-        kdata.append(Kel.ravel())
-        mdata.append(Mel.ravel())
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -357,8 +353,8 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     K = sp.coo_matrix((np.concatenate(kdata), (rows, cols)), (n, n)).tocsr()
     M = sp.coo_matrix((np.concatenate(mdata), (rows, cols)), (n, n)).tocsr()
     # Duplicate summation order differs between (i, j) and (j, i); averaging
-    # with the transpose restores bitwise symmetry (addition is commutative,
-    # halving is exact) without changing already-symmetric values.
+    # with the transpose makes both bitwise symmetric (addition is
+    # commutative, halving is exact).
     K = ((K + K.T) * 0.5).tocsr()
     M = ((M + M.T) * 0.5).tocsr()
     return K, M
@@ -401,7 +397,7 @@ def integrate(mesh, f, degree=6):
     return total
 
 
-def interpolate(space, v, edge_gauss=8, face_degree=8):
+def interpolate(space, v):
     """Moment interpolant of a smooth field v (callable or constant)."""
     mesh = space.mesh
     k = space.k
@@ -409,7 +405,7 @@ def interpolate(space, v, edge_gauss=8, face_degree=8):
 
     lo = mesh.vertices[mesh.edges[:, 0]]
     hi = mesh.vertices[mesh.edges[:, 1]]
-    u, w = gauss_01(edge_gauss)
+    u, w = gauss_01(INTERP_GAUSS)
     pts = lo[:, None, :] + u[:, None] * (hi - lo)[:, None, :]
     t = (hi - lo) / mesh.edge_lengths[:, None]
     vt = np.einsum("end,ed->en", _vector_field_at(v, pts), t)
@@ -417,7 +413,7 @@ def interpolate(space, v, edge_gauss=8, face_degree=8):
     if k == 1:
         out[1:space.n_edge_dofs:2] = vt @ (3.0 * (2.0 * u - 1.0) * w)
         verts = mesh.vertices[mesh.faces]
-        rp, rw = triangle_rule(face_degree)
+        rp, rw = triangle_rule(INTERP_FACE_DEGREE)
         fpts, _ = map_to_triangles(verts, rp)
         vals = _vector_field_at(v, fpts)
         for d in range(2):
@@ -427,16 +423,13 @@ def interpolate(space, v, edge_gauss=8, face_degree=8):
     return out
 
 
-def evaluate_field(space, u, ref_pts, tet_slice=None):
-    """Evaluate the FE field at mapped reference points.
+def evaluate_field(space, u, ref_pts):
+    """Evaluate the FE field at mapped reference points of every tet.
 
-    Returns (phys (C, m, 3), vals (C, m, 3), curls (C, m, 3)) over the
-    requested tets (all by default).
+    Returns (phys (C, m, 3), vals (C, m, 3), curls (C, m, 3)).
     """
-    mesh = space.mesh
-    sl = tet_slice if tet_slice is not None else slice(0, mesh.n_tets)
-    phys, jac, Phi, curlPhi = element_basis(mesh, space, ref_pts, sl)
-    coef = u[space.cell_dofs[sl]]
+    phys, _, Phi, curlPhi = element_basis(space.mesh, space, ref_pts)
+    coef = u[space.cell_dofs]
     vals = np.einsum("cqmd,cm->cqd", Phi, coef)
     curls = np.einsum("cqmd,cm->cqd", curlPhi, coef)
     return phys, vals, curls

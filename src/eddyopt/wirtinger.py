@@ -57,23 +57,19 @@ class ReducedProblem:
 
     def __init__(self, mesh, space, config):
         self.mesh = mesh
-        self.space = space
         self.config = config
         self.op = StateOperator(mesh, space, config)
         self.surf = SurfaceOperators.build(mesh)
-        q_c = (config.quad_order if config.quad_order
-               else 2 * space.k + 2) + 2
-        _, self.M_c = assemble_curl_mass(mesh, space, 1.0, 1.0, q_c)
-        self.d = assemble_load(mesh, space, config.u_d, q_c)
-        if config.u_d is None:
-            self.c_d = 0.0
-        else:
-            self.c_d = float(integrate(
-                mesh,
-                lambda p: np.einsum(
-                    "...d,...d->...", _vector_field_at(config.u_d, p),
-                    _vector_field_at(config.u_d, p).conj()).real,
-                q_c))
+        # The state's rule integrates Phi . Phi (degree 2k + 2) exactly; u_d
+        # is not a polynomial, so d and c_d take two degrees more.
+        q = config.quad_order or 2 * space.k + 2
+        _, self.M_c = assemble_curl_mass(mesh, space, 1.0, 1.0, q)
+        self.d = assemble_load(mesh, space, config.u_d, q + 2)
+
+        def u_d_squared(p):  # |u_d|^2, zero where u_d is None
+            v = _vector_field_at(config.u_d, p)
+            return np.einsum("...d,...d->...", v, v.conj()).real
+        self.c_d = float(integrate(mesh, u_d_squared, q + 2))
         self.n_evaluations = 0
 
     @property

@@ -25,9 +25,13 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _not_json(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
 def _summary(outdir):
     with open(os.path.join(outdir, "summary.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 def test_gen_mesh_writes_msh_json_and_summary(tmp_path):
@@ -183,6 +187,37 @@ def test_optimize_trivial_target_returns_zero_control(tmp_path):
     _, crows = _read_csv(os.path.join(out, "control_L0.csv"))
     z = np.array([[float(r[4]), float(r[5])] for r in crows])
     assert np.abs(z).max() <= 1e-6
+    # two levels: the gap relative to the finest J* = 0 is undefined, so it
+    # is null in summary.json (strict JSON) and an empty cell in study.csv
+    cfg = _write(tmp_path, "cfg2.json", {
+        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
+        "problem": {"u_d": [0, 0, 0], "alpha": 1e-3, "beta": 1e-3},
+        "optimize": {"tol": 1e-11},
+    })
+    out = str(tmp_path / "out2")
+    assert main(["optimize", "--config", cfg, "--out", out]) == 0
+    s = _summary(out)
+    assert s["ok"] is True and s["levels_completed"] == 2
+    assert s["gaps"] == [{"level": "L0", "gap_J": None, "gap_J1": None}]
+    assert s["monotone_gap_J"] is None and s["monotone_gap_J1"] is None
+    header, rows = _read_csv(os.path.join(out, "study.csv"))
+    assert [r[header.index("gap_J")] for r in rows] == ["", ""]
+    assert [r[header.index("gap_J1")] for r in rows] == ["", ""]
+
+
+def test_optimize_failure_keeps_its_traceback(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
+        "problem": {"u_d": [0.1, 0.0, 0.2], "solver_tol": 1e-20},
+    })
+    out = str(tmp_path / "out")
+    assert main(["optimize", "--config", cfg, "--out", out]) == 1
+    s = _summary(out)
+    assert s["ok"] is False and s["levels_completed"] == 0
+    assert s["failure"].startswith("level L0:")
+    assert "Traceback" in s["traceback"] and "SolverError" in s["traceback"]
+    for name in ("history.csv", "study.csv"):  # written, with no rows
+        assert _read_csv(os.path.join(out, name))[1] == []
 
 
 def test_optimize_writes_vtk_state(tmp_path):

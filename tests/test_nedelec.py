@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eddyopt import nedelec
 from eddyopt.mesh import generate_cube, generate_cylinder
 from eddyopt.nedelec import (
     AssemblyError, FESpace, ProblemConfig, assemble, assemble_curl_mass,
@@ -188,6 +189,33 @@ def test_fespace_rejects_unsupported_order():
         FESpace(m, -1)
 
 
+def test_basis_is_inverted_once_per_space(monkeypatch):
+    calls = []
+    inner = nedelec._basis_coeffs
+    monkeypatch.setattr(nedelec, "_basis_coeffs",
+                        lambda space, sl: calls.append(sl) or inner(space, sl))
+    pts, _ = tet_rule(4)
+    m = generate_cylinder(0.5, 1.0, 3, 18, 8)
+    assert m.n_tets > nedelec.CHUNK
+    space = FESpace(m, 0)
+    assert space.basis is space.basis
+    assemble(m, space, ProblemConfig())
+    u = assemble_load(m, space, np.array([1.0, 0.0, 0.0]))
+    hcurl_error(space, u, None, None)
+    full = element_basis(m, space, pts)
+    # chunk by chunk, on first use only
+    assert len(calls) == -(-m.n_tets // nedelec.CHUNK)
+    # a slice across the chunk boundary equals the rows of the full call
+    sl = slice(nedelec.CHUNK - 5, nedelec.CHUNK + 7)
+    for part, whole in zip(element_basis(m, space, pts, sl), full):
+        assert np.array_equal(part, whole[sl])
+    space = FESpace(generate_cube(2), 1)
+    full = element_basis(space.mesh, space, pts)
+    for part, whole in zip(element_basis(space.mesh, space, pts,
+                                         slice(9, 30)), full):
+        assert np.array_equal(part, whole[9:30])
+
+
 def test_assembled_matrix_invariants():
     rng = np.random.default_rng(11)
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
@@ -216,6 +244,11 @@ def test_scalar_coefficient_scaling_is_exact():
     K2, M2 = assemble_curl_mass(m, space, 2.0, 4.0)
     assert abs(K2 - 0.5 * K1).max() == 0.0
     assert abs(M2 - 4.0 * M1).max() == 0.0
+    # the same constants as per-point fields
+    K3, M3 = assemble_curl_mass(m, space, lambda x: np.full(x.shape[:-1], 2.0),
+                                lambda x: np.full(x.shape[:-1], 4.0))
+    assert abs(K3 - 0.5 * K1).max() == 0.0
+    assert abs(M3 - 4.0 * M1).max() == 0.0
 
 
 def test_matrix_coefficient_matches_scalar_path():
@@ -254,6 +287,19 @@ def test_non_spd_coefficient_rejected():
     asym = np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(AssemblyError):
         assemble_curl_mass(m, space, asym, 1.0)
+    with pytest.raises(AssemblyError, match="scalar, 3x3, or callable"):
+        assemble_curl_mass(m, space, np.ones(3), 1.0)
+    with pytest.raises(AssemblyError, match="returned shape"):
+        assemble_curl_mass(m, space, lambda x: np.ones(x.shape), 1.0)
+    with pytest.raises(AssemblyError, match="mu is not positive"):
+        assemble_curl_mass(m, space, lambda x: x[..., 0] - 0.5, 1.0)
+    for bad_kappa in (0.0, np.inf, bad, asym, np.full((3, 3), np.nan),
+                      np.ones((2, 2)),
+                      lambda x: -np.ones(x.shape[:-1]),
+                      lambda x: np.full(x.shape[:-1], np.nan),
+                      lambda x: np.ones(x.shape[:-1] + (3,))):
+        with pytest.raises(AssemblyError):
+            assemble_curl_mass(m, space, 1.0, bad_kappa)
 
 
 def test_problem_config_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eddyopt.mesh import generate_cube, generate_cylinder
-from eddyopt.nedelec import FESpace, ProblemConfig
+from eddyopt.nedelec import FESpace, ProblemConfig, assemble_curl_mass
 from eddyopt.trace import lift, lifting_matrix, zeros_control
 from eddyopt.wirtinger import (
     CostReport, ReducedGradient, ReducedProblem, bfgs_minimize,
@@ -150,6 +150,17 @@ def test_tracking_misfit_matches_direct_integration_of_error():
                     - 2 * np.vdot(prob.d, u).real + prob.c_d)
     assert prob.cost(z).J1 == pytest.approx(direct, rel=1e-12)
     assert direct > 0
+
+
+def test_tracking_mass_at_the_state_degree_is_exact():
+    # Phi . Phi has degree 2k + 2, so two more degrees change only round-off
+    mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    for k in (0, 1):
+        space = FESpace(mesh, k)
+        prob = ReducedProblem(mesh, space, ProblemConfig(
+            u_d=np.array([0.1, 0.0, 0.2j])))
+        _, M = assemble_curl_mass(mesh, space, 1.0, 1.0, 2 * k + 4)
+        assert abs(prob.M_c - M).max() <= 1e-14 * abs(M).max()
 
 
 def test_reduced_gradient_passes_fd_check():
