@@ -4,8 +4,9 @@ Boundary control of the eddy-current field
 
 Choose the tangential boundary data z so that the resulting field matches
 the analytic rod field inside the cylinder, with a surface-curl penalty
-keeping the control regular. BFGS drives the gradient below 1e-9 on each
-of three nested meshes; the coarse-level optima approach the finest one.
+keeping the control regular. Limited-memory BFGS (20 pairs) drives the
+gradient below 1e-9 on each of three nested meshes; the coarse-level optima
+approach the finest one.
 """
 
 import numpy as np

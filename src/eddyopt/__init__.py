@@ -2,8 +2,8 @@
 
 Edge (Nedelec) finite elements over complex fields, a surface-edge control
 space on the boundary with closed-form curl/mass matrices, adjoint-based
-reduced gradients in Wirtinger form, and a BFGS driver, validated against
-an analytic cylinder solution.
+reduced gradients in Wirtinger form, and a limited-memory BFGS (20 pairs)
+driver, validated against an analytic cylinder solution.
 """
 
 from .mesh import (

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .quadrature import gauss_01, triangle_rule, tet_rule, map_to_triangles, map_to_tets
-from .trace import lifting_matrix
+from .trace import lifting_matrix, symmetric_csr
 
 CHUNK = 2048
 # Edge Gauss points and face-rule degree of the moment interpolant.
@@ -334,30 +334,16 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     if degree is None:
         degree = 2 * space.k + 2
     rp, rw = tet_rule(degree)
-    n_loc = space.n_local
-    rows, cols, kdata, mdata = [], [], [], []
+    Kel, Mel = [], []
     for sl in _chunks(mesh.n_tets):
         phys, jac, Phi, curlPhi = element_basis(mesh, space, rp, sl)
         w = rw[None, :] * jac[:, None]
         mu_at = _coeff_at(mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        kdata.append(_gram(w, mu_inv, curlPhi).ravel())
-        mdata.append(_gram(w, _coeff_at(kappa, phys, "kappa"), Phi).ravel())
-        dofs = space.cell_dofs[sl]
-        rows.append(np.repeat(dofs, n_loc, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, n_loc)).ravel())
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    n = space.n_dofs
-    K = sp.coo_matrix((np.concatenate(kdata), (rows, cols)), (n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mdata), (rows, cols)), (n, n)).tocsr()
-    # Duplicate summation order differs between (i, j) and (j, i); averaging
-    # with the transpose makes both bitwise symmetric (addition is
-    # commutative, halving is exact).
-    K = ((K + K.T) * 0.5).tocsr()
-    M = ((M + M.T) * 0.5).tocsr()
-    return K, M
+        Kel.append(_gram(w, mu_inv, curlPhi))
+        Mel.append(_gram(w, _coeff_at(kappa, phys, "kappa"), Phi))
+    return tuple(symmetric_csr(np.concatenate(X), space.cell_dofs, space.n_dofs)
+                 for X in (Kel, Mel))
 
 
 def assemble(mesh, space, config):
@@ -365,7 +351,9 @@ def assemble(mesh, space, config):
     K, M = assemble_curl_mass(
         mesh, space, config.mu, config.kappa,
         config.quad_order if config.quad_order else 2 * space.k + 2)
-    return (K + 1j * config.omega * M).tocsr()
+    # K and M share one stored pattern; summing the data keeps all of it
+    return sp.csr_matrix((K.data + 1j * config.omega * M.data, K.indices,
+                          K.indptr), K.shape)
 
 
 def assemble_load(mesh, space, j_c, degree=None):

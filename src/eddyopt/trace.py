@@ -19,6 +19,22 @@ import scipy.sparse as sp
 from .mesh import MeshError
 
 
+def symmetric_csr(local, dofs, n):
+    """Sum local matrices (C, m, m) on dofs (C, m) into an n x n CSR matrix
+    that stores every dof pair sharing a cell, also where the sum is 0.0.
+
+    (i, j) and (j, i) sum their duplicates in different orders; averaging
+    with the transpose makes the matrix bitwise symmetric.
+    """
+    m = dofs.shape[1]
+    rows = np.repeat(dofs, m, axis=1).ravel()
+    cols = np.tile(dofs, (1, m)).ravel()
+    A = sp.csr_matrix((local.ravel(), (rows, cols)), (n, n))
+    # the pattern is symmetric, so A.T in sorted CSR order aligns with A
+    A.data = (A.data + A.T.tocsr().data) * 0.5
+    return A
+
+
 def zeros_control(mesh):
     return np.zeros(mesh.n_boundary_edges, dtype=complex)
 
@@ -126,11 +142,7 @@ def surface_curl_matrix(mesh):
     sgn = np.where(asc, 1.0, -1.0)
     val = sgn * lengths
     contrib = np.einsum("fi,fj->fij", val, val) / mesh.boundary_areas[:, None, None]
-    rows = np.repeat(bidx, 3, axis=1).ravel()
-    cols = np.tile(bidx, (1, 3)).ravel()
-    n = mesh.n_boundary_edges
-    K = sp.coo_matrix((contrib.ravel(), (rows, cols)), (n, n)).tocsr()
-    return ((K + K.T) * 0.5).tocsr()
+    return symmetric_csr(contrib, bidx, mesh.n_boundary_edges)
 
 
 def surface_mass_matrix(mesh):
@@ -155,13 +167,7 @@ def surface_mass_matrix(mesh):
             term = (gg[f, bi, bj] * lam[ai, aj] - gg[f, bi, aj] * lam[ai, bj]
                     - gg[f, ai, bj] * lam[bi, aj] + gg[f, ai, aj] * lam[bi, bj])
             contrib[:, i, j] = lengths[:, i] * lengths[:, j] * A * term
-    rows = np.repeat(bidx, 3, axis=1).ravel()
-    cols = np.tile(bidx, (1, 3)).ravel()
-    n = mesh.n_boundary_edges
-    M = sp.coo_matrix((contrib.ravel(), (rows, cols)), (n, n)).tocsr()
-    # duplicate-summation order differs between (i, j) and (j, i); averaging
-    # with the transpose restores bitwise symmetry at unchanged values
-    return ((M + M.T) * 0.5).tocsr()
+    return symmetric_csr(contrib, bidx, mesh.n_boundary_edges)
 
 
 @dataclass(frozen=True)

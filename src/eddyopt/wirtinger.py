@@ -1,5 +1,5 @@
 """Reduced cost, conjugate-gradient ("Wirtinger") form of the reduced
-gradient, finite-difference validation, and BFGS minimization.
+gradient, finite-difference checks and limited-memory BFGS (20 pairs).
 
 For the real-valued reduced cost j the directional derivative along a
 control direction xi with real steps is
@@ -9,10 +9,11 @@ control direction xi with real steps is
 and G (the conjugate Wirtinger derivative) is assembled from one adjoint
 solve plus surface-matrix products: G = (T + alpha K z + beta M z) / 2
 with T the adjoint pairing against each basis function. The direction of
-steepest descent is -G. BFGS runs on the stacked real parametrization
-(Re z, Im z), whose gradient is (2 Re G, 2 Im G).
+steepest descent is -G. The optimizer runs on the stacked real
+parametrization (Re z, Im z), whose gradient is (2 Re G, 2 Im G).
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ import numpy as np
 from .nedelec import assemble_curl_mass, assemble_load, integrate, _vector_field_at
 from .solver import StateOperator
 from .trace import SurfaceOperators
+
+LBFGS_PAIRS = 20  # stored (s, y) pairs of the limited-memory BFGS
 
 
 @dataclass
@@ -199,11 +202,27 @@ def _strong_wolfe(phi, f0, df0, c1, c2, a_first=1.0, max_evals=25):
             return zoom(a, f, df, a_prev, f_prev)
         a_prev, f_prev, df_prev = a, f, df
         a *= 2.0
-    return a
+    return a_prev  # the last evaluated step, not the untried doubling
+
+
+def _two_loop(pairs, g):
+    """Inverse-Hessian approximation times g from the stored (s, y, 1/s.y)
+    pairs (Nocedal 1980), with H0 = (s.y / y.y) I from the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return q
 
 
 def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
-    """Minimize a real cost of a complex vector via BFGS.
+    """Minimize a real cost of complex z by limited-memory BFGS (20 pairs).
 
     fun(z) -> (cost, gradient) where cost may be a CostReport and gradient
     a ReducedGradient or plain complex array. Iterates on the stacked real
@@ -244,18 +263,15 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
         history.append(r)
 
     record(0, None)
-    H = np.eye(2 * n)
-    scaled = False
+    pairs = deque(maxlen=LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
     for it in range(1, max_iter + 1):
-        gnorm = np.linalg.norm(G)
-        if gnorm <= tol:
+        if np.linalg.norm(G) <= tol:
             break
-        p = -H @ g
+        p = -_two_loop(pairs, g)
         dphi0 = float(g @ p)
         if dphi0 >= 0.0:
             # fall back to steepest descent when the model direction fails
-            H = np.eye(2 * n)
-            scaled = False
+            pairs.clear()
             p = -g
             dphi0 = float(g @ p)
 
@@ -269,15 +285,7 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            if not scaled:
-                H = (sy / float(y @ y)) * np.eye(2 * n)
-                scaled = True
-            rho_ = 1.0 / sy
-            Hy = H @ y
-            H = (H - rho_ * (np.outer(s, Hy) + np.outer(Hy, s))
-                 + rho_ * (rho_ * float(y @ Hy) + 1.0) * np.outer(s, s))
+            pairs.append((s, y, 1.0 / sy))
         x, f, g, G, rep = x_new, f_new, g_new, G_new, rep_new
         record(it, a)
-        if np.linalg.norm(G) <= tol:
-            break
     return unpack(x), history

@@ -237,6 +237,19 @@ def test_assembled_matrix_invariants():
         assert np.vdot(v, A2 @ v).imag <= 0
 
 
+def test_stored_pattern_is_every_dof_pair_sharing_a_tet():
+    # entries whose element sums cancel to 0.0 stay stored, so the pattern
+    # of K, M and A is the mesh's, not round-off's
+    m = generate_cylinder(0.5, 1.0, 3, 18, 6)
+    for k in (0, 1):
+        space = FESpace(m, k)
+        d = space.cell_dofs
+        pairs = np.unique(d[:, :, None] * space.n_dofs + d[:, None, :]).size
+        K, M = assemble_curl_mass(m, space)
+        A = assemble(m, space, ProblemConfig())
+        assert K.nnz == M.nnz == A.nnz == pairs
+
+
 def test_scalar_coefficient_scaling_is_exact():
     m = generate_cube(1)
     space = FESpace(m, 0)

@@ -1,5 +1,7 @@
 """Reduced cost/gradient calculus, finite-difference checks, and BFGS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from eddyopt.nedelec import FESpace, ProblemConfig, assemble_curl_mass
 from eddyopt.trace import lift, lifting_matrix, zeros_control
 from eddyopt.wirtinger import (
     CostReport, ReducedGradient, ReducedProblem, bfgs_minimize,
-    directional_derivative, fd_check, loglog_slope,
+    _strong_wolfe, directional_derivative, fd_check, loglog_slope,
     steepest_descent_direction,
 )
 
@@ -43,6 +45,45 @@ def test_scalar_nonholomorphic_minimizer_is_minus_one_half():
     z, history = bfgs_minimize(fun, np.array([0.37 - 0.81j]), tol=1e-12)
     assert abs(z[0] - (-0.5)) <= 1e-8
     assert history[-1].grad_norm <= 1e-12
+
+
+def test_strong_wolfe_returns_an_evaluated_step():
+    # phi(a) = -a never meets the curvature condition, so the expansion
+    # runs out of evaluations; phi(a) = (a - 3)^2 ends in zoom
+    for phi in (lambda a: (-a, -1.0),
+                lambda a: ((a - 3.0) ** 2, 2.0 * (a - 3.0))):
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return phi(a)
+
+        f0, df0 = phi(0.0)
+        a = _strong_wolfe(recording, f0, df0, 1e-4, 0.9)
+        assert a in seen
+        assert phi(a)[0] <= f0 + 1e-4 * a * df0
+
+
+def test_bfgs_memory_stays_linear_in_the_controls():
+    # one dense 2n x 2n inverse Hessian at n = 5000 would be 800 MB
+    rng = np.random.default_rng(3)
+    n = 5000
+    d = rng.uniform(1.0, 10.0, n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def fun(z):  # j = sum d |z - c|^2, conjugate derivative d (z - c)
+        r = z - c
+        return float(d @ (r.real ** 2 + r.imag ** 2)), d * r
+
+    tracemalloc.start()
+    try:
+        z, history = bfgs_minimize(fun, np.zeros(n, complex), tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history[-1].grad_norm <= 1e-9
+    assert np.abs(z - c).max() <= 1e-9
+    assert peak < 32e6
 
 
 def test_pairing_identity_on_quadratic_with_known_gradient():
