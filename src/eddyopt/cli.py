@@ -265,6 +265,12 @@ def cmd_gen_mesh(cfg):
     return 0
 
 
+def _solver_record(tag, op):
+    """A level's factor fill and largest solve residual, for summary.json."""
+    return {"level": tag, "nnz_LU": int(op.lu.nnz),
+            "max_residual": op.max_residual}
+
+
 def cmd_validate(cfg):
     """Convergence study: boundary-driven solve vs the analytic rod field.
 
@@ -277,7 +283,7 @@ def cmd_validate(cfg):
     exact = lambda x: analytic.exact_H(x, el)
     exact_curl = lambda x: analytic.exact_curl_H(x, el)
     k = cfg.order
-    rows, ok, failure, trace = [], True, None, None
+    rows, levels, ok, failure, trace = [], [], True, None, None
     for tag, m in mesh_family(cfg):
         t0 = time.perf_counter()
         try:
@@ -292,6 +298,7 @@ def cmd_validate(cfg):
             err = hcurl_error(space, u, exact, exact_curl)
             dt = time.perf_counter() - t0
             rows.append((tag, mesh_size(m), space.n_dofs, err, dt))
+            levels.append(_solver_record(tag, op))
             if cfg.vtk:
                 write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
                                 m, space, u)
@@ -311,7 +318,8 @@ def cmd_validate(cfg):
     _write_summary(cfg.out, {
         "command": "validate", "order": k, "rate": slope,
         "rate_target": target, "levels_completed": len(rows),
-        "failure": failure, "traceback": trace, "ok": bool(ok),
+        "levels": levels, "failure": failure, "traceback": trace,
+        "ok": bool(ok),
     })
     return 0 if ok else 1
 
@@ -404,7 +412,8 @@ def cmd_optimize(cfg):
     max_iter = int(cfg.optimize.get("max_iter", 500))
     k = cfg.order
 
-    results, hist_rows, ok, failure, trace = [], [], True, None, None
+    results, levels, hist_rows = [], [], []
+    ok, failure, trace = True, None, None
     for tag, m in mesh_family(cfg):
         t0 = time.perf_counter()
         try:
@@ -427,6 +436,7 @@ def cmd_optimize(cfg):
                             "iterations": last.iteration,
                             "state_solves": rp.op.n_state_solves,
                             "seconds": dt, "z": z})
+            levels.append(_solver_record(tag, rp.op))
             if last.grad_norm > tol:
                 ok, failure = False, f"level {tag}: no convergence " \
                     f"(grad_norm={last.grad_norm:.3e} > {tol:.1e})"
@@ -470,7 +480,7 @@ def cmd_optimize(cfg):
                 for r in results])
     _write_summary(cfg.out, {
         "command": "optimize", "order": k, "tol": tol,
-        "levels_completed": len(results),
+        "levels_completed": len(results), "levels": levels,
         "gaps": gaps, "monotone_gap_J": _monotone(gaps, "gap_J"),
         "monotone_gap_J1": _monotone(gaps, "gap_J1"),
         "failure": failure, "traceback": trace, "ok": bool(ok),

@@ -164,7 +164,8 @@ def loglog_slope(x, y):
 
 
 def _strong_wolfe(phi, f0, df0, c1, c2, a_first=1.0, max_evals=25):
-    """Strong Wolfe line search; phi(a) -> (f, df). Returns accepted a."""
+    """Strong Wolfe line search; phi(a) -> (f, df). Returns accepted a,
+    or 0.0 when no tried step decreased the cost enough."""
 
     def zoom(a_lo, f_lo, df_lo, a_hi, f_hi):
         for _ in range(max_evals):
@@ -227,7 +228,9 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
     fun(z) -> (cost, gradient) where cost may be a CostReport and gradient
     a ReducedGradient or plain complex array. Iterates on the stacked real
     coordinates (Re z, Im z); terminates when the complex gradient norm
-    ||G|| drops to tol. Returns (z, history of CostReports).
+    ||G|| drops to tol, or early when the line search finds no decrease
+    (a wrong gradient), leaving ||G|| > tol in the last history entry.
+    Returns (z, history of CostReports).
     """
     vg = _as_value_grad(fun)
     z0 = np.asarray(z0, dtype=complex)
@@ -280,6 +283,8 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
             return fa, float(ga @ p)
 
         a = _strong_wolfe(phi, f, dphi0, c1, c2)
+        if a == 0.0:
+            break
         x_new = x + a * p
         f_new, g_new, G_new, rep_new = eval_at(x_new)
         s, y = x_new - x, g_new - g

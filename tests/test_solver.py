@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
@@ -134,6 +135,43 @@ def test_residual_check_rejects_an_unreachable_tolerance():
     with pytest.raises(SolverError):
         op.solve_adjoint(rho)
     assert (op.n_state_solves, op.n_adjoint_solves) == (0, 0)
+
+
+def test_generic_right_hand_sides_meet_the_residual_check():
+    # seeded random data, not the optimizer's smooth right-hand sides, at
+    # order 1 with the default solver_tol of 1e-10
+    mesh = generate_cylinder(0.5, 1.0, 3, 18, 6)
+    space = FESpace(mesh, 1)
+    op = StateOperator(mesh, space, ProblemConfig())
+    assert op.config.solver_tol == 1e-10
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        rho = (rng.standard_normal(space.n_dofs)
+               + 1j * rng.standard_normal(space.n_dofs))
+        op.solve_adjoint(rho)
+        op.solve_dirichlet(np.zeros(space.n_dofs, dtype=complex), f=rho)
+    assert (op.n_state_solves, op.n_adjoint_solves) == (3, 3)
+    assert 0.0 < op.max_residual <= op.config.solver_tol
+
+
+def test_symmetric_factor_halves_the_default_fill():
+    mesh = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    op = StateOperator(mesh, FESpace(mesh, 1), ProblemConfig())
+    assert 2 * op.lu.nnz <= spla.splu(op.A_II).nnz
+
+
+def test_factor_without_pivoting_needs_only_a_definite_imaginary_part():
+    # omega M is definite for either sign of omega, which is all the
+    # diagonal-pivot elimination relies on
+    mesh = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    space = FESpace(mesh, 1)
+    op = StateOperator(mesh, space, ProblemConfig(
+        omega=-1.0, j_c=np.array([0.0, 0.0, 1.0 + 0.5j])))
+    rng = np.random.default_rng(5)
+    op.solve_state(_random_control(mesh, rng))
+    op.solve_adjoint(rng.standard_normal(space.n_dofs)
+                     + 1j * rng.standard_normal(space.n_dofs))
+    assert 0.0 < op.max_residual <= op.config.solver_tol
 
 
 def test_dirichlet_solution_superposes_boundary_and_load_parts():

@@ -64,6 +64,21 @@ def test_strong_wolfe_returns_an_evaluated_step():
         assert phi(a)[0] <= f0 + 1e-4 * a * df0
 
 
+def test_bfgs_stops_when_the_line_search_finds_no_decrease():
+    # a sign-flipped gradient makes every search direction an ascent
+    calls = []
+
+    def fun(z):
+        calls.append(z)
+        return np.vdot(z, z).real, -np.asarray(z, dtype=complex)
+
+    _, history = bfgs_minimize(fun, np.ones(3, complex), tol=1e-9,
+                               max_iter=5)
+    assert len(calls) <= 30
+    assert all(h.step != 0.0 for h in history)
+    assert history[-1].grad_norm > 1e-9
+
+
 def test_bfgs_memory_stays_linear_in_the_controls():
     # one dense 2n x 2n inverse Hessian at n = 5000 would be 800 MB
     rng = np.random.default_rng(3)
