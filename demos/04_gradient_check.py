@@ -26,12 +26,12 @@ problem = ReducedProblem(mesh, space, ProblemConfig(
 rng = np.random.default_rng(0)
 n = problem.n_controls
 z = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-report, grad = problem.cost_and_gradient(z)
+report, G = problem.cost_and_gradient(z)
 print(f"j(z) = {report.J:.8f}   ||G|| = {report.grad_norm:.3e}")
 
 # probe along the normalized gradient direction
-xi = grad.G / np.linalg.norm(grad.G)
-d = directional_derivative(grad, xi)
+xi = G / np.linalg.norm(G)
+d = directional_derivative(G, xi)
 print(f"directional derivative along G/||G||: {d:.8e}\n")
 
 print(f"{'step t':>10} {'fd error':>14}")

@@ -25,8 +25,8 @@ from .trace import (
 )
 from .solver import StateOperator, SolverError
 from .wirtinger import (
-    ReducedProblem, ReducedGradient, CostReport, steepest_descent_direction,
-    directional_derivative, fd_check, loglog_slope, bfgs_minimize,
+    ReducedProblem, CostReport, directional_derivative, fd_check,
+    loglog_slope, bfgs_minimize,
 )
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "SurfaceOperators", "zeros_control", "eval_psi", "eval_phi",
     "surface_curl_matrix", "surface_mass_matrix", "lift", "tangential_trace",
     "eval_control_on_faces", "StateOperator", "SolverError", "ReducedProblem",
-    "ReducedGradient", "CostReport", "steepest_descent_direction",
-    "directional_derivative", "fd_check", "loglog_slope", "bfgs_minimize",
+    "CostReport", "directional_derivative", "fd_check", "loglog_slope",
+    "bfgs_minimize",
 ]

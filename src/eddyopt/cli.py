@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,10 +111,15 @@ def load_config(path, command, out=None, order=None, seed=None):
         raise ConfigError("config root must be a JSON object")
 
     el = raw.get("electrode", {})
-    electrode = ElectrodeParams(
-        iota1=el.get("iota1", 1.0), omega=el.get("omega", 1.0),
-        mu=el.get("mu", 1.0), sigma=el.get("sigma", 1.0),
-        R=el.get("R", 0.5), L=el.get("L", 1.0))
+    try:
+        electrode = ElectrodeParams(
+            iota1=el.get("iota1", 1.0), omega=el.get("omega", 1.0),
+            mu=el.get("mu", 1.0), sigma=el.get("sigma", 1.0),
+            R=el.get("R", 0.5), L=el.get("L", 1.0))
+        order = order if order is not None else int(raw.get("order", 0))
+        seed = seed if seed is not None else int(raw.get("seed", 0))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
 
     # Cost comparison across levels needs a fixed domain, so the optimize
     # default is a uniformly refined family; rate studies default to the
@@ -128,11 +133,11 @@ def load_config(path, command, out=None, order=None, seed=None):
     cfg = RunConfig(
         command=command,
         mesh=raw.get("mesh", default_mesh),
-        order=order if order is not None else int(raw.get("order", 0)),
+        order=order,
         problem=raw.get("problem", {}),
         electrode=electrode,
         out=out if out is not None else raw.get("out", "out"),
-        seed=seed if seed is not None else int(raw.get("seed", 0)),
+        seed=seed,
         vtk=bool(raw.get("vtk", False)),
         optimize=raw.get("optimize", {}),
         gradcheck=raw.get("gradcheck", {}),
@@ -190,17 +195,21 @@ def mesh_family(cfg):
 def problem_config(cfg):
     """Build the variational-problem settings from the config dict."""
     p = cfg.problem
-    return ProblemConfig(
-        mu=float(p.get("mu", 1.0)),
-        kappa=float(p.get("kappa", 1.0)),
-        omega=float(p.get("omega", 1.0)),
-        j_c=resolve_field(p.get("j_c"), cfg.electrode, "j_c"),
-        u_d=resolve_field(p.get("u_d"), cfg.electrode, "u_d"),
-        alpha=float(p.get("alpha", 1e-3)),
-        beta=float(p.get("beta", 0.0)),
-        solver_tol=float(p.get("solver_tol", 1e-10)),
-        quad_order=p.get("quad_order"),
-    )
+    j_c = resolve_field(p.get("j_c"), cfg.electrode, "j_c")
+    u_d = resolve_field(p.get("u_d"), cfg.electrode, "u_d")
+    try:
+        return ProblemConfig(
+            mu=float(p.get("mu", 1.0)),
+            kappa=float(p.get("kappa", 1.0)),
+            omega=float(p.get("omega", 1.0)),
+            j_c=j_c, u_d=u_d,
+            alpha=float(p.get("alpha", 1e-3)),
+            beta=float(p.get("beta", 0.0)),
+            solver_tol=float(p.get("solver_tol", 1e-10)),
+            quad_order=p.get("quad_order"),
+        )
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid problem value: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -339,21 +348,18 @@ def cmd_gradcheck(cfg):
     space = FESpace(m, cfg.order)
     pc = problem_config(cfg)
     if pc.u_d is None and pc.j_c is None:
-        pc = ProblemConfig(mu=pc.mu, kappa=pc.kappa, omega=pc.omega,
-                           j_c=np.array([0, 0, 1.0 + 0.5j]),
-                           u_d=np.array([0.1, 0, 0.2j]),
-                           alpha=pc.alpha, beta=pc.beta,
-                           solver_tol=pc.solver_tol)
+        pc = replace(pc, j_c=np.array([0, 0, 1.0 + 0.5j]),
+                     u_d=np.array([0.1, 0, 0.2j]))
     rp = ReducedProblem(m, space, pc)
     rng = np.random.default_rng(cfg.seed)
     nb = m.boundary_edges.size
     z = 0.3 * (rng.standard_normal(nb) + 1j * rng.standard_normal(nb))
-    _, rg = rp.cost_and_gradient(z)
+    _, G = rp.cost_and_gradient(z)
 
     n_probes = int(gc.get("n_probes", 3))
     t_list = np.geomspace(gc.get("t_max", 1e-1), gc.get("t_min", 1e-9),
                           int(gc.get("n_t", 17)))
-    probes = [rg.G / np.linalg.norm(rg.G)]
+    probes = [G / np.linalg.norm(G)]
     for _ in range(max(0, n_probes - 1)):
         v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         probes.append(v / np.linalg.norm(v))
@@ -365,7 +371,7 @@ def cmd_gradcheck(cfg):
                         cost_fn=rp.cost)
         err = np.array([r[1] for r in rows])
         t = np.array([r[0] for r in rows])
-        scale = 2 * np.linalg.norm(rg.G) * np.linalg.norm(xi)
+        scale = 2 * np.linalg.norm(G) * np.linalg.norm(xi)
         decay = t >= float(gc.get("fit_floor", 1e-5))
         slopes.append(loglog_slope(t[decay], err[decay]))
         plateaus.append(float(err.min() / max(scale, 1e-300)))

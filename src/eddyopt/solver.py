@@ -76,11 +76,9 @@ class StateOperator:
         u[B] = np.asarray(g, dtype=complex)[B]
         return u
 
-    def solve_state(self, z, j_c=None):
+    def solve_state(self, z):
         """State solution with control z; u = lifting(z) + interior part."""
-        f = self.load if j_c is None else assemble_load(
-            self.mesh, self.space, j_c)
-        return self.solve_dirichlet(lift(self.space, z), f)
+        return self.solve_dirichlet(lift(self.space, z))
 
     def solve_adjoint(self, rho):
         """Solve the conjugate-transposed interior system against rho."""

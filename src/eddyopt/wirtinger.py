@@ -8,9 +8,10 @@ control direction xi with real steps is
 
 and G (the conjugate Wirtinger derivative) is assembled from one adjoint
 solve plus surface-matrix products: G = (T + alpha K z + beta M z) / 2
-with T the adjoint pairing against each basis function. The direction of
-steepest descent is -G. The optimizer runs on the stacked real
-parametrization (Re z, Im z), whose gradient is (2 Re G, 2 Im G).
+with T the adjoint pairing against each basis function. The optimizer
+runs on z itself with the real inner product Re(a^H b), under which the
+gradient of j is 2G. The state map is complex linear, so j is a quadratic
+and its line search interpolates a parabola.
 """
 
 from collections import deque
@@ -23,6 +24,8 @@ from .solver import StateOperator
 from .trace import SurfaceOperators
 
 LBFGS_PAIRS = 20  # stored (s, y) pairs of the limited-memory BFGS
+MAX_TRIES = 25  # line-search evaluations before the optimizer gives up
+SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the line search
 
 
 @dataclass
@@ -37,17 +40,6 @@ class CostReport:
     iteration: int = None
     grad_norm: float = None
     step: float = None
-
-
-@dataclass
-class ReducedGradient:
-    """Conjugate Wirtinger derivative G and its three components
-    (G = tracking + curl_part + mass_part)."""
-
-    G: np.ndarray
-    tracking: np.ndarray
-    curl_part: np.ndarray
-    mass_part: np.ndarray
 
 
 class ReducedProblem:
@@ -91,43 +83,31 @@ class ReducedProblem:
         return self._parts(z, self.op.solve_state(z))
 
     def cost_and_gradient(self, z):
+        """(CostReport, G) at z, with G the complex conjugate derivative."""
         self.n_evaluations += 1
         z = np.asarray(z, dtype=complex)
         u = self.op.solve_state(z)
         report = self._parts(z, u)
         rho = self.M_c @ u - self.d
         T = self.op.adjoint_pairing(self.op.solve_adjoint(rho), rho)
-        curl_part = 0.5 * self.config.alpha * (self.surf.K @ z)
-        mass_part = 0.5 * self.config.beta * (self.surf.M @ z)
-        grad = ReducedGradient(
-            G=0.5 * T + curl_part + mass_part,
-            tracking=0.5 * T, curl_part=curl_part, mass_part=mass_part)
-        report.grad_norm = float(np.linalg.norm(grad.G))
-        return report, grad
-
-
-def steepest_descent_direction(G):
-    """Direction of steepest descent for real step sizes: -G."""
-    if isinstance(G, ReducedGradient):
-        G = G.G
-    return -np.asarray(G, dtype=complex)
+        G = (0.5 * T + 0.5 * self.config.alpha * (self.surf.K @ z)
+             + 0.5 * self.config.beta * (self.surf.M @ z))
+        report.grad_norm = float(np.linalg.norm(G))
+        return report, G
 
 
 def directional_derivative(G, xi):
     """d j(z; xi) = 2 Re(conj(xi)^T G)."""
-    if isinstance(G, ReducedGradient):
-        G = G.G
     return 2.0 * np.vdot(xi, G).real
 
 
 def _as_value_grad(fun):
     def wrapped(z):
-        out = fun(z)
-        f, G = out
+        f, G = fun(z)
+        G = np.asarray(G, dtype=complex)
         if isinstance(f, CostReport):
-            return f.J, np.asarray(G.G if isinstance(G, ReducedGradient)
-                                   else G, dtype=complex), f
-        return float(f), np.asarray(G, dtype=complex), None
+            return f.J, G, f
+        return float(f), G, None
     return wrapped
 
 
@@ -163,98 +143,40 @@ def loglog_slope(x, y):
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _strong_wolfe(phi, f0, df0, c1, c2, a_first=1.0, max_evals=25):
-    """Strong Wolfe line search; phi(a) -> (f, df). Returns accepted a,
-    or 0.0 when no tried step decreased the cost enough."""
-
-    def zoom(a_lo, f_lo, df_lo, a_hi, f_hi):
-        for _ in range(max_evals):
-            # quadratic interpolation with bisection fallback
-            denom = f_hi - f_lo - df_lo * (a_hi - a_lo)
-            if abs(denom) > 1e-30:
-                a = a_lo - 0.5 * df_lo * (a_hi - a_lo) ** 2 / denom
-            else:
-                a = 0.5 * (a_lo + a_hi)
-            lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-            if not (lo + 0.1 * (hi - lo) <= a <= hi - 0.1 * (hi - lo)):
-                a = 0.5 * (a_lo + a_hi)
-            f, df = phi(a)
-            if f > f0 + c1 * a * df0 or f >= f_lo:
-                a_hi, f_hi = a, f
-            else:
-                if abs(df) <= -c2 * df0:
-                    return a
-                if df * (a_hi - a_lo) >= 0:
-                    a_hi, f_hi = a_lo, f_lo
-                a_lo, f_lo, df_lo = a, f, df
-            if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
-                return a_lo
-        return a_lo
-
-    a_prev, f_prev, df_prev = 0.0, f0, df0
-    a = a_first
-    for i in range(max_evals):
-        f, df = phi(a)
-        if f > f0 + c1 * a * df0 or (i > 0 and f >= f_prev):
-            return zoom(a_prev, f_prev, df_prev, a, f)
-        if abs(df) <= -c2 * df0:
-            return a
-        if df >= 0:
-            return zoom(a, f, df, a_prev, f_prev)
-        a_prev, f_prev, df_prev = a, f, df
-        a *= 2.0
-    return a_prev  # the last evaluated step, not the untried doubling
-
-
 def _two_loop(pairs, g):
     """Inverse-Hessian approximation times g from the stored (s, y, 1/s.y)
-    pairs (Nocedal 1980), with H0 = (s.y / y.y) I from the newest pair."""
+    pairs (Nocedal 1980), with H0 = (s.y / y.y) I from the newest pair;
+    a.b is the real inner product Re(a^H b)."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * float(s @ q))
+        alphas.append(rho * np.vdot(s, q).real)
         q -= alphas[-1] * y
     if pairs:
         _, y, rho = pairs[-1]
-        q /= rho * float(y @ y)
+        q /= rho * np.vdot(y, y).real
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
+        q += (a - rho * np.vdot(y, q).real) * s
     return q
 
 
-def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
+def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500):
     """Minimize a real cost of complex z by limited-memory BFGS (20 pairs).
 
-    fun(z) -> (cost, gradient) where cost may be a CostReport and gradient
-    a ReducedGradient or plain complex array. Iterates on the stacked real
-    coordinates (Re z, Im z); terminates when the complex gradient norm
-    ||G|| drops to tol, or early when the line search finds no decrease
-    (a wrong gradient), leaving ||G|| > tol in the last history entry.
-    Returns (z, history of CostReports).
+    fun(z) -> (cost, G) where cost is a float or a CostReport and G the
+    complex conjugate derivative. Iterates on z with the real inner
+    product Re(a^H b), under which the gradient is 2G. The line search
+    tries the unit step, then backtracks to the minimizer of the parabola
+    through f(0), f'(0) and the last rejected try, clamped to [0.1, 0.5]
+    of that try (Nocedal & Wright 2006, sec. 3.5); on a quadratic cost the
+    second try is the exact minimizer along the line. Terminates when
+    ||G|| drops to tol, or early when MAX_TRIES steps bring no sufficient
+    decrease (a wrong gradient), leaving ||G|| > tol in the last history
+    entry. Returns (z, history of CostReports).
     """
     vg = _as_value_grad(fun)
-    z0 = np.asarray(z0, dtype=complex)
-    n = z0.size
-
-    def pack(z):
-        return np.concatenate([z.real, z.imag])
-
-    def unpack(x):
-        return x[:n] + 1j * x[n:]
-
-    cache = {}
-
-    def eval_at(x):
-        key = x.tobytes()
-        if key not in cache:
-            f, G, rep = vg(unpack(x))
-            g = np.concatenate([2.0 * G.real, 2.0 * G.imag])
-            cache.clear()
-            cache[key] = (f, g, G, rep)
-        return cache[key]
-
-    x = pack(z0)
-    f, g, G, rep = eval_at(x)
+    z = np.asarray(z0, dtype=complex)
+    f, G, rep = vg(z)
     history = []
 
     def record(i, step):
@@ -270,27 +192,28 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500, c1=1e-4, c2=0.9):
     for it in range(1, max_iter + 1):
         if np.linalg.norm(G) <= tol:
             break
+        g = 2.0 * G
         p = -_two_loop(pairs, g)
-        dphi0 = float(g @ p)
+        dphi0 = np.vdot(g, p).real
         if dphi0 >= 0.0:
             # fall back to steepest descent when the model direction fails
             pairs.clear()
             p = -g
-            dphi0 = float(g @ p)
-
-        def phi(a):
-            fa, ga, _, _ = eval_at(x + a * p)
-            return fa, float(ga @ p)
-
-        a = _strong_wolfe(phi, f, dphi0, c1, c2)
-        if a == 0.0:
+            dphi0 = np.vdot(g, p).real
+        a = 1.0
+        for _ in range(MAX_TRIES):
+            z_new = z + a * p
+            f_new, G_new, rep_new = vg(z_new)
+            if f_new < f and f_new <= f + SUFFICIENT_DECREASE * a * dphi0:
+                break
+            a_min = -dphi0 * a * a / (2.0 * (f_new - f - a * dphi0))
+            a = min(0.5 * a, max(0.1 * a, a_min))
+        else:
             break
-        x_new = x + a * p
-        f_new, g_new, G_new, rep_new = eval_at(x_new)
-        s, y = x_new - x, g_new - g
-        sy = float(s @ y)
+        s, y = z_new - z, 2.0 * (G_new - G)
+        sy = np.vdot(s, y).real
         if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-        x, f, g, G, rep = x_new, f_new, g_new, G_new, rep_new
+        z, f, G, rep = z_new, f_new, G_new, rep_new
         record(it, a)
-    return unpack(x), history
+    return z, history

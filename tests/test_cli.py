@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from eddyopt import cli
 from eddyopt.cli import main
 from eddyopt.mesh import parse_msh
 
@@ -285,6 +286,39 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["optimize", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
     assert "u_d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": {"alpha": 0, "beta": 0, "u_d": "exact_H"}},
+    {"electrode": {"R": -1}},
+    {"order": "x"},
+], ids=["zero-weights", "negative-radius", "order-not-int"])
+def test_bad_config_values_exit_two(tmp_path, capsys, payload):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["optimize", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("eddyctl:")
+
+
+def test_grad_check_keeps_the_quadrature_order(tmp_path, monkeypatch):
+    # with neither u_d nor j_c set, grad-check supplies both and must keep
+    # every other problem setting
+    seen = []
+
+    class Recording(cli.ReducedProblem):
+        def __init__(self, mesh, space, config):
+            seen.append(config.quad_order)
+            super().__init__(mesh, space, config)
+
+    monkeypatch.setattr(cli, "ReducedProblem", Recording)
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]]},
+        "problem": {"quad_order": 6},
+        "gradcheck": {"n_probes": 1, "n_t": 9},
+    })
+    assert main(["grad-check", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 0
+    assert seen == [6]
 
 
 def test_order_override_flows_into_summary(tmp_path):

@@ -10,9 +10,8 @@ from eddyopt.mesh import generate_cube, generate_cylinder
 from eddyopt.nedelec import FESpace, ProblemConfig, assemble_curl_mass
 from eddyopt.trace import lift, lifting_matrix, zeros_control
 from eddyopt.wirtinger import (
-    CostReport, ReducedGradient, ReducedProblem, bfgs_minimize,
-    _strong_wolfe, directional_derivative, fd_check, loglog_slope,
-    steepest_descent_direction,
+    CostReport, ReducedProblem, bfgs_minimize, directional_derivative,
+    fd_check, loglog_slope,
 )
 
 
@@ -47,21 +46,21 @@ def test_scalar_nonholomorphic_minimizer_is_minus_one_half():
     assert history[-1].grad_norm <= 1e-12
 
 
-def test_strong_wolfe_returns_an_evaluated_step():
-    # phi(a) = -a never meets the curvature condition, so the expansion
-    # runs out of evaluations; phi(a) = (a - 3)^2 ends in zoom
-    for phi in (lambda a: (-a, -1.0),
-                lambda a: ((a - 3.0) ** 2, 2.0 * (a - 3.0))):
-        seen = []
+def test_backtrack_lands_on_the_minimizer_of_a_quadratic():
+    # j(z) = 2 ||z - c||^2 has G = 2 (z - c), so from z = 0 the unit step
+    # along -2G overshoots to 4c and the interpolated second try is c
+    c = np.array([1.0 - 2.0j, 0.5j, -3.0])
+    calls = []
 
-        def recording(a):
-            seen.append(a)
-            return phi(a)
+    def fun(z):
+        calls.append(z)
+        r = z - c
+        return 2.0 * np.vdot(r, r).real, 2.0 * r
 
-        f0, df0 = phi(0.0)
-        a = _strong_wolfe(recording, f0, df0, 1e-4, 0.9)
-        assert a in seen
-        assert phi(a)[0] <= f0 + 1e-4 * a * df0
+    z, history = bfgs_minimize(fun, np.zeros(3, complex), tol=1e-9)
+    assert history[-1].iteration == 1
+    assert len(calls) == 3
+    assert np.linalg.norm(z - c) <= 1e-14 * np.linalg.norm(c)
 
 
 def test_bfgs_stops_when_the_line_search_finds_no_decrease():
@@ -121,6 +120,9 @@ def test_pairing_identity_on_quadratic_with_known_gradient():
         central = (j(z + t * xi) - j(z - t * xi)) / (2 * t)
         d = directional_derivative(G, xi)
         assert abs(d - central) / max(abs(central), 1.0) <= 1e-12
+        # descent along -G has derivative -2 ||G||^2
+        assert directional_derivative(G, -G) == pytest.approx(
+            -2 * np.linalg.norm(G) ** 2, rel=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -134,16 +136,6 @@ def test_pairing_identity_matches_stacked_real_inner_product(vals):
     stacked = np.concatenate([2 * G.real, 2 * G.imag]) @ \
         np.concatenate([xi.real, xi.imag])
     assert directional_derivative(G, xi) == pytest.approx(stacked, abs=1e-12)
-
-
-def test_steepest_descent_direction_is_minus_gradient():
-    G = np.array([1.0 + 2.0j, -0.5j])
-    wrapped = ReducedGradient(G=G, tracking=G, curl_part=0 * G, mass_part=0 * G)
-    assert np.array_equal(steepest_descent_direction(G), -G)
-    assert np.array_equal(steepest_descent_direction(wrapped), -G)
-    # descent along -G has derivative -2 ||G||^2
-    assert directional_derivative(G, -G) == pytest.approx(
-        -2 * np.linalg.norm(G) ** 2, rel=1e-14)
 
 
 def test_loglog_slope_recovers_exact_power_law():
@@ -186,11 +178,9 @@ def test_reduced_cost_parts_sum_and_count_evaluations():
     assert rep.J1 > 0 and rep.J2 > 0 and rep.J3 > 0
     assert prob.n_evaluations == 1
     assert prob.op.n_state_solves == 1
-    rep2, grad = prob.cost_and_gradient(z)
+    rep2, G = prob.cost_and_gradient(z)
     assert rep2.J == pytest.approx(rep.J, rel=1e-13)
-    assert np.abs(grad.G - (grad.tracking + grad.curl_part + grad.mass_part)
-                  ).max() <= 1e-15
-    assert rep2.grad_norm == pytest.approx(np.linalg.norm(grad.G), rel=1e-14)
+    assert rep2.grad_norm == pytest.approx(np.linalg.norm(G), rel=1e-14)
     assert prob.op.n_adjoint_solves == 1
 
 
@@ -224,12 +214,12 @@ def test_reduced_gradient_passes_fd_check():
     rng = np.random.default_rng(31)
     z = 0.3 * (rng.standard_normal(prob.n_controls)
                + 1j * rng.standard_normal(prob.n_controls))
-    _, grad = prob.cost_and_gradient(z)
-    xi = grad.G / np.linalg.norm(grad.G)
+    _, G = prob.cost_and_gradient(z)
+    xi = G / np.linalg.norm(G)
     t_list = np.geomspace(1e-1, 1e-9, 17)
     rows = fd_check(prob.cost_and_gradient, z, xi,
                     t_list=t_list, cost_fn=prob.cost)
-    d = abs(directional_derivative(grad.G, xi))
+    d = abs(directional_derivative(G, xi))
     fit = [(t, e) for t, e in rows if t >= 1e-5]
     slope = loglog_slope([r[0] for r in fit], [r[1] for r in fit])
     assert slope == pytest.approx(1.0, abs=0.2)
@@ -257,8 +247,8 @@ def test_bfgs_minimizes_the_reduced_cost():
     assert all(b < a for a, b in zip(J, J[1:]))
     assert history[0].iteration == 0 and history[0].step is None
     assert all(h.step > 0 for h in history[1:])
-    # every BFGS evaluation is one state plus one adjoint solve, and the
-    # cache prevents re-solving accepted iterates
+    # every BFGS evaluation is one state plus one adjoint solve, and an
+    # accepted try becomes the next iterate without being solved again
     assert prob.n_evaluations == prob.op.n_state_solves
     assert prob.op.n_state_solves == prob.op.n_adjoint_solves
     # the found control actually beats its neighbours
@@ -282,6 +272,6 @@ def test_trivial_target_drives_control_to_zero():
     z, history = bfgs_minimize(prob.cost_and_gradient, z0, tol=1e-12)
     assert history[-1].J <= 1e-15
     assert np.abs(z).max() <= 1e-5
-    _, grad = prob.cost_and_gradient(zeros_control(mesh))
-    assert grad.G == pytest.approx(
+    _, G = prob.cost_and_gradient(zeros_control(mesh))
+    assert G == pytest.approx(
         np.zeros(prob.n_controls), abs=1e-16)
