@@ -22,14 +22,14 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import analytic, mesh as meshmod
+from . import analytic
 from .analytic import ElectrodeParams
-from .mesh import (generate_cube, generate_cylinder, mesh_size, parse_msh,
-                   refine_uniform, write_msh, mesh_to_json)
+from .mesh import (MeshError, generate_cube, generate_cylinder, mesh_size,
+                   parse_msh, refine_uniform, write_msh, mesh_to_json)
 from .nedelec import FESpace, ProblemConfig, evaluate_field, hcurl_error, interpolate
 from .solver import StateOperator
 from .wirtinger import ReducedProblem, bfgs_minimize, fd_check, loglog_slope
@@ -49,23 +49,26 @@ _DEFAULT_LEVELS = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one CLI command."""
+    """Fully resolved, typed settings for one CLI command.
+
+    ``family`` is the refinement study as a list of (tag, step) pairs, where
+    ``step(previous_mesh)`` builds that level (the first step ignores its
+    argument); ``gen-mesh`` and ``grad-check`` use the first level only.
+    """
 
     command: str
-    mesh: dict
     order: int
-    problem: dict
     electrode: ElectrodeParams
+    problem: ProblemConfig
+    family: list
     out: str
-    seed: int = 0
-    vtk: bool = False
-    optimize: dict = field(default_factory=dict)
-    gradcheck: dict = field(default_factory=dict)
-
-    @property
-    def levels(self):
-        default = _DEFAULT_LEVELS[self.order]
-        return [tuple(lv) for lv in self.mesh.get("levels", default)]
+    seed: int
+    vtk: bool
+    tol: float
+    max_iter: int
+    n_probes: int
+    t_list: np.ndarray
+    fit_floor: float
 
 
 def _as_complex_vec(spec, name):
@@ -101,7 +104,9 @@ def resolve_field(spec, electrode, name):
 
 
 def load_config(path, command, out=None, order=None, seed=None):
-    """Read the JSON config file and apply command-line overrides."""
+    """Read the JSON config file, apply command-line overrides and resolve
+    every value to its type.  Any bad value raises ConfigError, before a
+    command writes anything."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -109,107 +114,91 @@ def load_config(path, command, out=None, order=None, seed=None):
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-
-    el = raw.get("electrode", {})
     try:
-        electrode = ElectrodeParams(
-            iota1=el.get("iota1", 1.0), omega=el.get("omega", 1.0),
-            mu=el.get("mu", 1.0), sigma=el.get("sigma", 1.0),
-            R=el.get("R", 0.5), L=el.get("L", 1.0))
-        order = order if order is not None else int(raw.get("order", 0))
-        seed = seed if seed is not None else int(raw.get("seed", 0))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+        el = raw.get("electrode", {})
+        electrode = ElectrodeParams(**{f.name: float(el.get(f.name, f.default))
+                                       for f in fields(ElectrodeParams)})
+        order = int(raw.get("order", 0)) if order is None else order
+        if order not in (0, 1):
+            raise ConfigError(f"order must be 0 or 1, got {order}")
 
-    # Cost comparison across levels needs a fixed domain, so the optimize
-    # default is a uniformly refined family; rate studies default to the
-    # generator family whose lateral polygon converges to the cylinder.
-    if command == "optimize":
-        default_mesh = {"kind": "cylinder", "R": electrode.R,
-                        "L": electrode.L, "base": [1, 8, 2], "refine": 3}
-    else:
-        default_mesh = {"kind": "cylinder", "R": electrode.R,
-                        "L": electrode.L}
-    cfg = RunConfig(
-        command=command,
-        mesh=raw.get("mesh", default_mesh),
-        order=order,
-        problem=raw.get("problem", {}),
-        electrode=electrode,
-        out=out if out is not None else raw.get("out", "out"),
-        seed=seed,
-        vtk=bool(raw.get("vtk", False)),
-        optimize=raw.get("optimize", {}),
-        gradcheck=raw.get("gradcheck", {}),
-    )
-    if cfg.order not in (0, 1):
-        raise ConfigError(f"order must be 0 or 1, got {cfg.order}")
-    return cfg
-
-
-def build_mesh(cfg, level=None):
-    """Construct the mesh for one level (or the single configured mesh)."""
-    spec = cfg.mesh
-    if "file" in spec:
-        with open(spec["file"], encoding="utf-8") as fh:
-            return parse_msh(fh)
-    kind = spec.get("kind", "cylinder")
-    if kind == "cube":
-        n = int(spec.get("n", 2)) if level is None else int(level)
-        return generate_cube(n)
-    if kind == "cylinder":
-        R = float(spec.get("R", cfg.electrode.R))
-        L = float(spec.get("L", cfg.electrode.L))
-        if level is None:
-            level = spec.get("base", cfg.levels[0])
-        n_r, n_theta, n_z = (int(v) for v in level)
-        return generate_cylinder(R, L, n_r, n_theta, n_z)
-    raise ConfigError(f"unknown mesh kind {kind!r}")
-
-
-def mesh_family(cfg):
-    """Yield (tag, mesh) pairs for a refinement study.
-
-    Two layouts: explicit generator ``levels`` (each level its own mesh,
-    the lateral polygon refines with n_theta), or ``base`` + ``refine``
-    (one coarse mesh refined uniformly, fixed polyhedral domain — the
-    right family when comparing cost values across levels).
-    """
-    spec = cfg.mesh
-    if "refine" in spec:
-        m = build_mesh(cfg)
-        for i in range(int(spec["refine"])):
-            if i:
-                m = refine_uniform(m)
-            yield f"L{i}", m
-    elif "file" in spec:
-        yield "file", build_mesh(cfg)
-    elif spec.get("kind", "cylinder") == "cube":
-        for n in spec.get("levels", [spec.get("n", 2)]):
-            yield f"n{int(n)}", generate_cube(int(n))
-    else:
-        for level in cfg.levels:
-            yield "x".join(str(v) for v in level), build_mesh(cfg, level)
-
-
-def problem_config(cfg):
-    """Build the variational-problem settings from the config dict."""
-    p = cfg.problem
-    j_c = resolve_field(p.get("j_c"), cfg.electrode, "j_c")
-    u_d = resolve_field(p.get("u_d"), cfg.electrode, "u_d")
-    try:
-        return ProblemConfig(
+        p = raw.get("problem", {})
+        quad_order = p.get("quad_order")
+        problem = ProblemConfig(
             mu=float(p.get("mu", 1.0)),
             kappa=float(p.get("kappa", 1.0)),
             omega=float(p.get("omega", 1.0)),
-            j_c=j_c, u_d=u_d,
+            j_c=resolve_field(p.get("j_c"), electrode, "j_c"),
+            u_d=resolve_field(p.get("u_d"), electrode, "u_d"),
             alpha=float(p.get("alpha", 1e-3)),
             beta=float(p.get("beta", 0.0)),
             solver_tol=float(p.get("solver_tol", 1e-10)),
-            quad_order=p.get("quad_order"),
+            quad_order=None if quad_order is None else int(quad_order),
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid problem value: {exc}") from exc
+        if command == "grad-check" and problem.u_d is None and problem.j_c is None:
+            problem = replace(problem, j_c=np.array([0, 0, 1.0 + 0.5j]),
+                              u_d=np.array([0.1, 0, 0.2j]))
+        if command == "optimize" and problem.u_d is None:
+            raise ConfigError("optimize requires problem.u_d")
+
+        opt = raw.get("optimize", {})
+        gc = raw.get("gradcheck", {})
+        n_probes = int(gc.get("n_probes", 3))
+        t_list = np.geomspace(float(gc.get("t_max", 1e-1)),
+                              float(gc.get("t_min", 1e-9)),
+                              int(gc.get("n_t", 17)))
+        fit_floor = float(gc.get("fit_floor", 1e-5))
+        if n_probes < 1 or np.count_nonzero(t_list >= fit_floor) < 2:
+            raise ConfigError("gradcheck needs n_probes >= 1 and at least two "
+                              "step sizes t >= fit_floor to fit a slope")
+
+        # Two layouts: generator levels (each level its own mesh, the lateral
+        # polygon refines with n_theta), or ``refine`` applied to the first
+        # of them (cylinder: ``base``), which keeps the polyhedral domain
+        # fixed: the right family when comparing cost values across levels,
+        # and the optimize default.
+        default = {"base": [1, 8, 2], "refine": 3} if command == "optimize" else {}
+        spec = raw.get("mesh", default)
+        kind = spec.get("kind", "cylinder")
+        if "file" in spec:
+            with open(spec["file"], encoding="utf-8") as fh:
+                mesh = parse_msh(fh)
+            family = [("file", lambda _: mesh)]
+        elif kind == "cube":
+            ns = [int(n) for n in spec.get("levels", [spec.get("n", 2)])]
+            family = [(f"n{n}", lambda _, n=n: generate_cube(n)) for n in ns]
+        elif kind == "cylinder":
+            R = float(spec.get("R", electrode.R))
+            L = float(spec.get("L", electrode.L))
+            levels = spec.get("levels", _DEFAULT_LEVELS[order])
+            if "refine" in spec and "base" in spec:
+                levels = [spec["base"]]
+            levels = [(int(a), int(b), int(c)) for a, b, c in levels]
+            family = [("x".join(map(str, lv)),
+                       lambda _, lv=lv: generate_cylinder(R, L, *lv))
+                      for lv in levels]
+        else:
+            raise ConfigError(f"unknown mesh kind {kind!r}")
+        if "refine" in spec and family:
+            base = family[0][1]
+            family = [(f"L{i}", refine_uniform if i else base)
+                      for i in range(int(spec["refine"]))]
+        if not family:
+            raise ConfigError("mesh: the level family is empty "
+                              "(refine must be >= 1, levels non-empty)")
+
+        return RunConfig(
+            command=command, order=order, electrode=electrode,
+            problem=problem, family=family,
+            out=out if out is not None else raw.get("out", "out"),
+            seed=int(raw.get("seed", 0)) if seed is None else seed,
+            vtk=bool(raw.get("vtk", False)),
+            tol=float(opt.get("tol", 1e-9)),
+            max_iter=int(opt.get("max_iter", 500)),
+            n_probes=n_probes, t_list=t_list, fit_floor=fit_floor,
+        )
+    except (ValueError, TypeError, AttributeError) as exc:  # ConfigError is one
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -250,14 +239,46 @@ def write_vtk_state(path, mesh, space, u, title="state"):
                 fh.write(f"{v[0]!r} {v[1]!r} {v[2]!r}\n")
 
 
+def _level_study(cfg, solve):
+    """Run ``solve(tag, mesh, space)`` on every level of the family.
+
+    ``solve`` returns the level's table entries (a dict), its StateOperator
+    and a callable giving the state for the VTK dump.  Each row starts with
+    the level tag, mesh size and dof count and ends with the seconds the
+    level took.  The study stops at the first level that raises; returns
+    the rows, one solver record per row (factor fill and largest solve
+    residual, for summary.json), and the failure and its traceback (None
+    when every level ran).
+    """
+    rows, records, m = [], [], None
+    for tag, step in cfg.family:
+        m = step(m)  # a MeshError here goes to main: exit 2
+        t0 = time.perf_counter()
+        try:
+            space = FESpace(m, cfg.order)
+            entries, op, state = solve(tag, m, space)
+            rows.append({"level": tag, "h": mesh_size(m),
+                         "n_dofs": space.n_dofs, **entries,
+                         "seconds": time.perf_counter() - t0})
+            records.append({"level": tag, "nnz_LU": int(op.lu.nnz),
+                            "max_residual": op.max_residual})
+            if cfg.vtk:
+                write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
+                                m, space, state())
+        except Exception as exc:  # the tables keep the levels before it
+            return rows, records, f"level {tag}: {exc}", traceback.format_exc()
+    return rows, records, None, None
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_gen_mesh(cfg):
-    """Build the configured mesh, write MSH + JSON topology summary."""
+    """Build the family's first mesh, write MSH + JSON topology summary."""
+    _, first = cfg.family[0]
+    m = first(None)
     os.makedirs(cfg.out, exist_ok=True)
-    m = build_mesh(cfg)
     write_msh(m, os.path.join(cfg.out, "mesh.msh"))
     with open(os.path.join(cfg.out, "mesh.json"), "w", encoding="utf-8") as fh:
         fh.write(mesh_to_json(m))
@@ -274,12 +295,6 @@ def cmd_gen_mesh(cfg):
     return 0
 
 
-def _solver_record(tag, op):
-    """A level's factor fill and largest solve residual, for summary.json."""
-    return {"level": tag, "nnz_LU": int(op.lu.nnz),
-            "max_residual": op.max_residual}
-
-
 def cmd_validate(cfg):
     """Convergence study: boundary-driven solve vs the analytic rod field.
 
@@ -291,41 +306,27 @@ def cmd_validate(cfg):
     el = cfg.electrode
     exact = lambda x: analytic.exact_H(x, el)
     exact_curl = lambda x: analytic.exact_curl_H(x, el)
-    k = cfg.order
-    rows, levels, ok, failure, trace = [], [], True, None, None
-    for tag, m in mesh_family(cfg):
-        t0 = time.perf_counter()
-        try:
-            space = FESpace(m, k)
-            pc = ProblemConfig(mu=1.0 / el.sigma, kappa=el.mu,
-                               omega=el.omega, j_c=None)
-            op = StateOperator(m, space, pc)
-            g = np.zeros(space.n_dofs, dtype=complex)
-            gi = interpolate(space, exact)
-            g[space.boundary_dofs] = gi[space.boundary_dofs]
-            u = op.solve_dirichlet(g)
-            err = hcurl_error(space, u, exact, exact_curl)
-            dt = time.perf_counter() - t0
-            rows.append((tag, mesh_size(m), space.n_dofs, err, dt))
-            levels.append(_solver_record(tag, op))
-            if cfg.vtk:
-                write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
-                                m, space, u)
-        except Exception as exc:  # partial CSV on failure
-            ok, failure = False, f"level {tag}: {exc}"
-            trace = traceback.format_exc()
-            break
-    _write_csv(os.path.join(cfg.out, "convergence.csv"),
-               ["level", "h", "n_dofs", "hcurl_error", "seconds"], rows)
+    pc = ProblemConfig(mu=1.0 / el.sigma, kappa=el.mu, omega=el.omega)
+
+    def solve(tag, m, space):
+        op = StateOperator(m, space, pc)
+        g = np.zeros(space.n_dofs, dtype=complex)
+        g[space.boundary_dofs] = interpolate(space, exact)[space.boundary_dofs]
+        u = op.solve_dirichlet(g)
+        return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
+
+    rows, levels, failure, trace = _level_study(cfg, solve)
+    header = ["level", "h", "n_dofs", "hcurl_error", "seconds"]
+    _write_csv(os.path.join(cfg.out, "convergence.csv"), header,
+               [[r[k] for k in header] for r in rows])
     slope = None
     if len(rows) >= 2:
-        hs = np.array([r[1] for r in rows])
-        es = np.array([r[3] for r in rows])
-        slope = loglog_slope(hs, es)
-    target = 0.9 if k == 0 else 1.8
-    ok = ok and slope is not None and slope >= target
+        slope = loglog_slope([r["h"] for r in rows],
+                             [r["hcurl_error"] for r in rows])
+    target = 0.9 if cfg.order == 0 else 1.8
+    ok = failure is None and slope is not None and slope >= target
     _write_summary(cfg.out, {
-        "command": "validate", "order": k, "rate": slope,
+        "command": "validate", "order": cfg.order, "rate": slope,
         "rate_target": target, "levels_completed": len(rows),
         "levels": levels, "failure": failure, "traceback": trace,
         "ok": bool(ok),
@@ -342,37 +343,29 @@ def cmd_gradcheck(cfg):
     derivative (a random probe's own derivative can be near zero, which
     would report float64 round-off in j as a gradient error).
     """
+    _, first = cfg.family[0]
+    m = first(None)
     os.makedirs(cfg.out, exist_ok=True)
-    gc = cfg.gradcheck
-    _, m = next(iter(mesh_family(cfg)))
     space = FESpace(m, cfg.order)
-    pc = problem_config(cfg)
-    if pc.u_d is None and pc.j_c is None:
-        pc = replace(pc, j_c=np.array([0, 0, 1.0 + 0.5j]),
-                     u_d=np.array([0.1, 0, 0.2j]))
-    rp = ReducedProblem(m, space, pc)
+    rp = ReducedProblem(m, space, cfg.problem)
     rng = np.random.default_rng(cfg.seed)
     nb = m.boundary_edges.size
     z = 0.3 * (rng.standard_normal(nb) + 1j * rng.standard_normal(nb))
     _, G = rp.cost_and_gradient(z)
 
-    n_probes = int(gc.get("n_probes", 3))
-    t_list = np.geomspace(gc.get("t_max", 1e-1), gc.get("t_min", 1e-9),
-                          int(gc.get("n_t", 17)))
     probes = [G / np.linalg.norm(G)]
-    for _ in range(max(0, n_probes - 1)):
+    for _ in range(cfg.n_probes - 1):
         v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         probes.append(v / np.linalg.norm(v))
 
-    table = [np.asarray(t_list)]
+    t, decay = cfg.t_list, cfg.t_list >= cfg.fit_floor
+    table = [t]
     slopes, plateaus = [], []
     for xi in probes:
-        rows = fd_check(rp.cost_and_gradient, z, xi, t_list=t_list,
+        rows = fd_check(rp.cost_and_gradient, z, xi, t_list=t,
                         cost_fn=rp.cost)
         err = np.array([r[1] for r in rows])
-        t = np.array([r[0] for r in rows])
         scale = 2 * np.linalg.norm(G) * np.linalg.norm(xi)
-        decay = t >= float(gc.get("fit_floor", 1e-5))
         slopes.append(loglog_slope(t[decay], err[decay]))
         plateaus.append(float(err.min() / max(scale, 1e-300)))
         table.append(err)
@@ -411,82 +404,57 @@ def cmd_optimize(cfg):
     to terminate at the gradient tolerance.
     """
     os.makedirs(cfg.out, exist_ok=True)
-    pc = problem_config(cfg)
-    if pc.u_d is None:
-        raise ConfigError("optimize requires problem.u_d")
-    tol = float(cfg.optimize.get("tol", 1e-9))
-    max_iter = int(cfg.optimize.get("max_iter", 500))
-    k = cfg.order
+    hist_rows = []
 
-    results, levels, hist_rows = [], [], []
-    ok, failure, trace = True, None, None
-    for tag, m in mesh_family(cfg):
-        t0 = time.perf_counter()
-        try:
-            space = FESpace(m, k)
-            rp = ReducedProblem(m, space, pc)
-            nb = m.boundary_edges.size
-            z, hist = bfgs_minimize(rp.cost_and_gradient,
-                                    np.zeros(nb, dtype=complex),
-                                    tol=tol, max_iter=max_iter)
-            dt = time.perf_counter() - t0
-            last = hist[-1]
-            for h in hist:
-                hist_rows.append((tag, h.iteration, h.J, h.J1, h.J2, h.J3,
-                                  h.grad_norm,
-                                  h.step if h.step is not None else ""))
-            results.append({"level": tag, "h": mesh_size(m),
-                            "n_dofs": space.n_dofs, "n_controls": nb,
-                            "J": last.J, "J1": last.J1, "J2": last.J2,
-                            "J3": last.J3, "grad_norm": last.grad_norm,
-                            "iterations": last.iteration,
-                            "state_solves": rp.op.n_state_solves,
-                            "seconds": dt, "z": z})
-            levels.append(_solver_record(tag, rp.op))
-            if last.grad_norm > tol:
-                ok, failure = False, f"level {tag}: no convergence " \
-                    f"(grad_norm={last.grad_norm:.3e} > {tol:.1e})"
-            mid = 0.5 * (m.vertices[m.edges[m.boundary_edges, 0]]
-                         + m.vertices[m.edges[m.boundary_edges, 1]])
-            _write_csv(os.path.join(cfg.out, f"control_{tag}.csv"),
-                       ["edge", "x", "y", "z", "re", "im"],
-                       [(int(e), mid[i, 0], mid[i, 1], mid[i, 2],
-                         z[i].real, z[i].imag)
-                        for i, e in enumerate(m.boundary_edges)])
-            if cfg.vtk:
-                u = rp.op.solve_state(z)
-                write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
-                                m, space, u)
-        except Exception as exc:
-            ok, failure = False, f"level {tag}: {exc}"
-            trace = traceback.format_exc()
-            break
+    def solve(tag, m, space):
+        rp = ReducedProblem(m, space, cfg.problem)
+        nb = m.boundary_edges.size
+        z, hist = bfgs_minimize(rp.cost_and_gradient,
+                                np.zeros(nb, dtype=complex),
+                                tol=cfg.tol, max_iter=cfg.max_iter)
+        hist_rows.extend((tag, h.iteration, h.J, h.J1, h.J2, h.J3,
+                          h.grad_norm, h.step if h.step is not None else "")
+                         for h in hist)
+        mid = 0.5 * (m.vertices[m.edges[m.boundary_edges, 0]]
+                     + m.vertices[m.edges[m.boundary_edges, 1]])
+        _write_csv(os.path.join(cfg.out, f"control_{tag}.csv"),
+                   ["edge", "x", "y", "z", "re", "im"],
+                   [(int(e), mid[i, 0], mid[i, 1], mid[i, 2],
+                     z[i].real, z[i].imag)
+                    for i, e in enumerate(m.boundary_edges)])
+        last = hist[-1]
+        return ({"n_controls": nb, "J": last.J, "J1": last.J1, "J2": last.J2,
+                 "J3": last.J3, "grad_norm": last.grad_norm,
+                 "iterations": last.iteration,
+                 "state_solves": rp.op.n_state_solves},
+                rp.op, lambda: rp.op.solve_state(z))
 
+    rows, levels, failure, trace = _level_study(cfg, solve)
     _write_csv(os.path.join(cfg.out, "history.csv"),
                ["level", "iteration", "J", "J1", "J2", "J3", "grad_norm",
                 "step"], hist_rows)
 
+    stalled = [r for r in rows if r["grad_norm"] > cfg.tol]
+    if failure is None and stalled:
+        failure = f"level {stalled[-1]['level']}: no convergence " \
+            f"(grad_norm={stalled[-1]['grad_norm']:.3e} > {cfg.tol:.1e})"
+    ok = failure is None
     gaps = []
-    if len(results) >= 2 and ok:
-        ref = results[-1]
-        for r in results[:-1]:
-            gaps.append({"level": r["level"],
-                         "gap_J": _gap(r["J"], ref["J"]),
-                         "gap_J1": _gap(r["J1"], ref["J1"])})
+    if len(rows) >= 2 and ok:
+        ref = rows[-1]
+        gaps = [{"level": r["level"], "gap_J": _gap(r["J"], ref["J"]),
+                 "gap_J1": _gap(r["J1"], ref["J1"])} for r in rows[:-1]]
+    for r, g in zip(rows, gaps):
+        r.update(g)
 
-    _write_csv(os.path.join(cfg.out, "study.csv"),
-               ["level", "h", "n_dofs", "n_controls", "J", "J1", "J2", "J3",
-                "grad_norm", "iterations", "state_solves", "seconds",
-                "gap_J", "gap_J1"],
-               [(r["level"], r["h"], r["n_dofs"], r["n_controls"], r["J"],
-                 r["J1"], r["J2"], r["J3"], r["grad_norm"], r["iterations"],
-                 r["state_solves"], r["seconds"],
-                 next((g["gap_J"] for g in gaps if g["level"] == r["level"]), ""),
-                 next((g["gap_J1"] for g in gaps if g["level"] == r["level"]), ""))
-                for r in results])
+    header = ["level", "h", "n_dofs", "n_controls", "J", "J1", "J2", "J3",
+              "grad_norm", "iterations", "state_solves", "seconds",
+              "gap_J", "gap_J1"]
+    _write_csv(os.path.join(cfg.out, "study.csv"), header,
+               [[r.get(k, "") for k in header] for r in rows])
     _write_summary(cfg.out, {
-        "command": "optimize", "order": k, "tol": tol,
-        "levels_completed": len(results), "levels": levels,
+        "command": "optimize", "order": cfg.order, "tol": cfg.tol,
+        "levels_completed": len(rows), "levels": levels,
         "gaps": gaps, "monotone_gap_J": _monotone(gaps, "gap_J"),
         "monotone_gap_J1": _monotone(gaps, "gap_J1"),
         "failure": failure, "traceback": trace, "ok": bool(ok),
@@ -528,7 +496,7 @@ def main(argv=None):
         return 2
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, meshmod.MeshError) as exc:
+    except MeshError as exc:  # a generated level's parameters are out of range
         print(f"eddyctl: {exc}", file=sys.stderr)
         return 2
 

@@ -50,6 +50,17 @@ def test_gen_mesh_writes_msh_json_and_summary(tmp_path):
     assert len(topo["vertices"]) == 27 and len(topo["tets"]) == 48
 
 
+def test_gen_mesh_writes_the_first_level_of_the_family(tmp_path):
+    # validate would run n = 1 first, so gen-mesh writes that mesh, not the
+    # default n = 2
+    cfg = _write(tmp_path, "cfg.json",
+                 {"mesh": {"kind": "cube", "levels": [1, 2]}})
+    out = str(tmp_path / "out")
+    assert main(["gen-mesh", "--config", cfg, "--out", out]) == 0
+    info = _summary(out)["mesh"]
+    assert info["n_vertices"] == 8 and info["n_tets"] == 6
+
+
 def test_gen_mesh_output_feeds_back_as_mesh_file(tmp_path):
     cfg = _write(tmp_path, "cfg.json",
                  {"mesh": {"kind": "cylinder", "levels": [[1, 6, 2]]}})
@@ -288,16 +299,45 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "u_d" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", [
-    {"problem": {"alpha": 0, "beta": 0, "u_d": "exact_H"}},
-    {"electrode": {"R": -1}},
-    {"order": "x"},
-], ids=["zero-weights", "negative-radius", "order-not-int"])
-def test_bad_config_values_exit_two(tmp_path, capsys, payload):
+@pytest.mark.parametrize("command, payload", [
+    pytest.param("optimize",
+                 {"problem": {"alpha": 0, "beta": 0, "u_d": "exact_H"}},
+                 id="zero-weights"),
+    pytest.param("optimize", {"electrode": {"R": -1}}, id="negative-radius"),
+    pytest.param("optimize", {"order": "x"}, id="order-not-int"),
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": "x"}},
+                 id="cube-n-not-int"),
+    pytest.param("optimize", {"problem": {"u_d": ["a", 0, 0]}},
+                 id="field-not-numeric"),
+    pytest.param("optimize", {"optimize": {"tol": "x"},
+                              "problem": {"u_d": "exact_H"}},
+                 id="tol-not-float"),
+    pytest.param("validate", {"mesh": {"levels": [[1, "x", 2]]}},
+                 id="level-not-int"),
+    pytest.param("validate", {"mesh": {"levels": 5}}, id="levels-not-list"),
+    pytest.param("gen-mesh", {"mesh": "cube"}, id="mesh-not-object"),
+    pytest.param("grad-check", {"gradcheck": {"n_probes": "x"}},
+                 id="n-probes-not-int"),
+    pytest.param("gen-mesh", {"mesh": {"file": "no-such-dir/mesh.msh"}},
+                 id="mesh-file-missing"),
+    # an empty family would report "ok" without solving anything
+    pytest.param("optimize", {"mesh": {"kind": "cylinder", "base": [1, 6, 2],
+                                       "refine": 0},
+                              "problem": {"u_d": "exact_H"}},
+                 id="refine-zero"),
+    pytest.param("validate", {"mesh": {"levels": []}}, id="levels-empty"),
+    # grad-check settings from which no slope can be fitted
+    pytest.param("grad-check", {"gradcheck": {"fit_floor": 1.0}},
+                 id="fit-floor-above-steps"),
+    pytest.param("grad-check", {"gradcheck": {"n_probes": 0}},
+                 id="no-probes"),
+])
+def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = _write(tmp_path, "cfg.json", payload)
-    assert main(["optimize", "--config", cfg, "--out",
-                 str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("eddyctl:")
+    assert not (out / "summary.json").exists()  # checked before any output
 
 
 def test_grad_check_keeps_the_quadrature_order(tmp_path, monkeypatch):
