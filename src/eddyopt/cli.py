@@ -28,8 +28,9 @@ import numpy as np
 
 from . import analytic
 from .analytic import ElectrodeParams
-from .mesh import (MeshError, generate_cube, generate_cylinder, mesh_size,
-                   parse_msh, refine_uniform, write_msh, mesh_to_json)
+from .mesh import (MeshError, cube_size, cylinder_size, generate_cube,
+                   generate_cylinder, mesh_size, parse_msh, refine_uniform,
+                   write_msh, mesh_to_json)
 from .nedelec import FESpace, ProblemConfig, evaluate_field, hcurl_error, interpolate
 from .solver import StateOperator
 from .wirtinger import ReducedProblem, bfgs_minimize, fd_check, loglog_slope
@@ -165,7 +166,7 @@ def load_config(path, command, out=None, order=None, seed=None):
                 mesh = parse_msh(fh)
             family = [("file", lambda _: mesh)]
         elif kind == "cube":
-            ns = [int(n) for n in spec.get("levels", [spec.get("n", 2)])]
+            ns = [cube_size(n) for n in spec.get("levels", [spec.get("n", 2)])]
             family = [(f"n{n}", lambda _, n=n: generate_cube(n)) for n in ns]
         elif kind == "cylinder":
             R = float(spec.get("R", electrode.R))
@@ -173,7 +174,7 @@ def load_config(path, command, out=None, order=None, seed=None):
             levels = spec.get("levels", _DEFAULT_LEVELS[order])
             if "refine" in spec and "base" in spec:
                 levels = [spec["base"]]
-            levels = [(int(a), int(b), int(c)) for a, b, c in levels]
+            levels = [cylinder_size(R, L, *lv) for lv in levels]
             family = [("x".join(map(str, lv)),
                        lambda _, lv=lv: generate_cylinder(R, L, *lv))
                       for lv in levels]
@@ -252,7 +253,7 @@ def _level_study(cfg, solve):
     """
     rows, records, m = [], [], None
     for tag, step in cfg.family:
-        m = step(m)  # a MeshError here goes to main: exit 2
+        m = step(m)  # a degenerate mesh raises MeshError: exit 2 in main
         t0 = time.perf_counter()
         try:
             space = FESpace(m, cfg.order)
@@ -496,7 +497,7 @@ def main(argv=None):
         return 2
     try:
         return _COMMANDS[cfg.command](cfg)
-    except MeshError as exc:  # a generated level's parameters are out of range
+    except MeshError as exc:  # a generated mesh is degenerate (e.g. R = 1e-200)
         print(f"eddyctl: {exc}", file=sys.stderr)
         return 2
 

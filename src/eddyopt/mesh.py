@@ -367,11 +367,28 @@ def mesh_to_json(mesh, path=None):
 # Generators
 
 
-def generate_cube(n):
-    """Unit cube [0,1]^3 split into 6 n^3 tets (Kuhn subdivision)."""
+def cube_size(n):
+    """generate_cube's n as an int; MeshError outside its limit."""
     n = int(n)
     if n < 1:
         raise MeshError("need at least one subdivision per axis")
+    return n
+
+
+def cylinder_size(R, L, n_r, n_theta, n_z):
+    """generate_cylinder's counts as ints; MeshError if an argument is
+    outside its limits."""
+    if not (R > 0 and L > 0):
+        raise MeshError("need positive radius and height")
+    n_r, n_theta, n_z = int(n_r), int(n_theta), int(n_z)
+    if n_r < 1 or n_theta < 3 or n_z < 1:
+        raise MeshError("need n_r >= 1, n_theta >= 3, n_z >= 1")
+    return n_r, n_theta, n_z
+
+
+def generate_cube(n):
+    """Unit cube [0,1]^3 split into 6 n^3 tets (Kuhn subdivision)."""
+    n = cube_size(n)
     g = np.linspace(0.0, 1.0, n + 1)
     X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
@@ -430,11 +447,7 @@ def generate_cylinder(R, L, n_r, n_theta, n_z):
     vertices lie exactly on radius R, so the mesh is the inscribed
     polyhedron: its volume is L * (n_theta R^2 / 2) sin(2 pi / n_theta).
     """
-    if not (R > 0 and L > 0):
-        raise MeshError("need positive radius and height")
-    n_r, n_theta, n_z = int(n_r), int(n_theta), int(n_z)
-    if n_r < 1 or n_theta < 3 or n_z < 1:
-        raise MeshError("need n_r >= 1, n_theta >= 3, n_z >= 1")
+    n_r, n_theta, n_z = cylinder_size(R, L, n_r, n_theta, n_z)
 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     disk = [(0.0, 0.0)]

@@ -11,8 +11,8 @@ with t_e the unit tangent from the lower to the higher vertex id and
 functional is a pure function of global vertex ids, matching moments across
 shared entities gives tangential continuity without any per-element sign
 bookkeeping. The element basis dual to these moments is built per element
-by inverting a moment matrix over an explicit spanning set of the local
-polynomial space.
+by inverting a moment matrix over a spanning set of the local polynomial
+space, stored as a table of monomial coefficients.
 """
 
 from dataclasses import dataclass
@@ -34,16 +34,41 @@ class AssemblyError(ValueError):
     pass
 
 
-# quadratic spanning fields x -> x cross (Q x) with traceless Q; curl = -3 Q x
-_Q8 = np.zeros((8, 3, 3))
-for _n, (_i, _j) in enumerate([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]):
-    _Q8[_n, _i, _j] = 1.0
-_Q8[6, 0, 0], _Q8[6, 1, 1] = 1.0, -1.0
-_Q8[7, 1, 1], _Q8[7, 2, 2] = 1.0, -1.0
+_EYE = np.eye(3)
+_EPS = np.cross(_EYE[:, None], _EYE[None])  # Levi-Civita symbol eps[a, b, c]
 
 
-def span_dim(k):
-    return 6 if k == 0 else 20
+def _span_table(k):
+    """Coefficients (P, R) of the local span and of its curls.
+
+    Field s is sum_m mono_m(x) P[m, :, s] over the monomials 1, x_b and,
+    for k = 1, x_b x_d (index 4 + 3 b + d); its curl is sum_l lin_l(x)
+    R[l, :, s] over 1, x_b. The fields a + B x + x cross (Q x) are e_i and
+    e_i cross x for k = 0, and e_i, x_c e_i and the 8 traceless Q for k = 1.
+    """
+    S = 6 if k == 0 else 20
+    a, B, Q = np.zeros((S, 3)), np.zeros((S, 3, 3)), np.zeros((S, 3, 3))
+    a[:3] = _EYE
+    E = np.eye(9).reshape(9, 3, 3)  # E[3 i + j] = e_i e_j^T
+    if k == 0:
+        B[3:] = np.einsum("aic->iac", _EPS)
+    else:
+        B[3:12] = np.swapaxes(E, 1, 2)
+        Q[12:] = E[[1, 2, 3, 5, 6, 7, 0, 4]]
+        Q[18:] -= E[[4, 8]]
+    P = np.concatenate([a.T[None], B.transpose(2, 1, 0),
+                        np.einsum("abc,scd->bdas", _EPS, Q).reshape(9, 3, S)])
+    # d mono_m / d x_b in the linear monomials: D[m, b, l]
+    D = np.zeros((13, 3, 4))
+    D[1:4, :, 0] = _EYE
+    D[4:, :, 1:] = (np.einsum("ib,jl->ijbl", _EYE, _EYE)
+                    + np.einsum("jb,il->ijbl", _EYE, _EYE)).reshape(9, 3, 3)
+    M = 4 if k == 0 else 13
+    R = np.einsum("abc,mbl,mcs->las", _EPS, D[:M], P[:M])
+    return P[:M], R
+
+
+_SPAN = {k: _span_table(k) for k in (0, 1)}
 
 
 def span_eval(k, pts):
@@ -52,33 +77,19 @@ def span_eval(k, pts):
     Returns (vals, curls), each (..., 3, S): the S fields run along the
     last axis, the layout `_expand` multiplies without a copy. The span
     is {a + b cross x} for k = 0 and (P1)^3 plus the 8 quadratic fields
-    x cross (Q x) for k = 1.
+    x cross (Q x) for k = 1, see `_span_table`.
     """
     if k not in (0, 1):
         raise AssemblyError(f"order {k} not supported (k in {{0, 1}})")
+    P, R = _SPAN[k]
     pts = np.asarray(pts, dtype=float)
-    shape = pts.shape + (span_dim(k),)
-    out = np.empty(shape), np.zeros(shape)
-    # written field by field through (..., S, 3) views
-    vals, curls = (np.swapaxes(a, -1, -2) for a in out)
-    eye = np.eye(3)
-    if k == 0:
-        for i in range(3):
-            vals[..., i, :] = eye[i]
-            vals[..., 3 + i, :] = np.cross(eye[i], pts)
-            curls[..., 3 + i, :] = 2.0 * eye[i]
-        return out
-    for i in range(3):
-        vals[..., i, :] = eye[i]
-    for c in range(3):
-        for i in range(3):
-            s = 3 + 3 * c + i
-            vals[..., s, :] = pts[..., c, None] * eye[i]
-            curls[..., s, :] = np.cross(eye[c], eye[i])
-    qx = np.einsum("jcd,...d->...jc", _Q8, pts)
-    vals[..., 12:, :] = np.cross(pts[..., None, :], qx)
-    curls[..., 12:, :] = -3.0 * qx
-    return out
+    shape = pts.shape + (P.shape[-1],)
+    x = pts.reshape(-1, 3)
+    lin = np.concatenate([np.ones((len(x), 1)), x], axis=1)
+    mono = lin if k == 0 else np.concatenate(
+        [lin, (x[:, :, None] * x[:, None]).reshape(-1, 9)], axis=1)
+    return ((mono @ P.reshape(len(P), -1)).reshape(shape),
+            (lin @ R.reshape(4, -1)).reshape(shape))
 
 
 class FESpace:
@@ -122,7 +133,7 @@ class FESpace:
 
     @property
     def n_local(self):
-        return span_dim(self.k)
+        return _SPAN[self.k][0].shape[-1]
 
     @cached_property
     def lifting(self):
@@ -214,32 +225,31 @@ def _vector_field_at(f, pts):
     return np.broadcast_to(v, pts.shape)
 
 
-def _edge_moment_rows(mesh, sl, k, n_gauss):
-    """Edge-moment evaluation data for tets in slice sl.
+def _moments(mesh, f, edges, faces, k, n_gauss, face_degree):
+    """The dof functionals of f on edges (..., 2) and, for k = 1, faces
+    (..., 3), vertex ids ascending in each row.
 
-    Returns (pts (C, 6, n, 3), weights list of per-moment (n,) arrays,
-    tangents (C, 6, 3)).
+    f maps points (..., n, 3) to fields (..., n, 3, S). Returns (..., m, S)
+    in dof order: k + 1 moments per edge, then two per face.
     """
-    ev = mesh.edges[mesh.tet_edges[sl]]
-    lo = mesh.vertices[ev[..., 0]]
-    hi = mesh.vertices[ev[..., 1]]
+    lo, hi = mesh.vertices[edges[..., 0]], mesh.vertices[edges[..., 1]]
     u, w = gauss_01(n_gauss)
-    pts = lo[..., None, :] + u[:, None] * (hi - lo)[..., None, :]
     t = hi - lo
+    vals = f(lo[..., None, :] + u[:, None] * t[..., None, :])
     t = t / np.linalg.norm(t, axis=-1, keepdims=True)
-    weights = [w] if k == 0 else [w, 3.0 * (2.0 * u - 1.0) * w]
-    return pts, weights, t
-
-
-def _face_moment_rows(mesh, sl, degree):
-    """Face-moment data: points (C, 4, m, 3), ref weights (m,), dirs (C, 4, 2, 3)."""
-    fv = mesh.faces[mesh.tet_faces[sl]]
-    verts = mesh.vertices[fv]
-    rp, rw = triangle_rule(degree)
+    vt = np.einsum("...nds,...d->...ns", vals, t)
+    # the mean weight, then (k = 1) the odd linear one
+    rows = np.stack([w, 3.0 * (2.0 * u - 1.0) * w][:k + 1]) @ vt
+    rows = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
+    if k == 0:
+        return rows
+    verts = mesh.vertices[faces]
+    rp, rw = triangle_rule(face_degree)
     pts, _ = map_to_triangles(verts, rp)
-    q = np.stack([verts[..., 1, :] - verts[..., 0, :],
-                  verts[..., 2, :] - verts[..., 0, :]], axis=-2)
-    return pts, rw, q
+    q = verts[..., 1:, :] - verts[..., :1, :]
+    face = 2.0 * np.einsum("...nds,...ed,n->...es", f(pts), q, rw)
+    face = face.reshape(face.shape[:-3] + (-1, face.shape[-1]))
+    return np.concatenate([rows, face], axis=-2)
 
 
 def _basis_coeffs(space, sl):
@@ -250,26 +260,15 @@ def _basis_coeffs(space, sl):
     span_s((x - center)/scale), with curls scaled by 1/scale.
     """
     mesh, k = space.mesh, space.k
-    tv = mesh.vertices[mesh.tets[sl]]
-    centers = tv.mean(axis=1)
+    centers = mesh.vertices[mesh.tets[sl]].mean(axis=1)
     scales = mesh.edge_lengths[mesh.tet_edges[sl]].max(axis=1)
-    S = span_dim(k)
-    n_cells = tv.shape[0]
-    V = np.empty((n_cells, S, S))
 
-    pts, wts, t = _edge_moment_rows(mesh, sl, k, k + 2)
-    loc = (pts - centers[:, None, None, :]) / scales[:, None, None, None]
-    vals, _ = span_eval(k, loc)
-    vt = np.einsum("cendg,ced->ceng", vals, t)
-    for m, w in enumerate(wts):
-        V[:, m:6 * (k + 1):k + 1, :] = np.einsum("ceng,n->ceg", vt, w)
-    if k == 1:
-        pts, rw, q = _face_moment_rows(mesh, sl, 2)
+    def span(pts):  # pts (cells, entities, n, 3)
         loc = (pts - centers[:, None, None, :]) / scales[:, None, None, None]
-        vals, _ = span_eval(k, loc)
-        vq = np.einsum("cfndg,cfed->cfneg", vals, q)
-        rows = 2.0 * np.einsum("cfneg,n->cfeg", vq, rw)
-        V[:, 12:, :] = rows.reshape(n_cells, 8, S)
+        return span_eval(k, loc)[0]
+
+    V = _moments(mesh, span, mesh.edges[mesh.tet_edges[sl]],
+                 mesh.faces[mesh.tet_faces[sl]], k, k + 2, 2)
     try:
         C = np.linalg.inv(V)
     except np.linalg.LinAlgError as err:
@@ -388,27 +387,9 @@ def integrate(mesh, f, degree=6):
 def interpolate(space, v):
     """Moment interpolant of a smooth field v (callable or constant)."""
     mesh = space.mesh
-    k = space.k
-    out = np.zeros(space.n_dofs, dtype=complex)
-
-    lo = mesh.vertices[mesh.edges[:, 0]]
-    hi = mesh.vertices[mesh.edges[:, 1]]
-    u, w = gauss_01(INTERP_GAUSS)
-    pts = lo[:, None, :] + u[:, None] * (hi - lo)[:, None, :]
-    t = (hi - lo) / mesh.edge_lengths[:, None]
-    vt = np.einsum("end,ed->en", _vector_field_at(v, pts), t)
-    out[0:space.n_edge_dofs:k + 1] = vt @ w
-    if k == 1:
-        out[1:space.n_edge_dofs:2] = vt @ (3.0 * (2.0 * u - 1.0) * w)
-        verts = mesh.vertices[mesh.faces]
-        rp, rw = triangle_rule(INTERP_FACE_DEGREE)
-        fpts, _ = map_to_triangles(verts, rp)
-        vals = _vector_field_at(v, fpts)
-        for d in range(2):
-            q = verts[:, 1 + d, :] - verts[:, 0, :]
-            out[space.n_edge_dofs + d::2] = 2.0 * np.einsum(
-                "fnd,fd,n->f", vals, q, rw)
-    return out
+    f = lambda pts: _vector_field_at(v, pts)[..., None]
+    return _moments(mesh, f, mesh.edges, mesh.faces, space.k, INTERP_GAUSS,
+                    INTERP_FACE_DEGREE)[:, 0]
 
 
 def evaluate_field(space, u, ref_pts):

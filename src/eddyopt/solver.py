@@ -35,12 +35,10 @@ class StateOperator:
     """
 
     def __init__(self, mesh, space, config):
-        self.mesh = mesh
         self.space = space
         self.config = config
-        self.A = assemble(mesh, space, config)
         I, B = space.interior_dofs, space.boundary_dofs
-        rows = self.A.tocsc()[I]
+        rows = assemble(mesh, space, config).tocsc()[I]
         self.A_II = rows[:, I].tocsc()
         self.A_IB = rows[:, B].tocsr()
         try:
@@ -56,11 +54,12 @@ class StateOperator:
         self.load = assemble_load(mesh, space, config.j_c)
 
     def _check_residual(self, rhs, sol):
-        res = self.A_II @ sol - rhs
-        denom = max(np.linalg.norm(rhs), 1e-300)
-        rel = np.linalg.norm(res) / denom
-        self.max_residual = max(self.max_residual, rel)
-        if rel > max(self.config.solver_tol, 1e-30) and denom > 1e-200:
+        # written so that a NaN residual (NaN or inf data) fails the check
+        rel = (np.linalg.norm(self.A_II @ sol - rhs)
+               / max(np.linalg.norm(rhs), 1e-300))
+        if np.isfinite(rel):
+            self.max_residual = max(self.max_residual, rel)
+        if not (rel <= max(self.config.solver_tol, 1e-30) or not rhs.any()):
             raise SolverError(f"relative residual {rel:.3e} above tolerance")
 
     def solve_dirichlet(self, g, f=None):

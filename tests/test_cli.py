@@ -331,13 +331,21 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  id="fit-floor-above-steps"),
     pytest.param("grad-check", {"gradcheck": {"n_probes": 0}},
                  id="no-probes"),
+    # a generator limit broken by a later level, caught before the first
+    pytest.param("validate", {"vtk": True,
+                              "mesh": {"levels": [[1, 6, 2], [1, 2, 2]]}},
+                 id="later-cylinder-level-out-of-range"),
+    pytest.param("optimize", {"mesh": {"kind": "cube", "levels": [1, 0]},
+                              "problem": {"u_d": [1, 0, 0]}},
+                 id="later-cube-level-out-of-range"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = _write(tmp_path, "cfg.json", payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("eddyctl:")
-    assert not (out / "summary.json").exists()  # checked before any output
+    # checked before any output
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_grad_check_keeps_the_quadrature_order(tmp_path, monkeypatch):

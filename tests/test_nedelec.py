@@ -189,6 +189,22 @@ def test_fespace_rejects_unsupported_order():
         FESpace(m, -1)
 
 
+@pytest.mark.parametrize("k, n_fields", [(0, 6), (1, 20)])
+def test_span_curls_match_finite_differences(k, n_fields):
+    # the span is at most quadratic, so a central difference is exact up
+    # to round-off; the curls come from the coefficient table alone
+    pts = np.random.default_rng(17).uniform(-1.0, 1.0, (9, 3))
+    vals, curls = nedelec.span_eval(k, pts)
+    assert vals.shape == curls.shape == (9, 3, n_fields)
+    h = 1e-3
+    grad = np.stack([(nedelec.span_eval(k, pts + h * e)[0]
+                      - nedelec.span_eval(k, pts - h * e)[0]) / (2 * h)
+                     for e in np.eye(3)], axis=1)  # (n, b, c, s) = d_b v_c
+    eps = np.cross(np.eye(3)[:, None], np.eye(3)[None])
+    fd_curls = np.einsum("abc,nbcs->nas", eps, grad)
+    assert np.abs(fd_curls - curls).max() <= 1e-8
+
+
 def test_basis_is_inverted_once_per_space(monkeypatch):
     calls = []
     inner = nedelec._basis_coeffs

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
-from eddyopt.nedelec import FESpace, ProblemConfig, interpolate
+from eddyopt.nedelec import FESpace, ProblemConfig, assemble, interpolate
 from eddyopt.solver import SolverError, StateOperator
 from eddyopt.trace import lift, tangential_trace, zeros_control
 
@@ -50,7 +50,7 @@ def test_state_satisfies_interior_rows_and_boundary_data():
     I, B = space.interior_dofs, space.boundary_dofs
     g = lift(space, z)
     assert np.array_equal(u[B], g[B])
-    res = (op.A @ u - op.load)[I]
+    res = (assemble(mesh, space, cfg) @ u - op.load)[I]
     assert np.linalg.norm(res) / np.linalg.norm(op.load[I]) <= 1e-10
     # the trace of the state is the control it was driven by
     assert np.abs(tangential_trace(space, u) - z).max() <= 1e-14
@@ -135,6 +135,26 @@ def test_residual_check_rejects_an_unreachable_tolerance():
     with pytest.raises(SolverError):
         op.solve_adjoint(rho)
     assert (op.n_state_solves, op.n_adjoint_solves) == (0, 0)
+
+
+@pytest.mark.parametrize("bad", ["j_c", "control", "adjoint"])
+def test_non_finite_data_fails_the_residual_check(bad):
+    # a NaN residual is not <= solver_tol; the record stays finite for the
+    # strict-JSON summary
+    mesh = generate_cube(2)
+    space = FESpace(mesh, 0)
+    j_c = np.array([0.0, np.nan, 1.0]) if bad == "j_c" else None
+    op = StateOperator(mesh, space, ProblemConfig(j_c=j_c))
+    z = _random_control(mesh, np.random.default_rng(3))
+    rho = np.ones(space.n_dofs, dtype=complex)
+    if bad == "control":
+        z[0] = np.nan
+    if bad == "adjoint":
+        rho[space.interior_dofs[0]] = np.nan
+    with pytest.raises(SolverError):
+        op.solve_adjoint(rho) if bad == "adjoint" else op.solve_state(z)
+    assert (op.n_state_solves, op.n_adjoint_solves) == (0, 0)
+    assert op.max_residual == 0.0
 
 
 def test_generic_right_hand_sides_meet_the_residual_check():
