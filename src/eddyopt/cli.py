@@ -23,6 +23,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, fields, replace
+from resource import RUSAGE_SELF, getrusage
 
 import numpy as np
 
@@ -246,10 +247,11 @@ def _level_study(cfg, solve):
     ``solve`` returns the level's table entries (a dict), its StateOperator
     and a callable giving the state for the VTK dump.  Each row starts with
     the level tag, mesh size and dof count and ends with the seconds the
-    level took.  The study stops at the first level that raises; returns
-    the rows, one solver record per row (factor fill and largest solve
-    residual, for summary.json), and the failure and its traceback (None
-    when every level ran).
+    level took and the process's peak resident memory so far in MB
+    (ru_maxrss, KiB on Linux).  The study stops at the first level that
+    raises; returns the rows, one solver record per row (factor fill and
+    largest solve residual, for summary.json), and the failure and its
+    traceback (None when every level ran).
     """
     rows, records, m = [], [], None
     for tag, step in cfg.family:
@@ -260,7 +262,8 @@ def _level_study(cfg, solve):
             entries, op, state = solve(tag, m, space)
             rows.append({"level": tag, "h": mesh_size(m),
                          "n_dofs": space.n_dofs, **entries,
-                         "seconds": time.perf_counter() - t0})
+                         "seconds": time.perf_counter() - t0,
+                         "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024})
             records.append({"level": tag, "nnz_LU": int(op.lu.nnz),
                             "max_residual": op.max_residual})
             if cfg.vtk:
@@ -317,7 +320,7 @@ def cmd_validate(cfg):
         return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
 
     rows, levels, failure, trace = _level_study(cfg, solve)
-    header = ["level", "h", "n_dofs", "hcurl_error", "seconds"]
+    header = ["level", "h", "n_dofs", "hcurl_error", "seconds", "peak_rss_mb"]
     _write_csv(os.path.join(cfg.out, "convergence.csv"), header,
                [[r[k] for k in header] for r in rows])
     slope = None
@@ -450,7 +453,7 @@ def cmd_optimize(cfg):
 
     header = ["level", "h", "n_dofs", "n_controls", "J", "J1", "J2", "J3",
               "grad_norm", "iterations", "state_solves", "seconds",
-              "gap_J", "gap_J1"]
+              "peak_rss_mb", "gap_J", "gap_J1"]
     _write_csv(os.path.join(cfg.out, "study.csv"), header,
                [[r.get(k, "") for k in header] for r in rows])
     _write_summary(cfg.out, {

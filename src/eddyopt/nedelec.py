@@ -13,6 +13,11 @@ shared entities gives tangential continuity without any per-element sign
 bookkeeping. The element basis dual to these moments is built per element
 by inverting a moment matrix over a spanning set of the local polynomial
 space, stored as a table of monomial coefficients.
+
+Every element loop visits CHUNK tets at a time, which bounds its working
+set: basis values and curls are CHUNK x points x 3 x S doubles each, 1.0
+MB at k = 0 (S = 6, 27 points) and 7.9 MB at k = 1 (S = 20, 64 points) at
+the default load degree 2k + 4. Loads and the tracking mass skip curls.
 """
 
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ import scipy.sparse as sp
 from .quadrature import gauss_01, triangle_rule, tet_rule, map_to_triangles, map_to_tets
 from .trace import lifting_matrix, symmetric_csr
 
-CHUNK = 2048
+CHUNK = 256  # tets per pass: no slower than 2048, an eighth of the memory
 # Edge Gauss points and face-rule degree of the moment interpolant.
 INTERP_GAUSS = 8
 INTERP_FACE_DEGREE = 8
@@ -71,25 +76,20 @@ def _span_table(k):
 _SPAN = {k: _span_table(k) for k in (0, 1)}
 
 
-def span_eval(k, pts):
-    """Spanning fields of the local space at pts (..., 3).
+def _span(k, pts, curls):
+    """Spanning fields of the local space (curls False) or their curls
+    (curls True) at pts (..., 3), from one table of `_span_table`.
 
-    Returns (vals, curls), each (..., 3, S): the S fields run along the
-    last axis, the layout `_expand` multiplies without a copy. The span
-    is {a + b cross x} for k = 0 and (P1)^3 plus the 8 quadratic fields
-    x cross (Q x) for k = 1, see `_span_table`.
+    Returns (..., 3, S): the S fields run along the last axis, the layout
+    `_expand` multiplies without a copy. The span is {a + b cross x} for
+    k = 0 and (P1)^3 plus the 8 quadratic fields x cross (Q x) for k = 1.
     """
-    if k not in (0, 1):
-        raise AssemblyError(f"order {k} not supported (k in {{0, 1}})")
-    P, R = _SPAN[k]
-    pts = np.asarray(pts, dtype=float)
-    shape = pts.shape + (P.shape[-1],)
+    T = _SPAN[k][curls]
     x = pts.reshape(-1, 3)
-    lin = np.concatenate([np.ones((len(x), 1)), x], axis=1)
-    mono = lin if k == 0 else np.concatenate(
-        [lin, (x[:, :, None] * x[:, None]).reshape(-1, 9)], axis=1)
-    return ((mono @ P.reshape(len(P), -1)).reshape(shape),
-            (lin @ R.reshape(4, -1)).reshape(shape))
+    mono = np.concatenate([np.ones((len(x), 1)), x], axis=1)
+    if len(T) > 4:  # the quadratic monomials x_b x_d of the k = 1 fields
+        mono = np.hstack([mono, (x[:, :, None] * x[:, None]).reshape(-1, 9)])
+    return (mono @ T.reshape(len(T), -1)).reshape(pts.shape + (T.shape[-1],))
 
 
 class FESpace:
@@ -265,7 +265,7 @@ def _basis_coeffs(space, sl):
 
     def span(pts):  # pts (cells, entities, n, 3)
         loc = (pts - centers[:, None, None, :]) / scales[:, None, None, None]
-        return span_eval(k, loc)[0]
+        return _span(k, loc, False)
 
     V = _moments(mesh, span, mesh.edges[mesh.tet_edges[sl]],
                  mesh.faces[mesh.tet_faces[sl]], k, k + 2, 2)
@@ -287,24 +287,38 @@ def _expand(span, C):
     return np.swapaxes(rows.reshape(n, q, 3, -1), -1, -2)
 
 
+def _element_values(mesh, space, ref_pts, sl):
+    """(phys, jac, Phi) of `element_basis` for tets in sl, and a callable
+    that evaluates curlPhi, so that callers without curls skip them."""
+    C, centers, scales = (a[sl] for a in space.basis)
+    phys, jac = map_to_tets(mesh.vertices[mesh.tets[sl]], ref_pts)
+    loc = (phys - centers[:, None, :]) / scales[:, None, None]
+    return phys, jac, _expand(_span(space.k, loc, False), C), lambda: _expand(
+        _span(space.k, loc, True), C / scales[:, None, None])
+
+
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
     """Basis values/curls at mapped reference points for tets in sl.
 
     Returns (phys (C, m, 3), jac (C,), Phi (C, m, n_local, 3),
     curlPhi (C, m, n_local, 3)); jac = 6 * volume.
     """
-    C, centers, scales = (a[sl] for a in space.basis)
-    verts = mesh.vertices[mesh.tets[sl]]
-    phys, jac = map_to_tets(verts, ref_pts)
-    loc = (phys - centers[:, None, :]) / scales[:, None, None]
-    vals, curls = span_eval(space.k, loc)
-    curl_C = C / scales[:, None, None]
-    return phys, jac, _expand(vals, C), _expand(curls, curl_C)
+    phys, jac, Phi, curls = _element_values(mesh, space, ref_pts, sl)
+    return phys, jac, Phi, curls()
 
 
 def _chunks(n):
     for lo in range(0, n, CHUNK):
         yield slice(lo, min(lo + CHUNK, n))
+
+
+def _cells(mesh, space, degree):
+    """The element loop at the degree's points, CHUNK tets at a time: yields
+    (sl, phys, w, Phi, curls) of `_element_values`, w = weights * jac."""
+    rp, rw = tet_rule(degree)
+    for sl in _chunks(mesh.n_tets):
+        phys, jac, Phi, curls = _element_values(mesh, space, rp, sl)
+        yield sl, phys, rw * jac[:, None], Phi, curls
 
 
 def _gram(w, coeff, F):
@@ -332,17 +346,21 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     """
     if degree is None:
         degree = 2 * space.k + 2
-    rp, rw = tet_rule(degree)
     Kel, Mel = [], []
-    for sl in _chunks(mesh.n_tets):
-        phys, jac, Phi, curlPhi = element_basis(mesh, space, rp, sl)
-        w = rw[None, :] * jac[:, None]
+    for _, phys, w, Phi, curls in _cells(mesh, space, degree):
         mu_at = _coeff_at(mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        Kel.append(_gram(w, mu_inv, curlPhi))
+        Kel.append(_gram(w, mu_inv, curls()))
         Mel.append(_gram(w, _coeff_at(kappa, phys, "kappa"), Phi))
     return tuple(symmetric_csr(np.concatenate(X), space.cell_dofs, space.n_dofs)
                  for X in (Kel, Mel))
+
+
+def _mass_matrix(mesh, space, degree):
+    """M of `assemble_curl_mass` for kappa = 1, without the curls."""
+    Mel = [_gram(w, np.ones(()), Phi)
+           for _, _, w, Phi, _ in _cells(mesh, space, degree)]
+    return symmetric_csr(np.concatenate(Mel), space.cell_dofs, space.n_dofs)
 
 
 def assemble(mesh, space, config):
@@ -355,21 +373,25 @@ def assemble(mesh, space, config):
                           K.indptr), K.shape)
 
 
+def _load(mesh, space, f, degree):
+    """(b, c) with b_i = int f . Phi_i and c = int |f|^2, from one
+    evaluation of f (None = zero) and no curls."""
+    b = np.zeros(space.n_dofs, dtype=complex)
+    if f is None:
+        return b, 0.0
+    c = 0.0
+    for sl, phys, w, Phi, _ in _cells(mesh, space, degree):
+        v = _vector_field_at(f, phys)
+        np.add.at(b, space.cell_dofs[sl],
+                  np.einsum("cq,cqd,cqmd->cm", w, v, Phi))
+        c += np.einsum("cq,cqd->", w, (v * v.conj()).real)
+    return b, float(c)
+
+
 def assemble_load(mesh, space, j_c, degree=None):
     """Load vector b_i = int j_c . Phi_i (real basis, so no conjugation)."""
-    if degree is None:
-        degree = 2 * space.k + 4
-    rp, rw = tet_rule(degree)
-    b = np.zeros(space.n_dofs, dtype=complex)
-    if j_c is None:
-        return b
-    for sl in _chunks(mesh.n_tets):
-        phys, jac, Phi, _ = element_basis(mesh, space, rp, sl)
-        f = _vector_field_at(j_c, phys)
-        w = rw[None, :] * jac[:, None]
-        bel = np.einsum("cq,cqd,cqmd->cm", w, f, Phi)
-        np.add.at(b, space.cell_dofs[sl], bel)
-    return b
+    return _load(mesh, space, j_c,
+                 2 * space.k + 4 if degree is None else degree)[0]
 
 
 def integrate(mesh, f, degree=6):
@@ -397,27 +419,25 @@ def evaluate_field(space, u, ref_pts):
 
     Returns (phys (C, m, 3), vals (C, m, 3), curls (C, m, 3)).
     """
-    phys, _, Phi, curlPhi = element_basis(space.mesh, space, ref_pts)
-    coef = u[space.cell_dofs]
-    vals = np.einsum("cqmd,cm->cqd", Phi, coef)
-    curls = np.einsum("cqmd,cm->cqd", curlPhi, coef)
-    return phys, vals, curls
+    parts = []
+    for sl in _chunks(space.mesh.n_tets):
+        phys, _, Phi, curlPhi = element_basis(space.mesh, space, ref_pts, sl)
+        coef = u[space.cell_dofs[sl]]
+        parts.append((phys, np.einsum("cqmd,cm->cqd", Phi, coef),
+                      np.einsum("cqmd,cm->cqd", curlPhi, coef)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def hcurl_error(space, u_h, exact, exact_curl, degree=None, return_parts=False):
     """H(curl) distance (||u - u_h||_0^2 + ||curl u - curl u_h||_0^2)^(1/2)."""
-    mesh = space.mesh
     if degree is None:
         degree = 2 * space.k + 4
-    rp, rw = tet_rule(degree)
     acc_v = acc_c = 0.0
-    for sl in _chunks(mesh.n_tets):
-        phys, jac, Phi, curlPhi = element_basis(mesh, space, rp, sl)
+    for sl, phys, w, Phi, curls in _cells(space.mesh, space, degree):
         coef = u_h[space.cell_dofs[sl]]
         dv = np.einsum("cqmd,cm->cqd", Phi, coef) - _vector_field_at(exact, phys)
-        dc = (np.einsum("cqmd,cm->cqd", curlPhi, coef)
+        dc = (np.einsum("cqmd,cm->cqd", curls(), coef)
               - _vector_field_at(exact_curl, phys))
-        w = rw[None, :] * jac[:, None]
         acc_v += np.einsum("cq,cqd->", w, (dv * dv.conj()).real)
         acc_c += np.einsum("cq,cqd->", w, (dc * dc.conj()).real)
     if return_parts:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nedelec import assemble_curl_mass, assemble_load, integrate, _vector_field_at
+from .nedelec import _load, _mass_matrix
 from .solver import StateOperator
 from .trace import SurfaceOperators
 
@@ -58,40 +58,37 @@ class ReducedProblem:
         # The state's rule integrates Phi . Phi (degree 2k + 2) exactly; u_d
         # is not a polynomial, so d and c_d take two degrees more.
         q = config.quad_order or 2 * space.k + 2
-        _, self.M_c = assemble_curl_mass(mesh, space, 1.0, 1.0, q)
-        self.d = assemble_load(mesh, space, config.u_d, q + 2)
-
-        def u_d_squared(p):  # |u_d|^2, zero where u_d is None
-            v = _vector_field_at(config.u_d, p)
-            return np.einsum("...d,...d->...", v, v.conj()).real
-        self.c_d = float(integrate(mesh, u_d_squared, q + 2))
+        self.M_c = _mass_matrix(mesh, space, q)
+        self.d, self.c_d = _load(mesh, space, config.u_d, q + 2)
         self.n_evaluations = 0
 
     @property
     def n_controls(self):
         return self.mesh.n_boundary_edges
 
-    def _parts(self, z, u):
-        J1 = 0.5 * (np.vdot(u, self.M_c @ u).real
-                    - 2.0 * np.vdot(self.d, u).real + self.c_d)
-        J2 = 0.5 * self.config.alpha * np.vdot(z, self.surf.K @ z).real
-        J3 = 0.5 * self.config.beta * np.vdot(z, self.surf.M @ z).real
-        return CostReport(J=J1 + J2 + J3, J1=J1, J2=J2, J3=J3)
+    def _evaluate(self, z):
+        """CostReport at z, and the products M_c u, K z and M z of the
+        state u that the gradient reuses, each formed once."""
+        self.n_evaluations += 1
+        u = self.op.solve_state(z)
+        Mu, Kz, Mz = self.M_c @ u, self.surf.K @ z, self.surf.M @ z
+        J1 = 0.5 * (np.vdot(u, Mu).real - 2.0 * np.vdot(self.d, u).real
+                    + self.c_d)
+        J2 = 0.5 * self.config.alpha * np.vdot(z, Kz).real
+        J3 = 0.5 * self.config.beta * np.vdot(z, Mz).real
+        return CostReport(J=J1 + J2 + J3, J1=J1, J2=J2, J3=J3), Mu, Kz, Mz
 
     def cost(self, z):
-        self.n_evaluations += 1
-        return self._parts(z, self.op.solve_state(z))
+        return self._evaluate(z)[0]
 
     def cost_and_gradient(self, z):
         """(CostReport, G) at z, with G the complex conjugate derivative."""
-        self.n_evaluations += 1
         z = np.asarray(z, dtype=complex)
-        u = self.op.solve_state(z)
-        report = self._parts(z, u)
-        rho = self.M_c @ u - self.d
+        report, Mu, Kz, Mz = self._evaluate(z)
+        rho = Mu - self.d
         T = self.op.adjoint_pairing(self.op.solve_adjoint(rho), rho)
-        G = (0.5 * T + 0.5 * self.config.alpha * (self.surf.K @ z)
-             + 0.5 * self.config.beta * (self.surf.M @ z))
+        G = (0.5 * T + 0.5 * self.config.alpha * Kz
+             + 0.5 * self.config.beta * Mz)
         report.grad_norm = float(np.linalg.norm(G))
         return report, G
 

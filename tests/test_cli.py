@@ -103,7 +103,9 @@ def test_validate_reports_second_order_rate(tmp_path):
     assert s["rate"] >= 1.8 and s["rate_target"] == 1.8
     _assert_solver_records(s, ["1x6x2", "2x12x4"])
     header, rows = _read_csv(os.path.join(out, "convergence.csv"))
-    assert header == ["level", "h", "n_dofs", "hcurl_error", "seconds"]
+    assert header == ["level", "h", "n_dofs", "hcurl_error", "seconds",
+                      "peak_rss_mb"]
+    assert all(float(r[5]) > 0 for r in rows)
     assert [r[0] for r in rows] == ["1x6x2", "2x12x4"]
     errs = [float(r[3]) for r in rows]
     assert errs[1] < errs[0]
@@ -175,6 +177,8 @@ def test_optimize_two_level_study(tmp_path):
     _assert_solver_records(s, ["L0", "L1"])
     header, rows = _read_csv(os.path.join(out, "study.csv"))
     assert header[:5] == ["level", "h", "n_dofs", "n_controls", "J"]
+    assert header[11:13] == ["seconds", "peak_rss_mb"]
+    assert all(float(r[12]) > 0 for r in rows)
     assert [r[0] for r in rows] == ["L0", "L1"]
     assert int(rows[0][3]) == 72 and int(rows[1][3]) == 288
     assert all(float(r[8]) <= 1e-9 for r in rows)  # grad_norm column

@@ -194,11 +194,11 @@ def test_span_curls_match_finite_differences(k, n_fields):
     # the span is at most quadratic, so a central difference is exact up
     # to round-off; the curls come from the coefficient table alone
     pts = np.random.default_rng(17).uniform(-1.0, 1.0, (9, 3))
-    vals, curls = nedelec.span_eval(k, pts)
+    vals, curls = nedelec._span(k, pts, False), nedelec._span(k, pts, True)
     assert vals.shape == curls.shape == (9, 3, n_fields)
     h = 1e-3
-    grad = np.stack([(nedelec.span_eval(k, pts + h * e)[0]
-                      - nedelec.span_eval(k, pts - h * e)[0]) / (2 * h)
+    grad = np.stack([(nedelec._span(k, pts + h * e, False)
+                      - nedelec._span(k, pts - h * e, False)) / (2 * h)
                      for e in np.eye(3)], axis=1)  # (n, b, c, s) = d_b v_c
     eps = np.cross(np.eye(3)[:, None], np.eye(3)[None])
     fd_curls = np.einsum("abc,nbcs->nas", eps, grad)
@@ -399,6 +399,23 @@ def test_evaluate_field_matches_interpolant():
         assert curls[t] == pytest.approx(
             np.broadcast_to(2 * np.array([1.0, -2.0, 0.5]), (2, 3)),
             abs=1e-13)
+
+
+def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets():
+    m = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    assert m.n_tets > nedelec.CHUNK
+    ref = np.array([[0.25, 0.25, 0.25], [0.1, 0.2, 0.3]])
+    rng = np.random.default_rng(23)
+    for k in (0, 1):
+        space = FESpace(m, k)
+        u = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(
+            space.n_dofs)
+        phys, _, Phi, curlPhi = element_basis(m, space, ref)  # every tet
+        coef = u[space.cell_dofs]
+        whole = (phys, np.einsum("cqmd,cm->cqd", Phi, coef),
+                 np.einsum("cqmd,cm->cqd", curlPhi, coef))
+        for part, want in zip(evaluate_field(space, u, ref), whole):
+            assert np.array_equal(part, want)
 
 
 def test_hcurl_error_parts_and_interpolant_decay():

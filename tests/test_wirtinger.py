@@ -1,13 +1,18 @@
 """Reduced cost/gradient calculus, finite-difference checks, and BFGS."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eddyopt import nedelec
+from eddyopt.analytic import ElectrodeParams, exact_H
 from eddyopt.mesh import generate_cube, generate_cylinder
-from eddyopt.nedelec import FESpace, ProblemConfig, assemble_curl_mass
+from eddyopt.nedelec import (
+    FESpace, ProblemConfig, assemble_curl_mass, assemble_load, evaluate_field,
+    hcurl_error, integrate)
 from eddyopt.trace import lift, lifting_matrix, zeros_control
 from eddyopt.wirtinger import (
     CostReport, ReducedProblem, bfgs_minimize, directional_derivative,
@@ -275,3 +280,37 @@ def test_trivial_target_drives_control_to_zero():
     _, G = prob.cost_and_gradient(zeros_control(mesh))
     assert G == pytest.approx(
         np.zeros(prob.n_controls), abs=1e-16)
+
+
+@pytest.mark.parametrize("k, quad_order", [(0, None), (0, 4), (1, None),
+                                           (1, 6)])
+def test_tracking_data_in_one_pass_without_curls(monkeypatch, k, quad_order):
+    m = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    assert m.n_tets > nedelec.CHUNK
+    space = FESpace(m, k)
+    u_d = partial(exact_H, params=ElectrodeParams())
+    cells, curls = [], []
+    values, span = nedelec._element_values, nedelec._span
+    monkeypatch.setattr(nedelec, "_element_values", lambda mesh, s, pts, sl: (
+        cells.append(len(range(mesh.n_tets)[sl])) or values(mesh, s, pts, sl)))
+    monkeypatch.setattr(nedelec, "_span", lambda k, pts, c: (
+        curls.append(c) or span(k, pts, c)))
+    prob = ReducedProblem(m, space, ProblemConfig(u_d=u_d,
+                                                  quad_order=quad_order))
+    # curls only for the stiffness of the state operator, once per chunk
+    assert sum(curls) == -(-m.n_tets // nedelec.CHUNK)
+    hcurl_error(space, prob.d, u_d, None)
+    evaluate_field(space, prob.d, np.full((1, 3), 0.25))
+    assert cells and max(cells) <= nedelec.CHUNK
+    curls.clear()
+    q = quad_order or 2 * k + 2
+    d = assemble_load(m, space, u_d, q + 2)
+    assert curls and not any(curls)
+    _, M = assemble_curl_mass(m, space, 1.0, 1.0, q)
+    assert np.array_equal(prob.M_c.indptr, M.indptr)
+    assert np.array_equal(prob.M_c.indices, M.indices)
+    assert np.abs(prob.M_c.data - M.data).max() <= 1e-14 * np.abs(M.data).max()
+    assert np.abs(prob.d - d).max() <= 1e-14 * np.abs(d).max()
+    c_d = integrate(m, lambda p: np.einsum("...d,...d->...", u_d(p),
+                                           u_d(p).conj()).real, q + 2)
+    assert prob.c_d == pytest.approx(c_d, rel=1e-14)
