@@ -2,10 +2,10 @@
 
 A `Mesh` carries global edge/face numbering, tet incidence, and the closed
 boundary surface: boundary faces stored counterclockwise as seen from
-outside, and for every boundary edge its two adjacent boundary faces
-(plus/minus, by the orientation of the edge inside the face). Global edges
-always run from the lower to the higher vertex id, which makes every
-orientation-dependent quantity a pure function of the vertex numbering.
+outside, and the face-edge table that names the boundary edge on each side
+of each boundary face. Global edges always run from the lower to the
+higher vertex id, which makes every orientation-dependent quantity a pure
+function of the vertex numbering.
 
 Supported I/O: MSH v2.2 ASCII (read and write) and a JSON debug dump.
 Built-in generators: unit cube (Kuhn subdivision) and a structured
@@ -39,8 +39,11 @@ class Mesh:
     boundary_faces      (Fb, 3) vertex ids, counterclockwise seen from outside
     boundary_face_ids   (Fb,) global face id of each boundary face
     boundary_edges      (Eb,) global edge ids on the boundary, ascending
-    edge_plus_face      (Eb,) boundary-face index where the edge runs counterclockwise
-    edge_minus_face     (Eb,) boundary-face index where it runs clockwise
+    boundary_face_edges (Fb, 3) boundary-edge index of side i of each boundary
+                        face, the side from boundary_faces[f, i] to
+                        boundary_faces[f, (i + 1) % 3]; every boundary edge
+                        runs once counterclockwise (in its global direction)
+                        and once clockwise
     boundary_normals    (Fb, 3) outward unit normals
     boundary_areas      (Fb,) face areas
     edge_lengths        (E,) lengths of all edges
@@ -56,8 +59,7 @@ class Mesh:
     boundary_faces: np.ndarray
     boundary_face_ids: np.ndarray
     boundary_edges: np.ndarray
-    edge_plus_face: np.ndarray
-    edge_minus_face: np.ndarray
+    boundary_face_edges: np.ndarray
     boundary_normals: np.ndarray
     boundary_areas: np.ndarray
     edge_lengths: np.ndarray
@@ -96,42 +98,6 @@ class Mesh:
         if i >= self.boundary_edges.size or self.boundary_edges[i] != e:
             raise MeshError(f"edge {e} is not a boundary edge")
         return i
-
-    def edge_frame(self, e):
-        return boundary_edge_frame(self, e)
-
-
-@dataclass(frozen=True)
-class BoundaryEdgeFrame:
-    """Orthonormal data attached to one boundary edge.
-
-    t points from the lower to the higher vertex id. On each adjacent face,
-    nu = t x n lies in the face plane; it points out of the plus face and
-    into the minus face.
-    """
-
-    edge: int
-    t: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    nu_plus: np.ndarray
-    nu_minus: np.ndarray
-    face_plus: int
-    face_minus: int
-
-
-def boundary_edge_frame(mesh, e):
-    b = mesh.boundary_edge_index(e)
-    lo, hi = mesh.edges[e]
-    t = mesh.vertices[hi] - mesh.vertices[lo]
-    t = t / np.linalg.norm(t)
-    fp = int(mesh.edge_plus_face[b])
-    fm = int(mesh.edge_minus_face[b])
-    np_, nm = mesh.boundary_normals[fp], mesh.boundary_normals[fm]
-    return BoundaryEdgeFrame(
-        edge=int(e), t=t, n_plus=np_, n_minus=nm,
-        nu_plus=np.cross(t, np_), nu_minus=np.cross(t, nm),
-        face_plus=fp, face_minus=fm)
 
 
 def _signed_volumes(vertices, tets):
@@ -201,32 +167,22 @@ def build_mesh(vertices, tets):
     normals = nrm / areas2[:, None]
     areas = 0.5 * areas2
 
-    # plus/minus faces per boundary edge from the counterclockwise cycles
+    # side i of each counterclockwise cycle; an oriented manifold surface
+    # runs every edge once in its global direction and once against it
     ekeys = _edge_key(edges, nv)
     cyc = bfaces[:, [(0, 1), (1, 2), (2, 0)]].reshape(-1, 2)
     ascending = cyc[:, 0] < cyc[:, 1]
-    srt = np.sort(cyc, axis=1)
-    eids = np.searchsorted(ekeys, _edge_key(srt, nv))
+    eids = np.searchsorted(ekeys, _edge_key(np.sort(cyc, axis=1), nv))
     bedges, slot = np.unique(eids, return_inverse=True)
-
-    n_be = bedges.size
-    plus = np.full(n_be, -1, dtype=np.int64)
-    minus = np.full(n_be, -1, dtype=np.int64)
-    fidx = np.repeat(np.arange(len(bfaces)), 3)
-    pc = np.zeros(n_be, dtype=np.int64)
-    mc = np.zeros(n_be, dtype=np.int64)
-    np.add.at(pc, slot[ascending], 1)
-    np.add.at(mc, slot[~ascending], 1)
-    if np.any(pc != 1) or np.any(mc != 1):
-        raise MeshError("non-manifold or non-orientable boundary edge")
-    plus[slot[ascending]] = fidx[ascending]
-    minus[slot[~ascending]] = fidx[~ascending]
+    for side in (ascending, ~ascending):
+        if np.any(np.bincount(slot[side], minlength=bedges.size) != 1):
+            raise MeshError("non-manifold or non-orientable boundary edge")
 
     return Mesh(
         vertices=vertices, tets=tets, edges=edges, faces=faces,
         tet_edges=tet_edges, tet_faces=tet_faces,
         boundary_faces=bfaces, boundary_face_ids=bnd_ids,
-        boundary_edges=bedges, edge_plus_face=plus, edge_minus_face=minus,
+        boundary_edges=bedges, boundary_face_edges=slot.reshape(-1, 3),
         boundary_normals=normals, boundary_areas=areas,
         edge_lengths=np.linalg.norm(
             vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1),

@@ -11,8 +11,6 @@ component along every other edge, and its rotation phi_e x n is the
 divergence-conforming function psi_e supported on the same face pair.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -35,10 +33,6 @@ def symmetric_csr(local, dofs, n):
     return A
 
 
-def zeros_control(mesh):
-    return np.zeros(mesh.n_boundary_edges, dtype=complex)
-
-
 def face_lambda_gradients(verts):
     """In-plane barycentric gradients for triangles verts (..., 3, 3).
 
@@ -57,23 +51,30 @@ def face_lambda_gradients(verts):
     return out
 
 
-def _face_point_lambdas(verts, x):
-    """Barycentric coordinates of x (3,) on the triangle verts (3, 3)."""
-    g = face_lambda_gradients(verts)
-    lam = np.array([1.0 / 3.0 + g[a] @ (x - verts.mean(axis=0))
-                    for a in range(3)])
-    return lam
-
-
 def _on_face(mesh, f, x, tol):
+    """Whether x lies on boundary face f, to within tol."""
     verts = mesh.vertices[mesh.boundary_faces[f]]
-    n = mesh.boundary_normals[f]
-    if abs(n @ (x - verts[0])) > tol:
-        return None
-    lam = _face_point_lambdas(verts, x)
-    if lam.min() < -tol:
-        return None
-    return verts, lam
+    if abs(mesh.boundary_normals[f] @ (x - verts[0])) > tol:
+        return False
+    lam = 1.0 / 3.0 + face_lambda_gradients(verts) @ (x - verts.mean(axis=0))
+    return lam.min() >= -tol
+
+
+def _psi(mesh, e, x, tol):
+    """(f, psi_e(x)) with f the face of e's pair that holds x, the plus
+    face tried first; (None, 0) if neither does. e runs counterclockwise
+    (from its lower to its higher vertex id) in the plus face."""
+    x = np.asarray(x, dtype=float)
+    faces, sides = np.nonzero(
+        mesh.boundary_face_edges == mesh.boundary_edge_index(e))
+    if mesh.boundary_faces[faces[0], sides[0]] != mesh.edges[e, 0]:
+        faces, sides = faces[::-1], sides[::-1]
+    for f, i, sign in zip(faces, sides, (1.0, -1.0)):
+        if _on_face(mesh, f, x, tol):
+            v = mesh.vertices[mesh.boundary_faces[f, (i + 2) % 3]]
+            return f, (sign * mesh.edge_lengths[e]
+                       / (2.0 * mesh.boundary_areas[f]) * (x - v))
+    return None, np.zeros(3)
 
 
 def eval_psi(mesh, e, x, tol=1e-10):
@@ -81,33 +82,16 @@ def eval_psi(mesh, e, x, tol=1e-10):
 
     On the plus/minus face: +/- |e| / (2 |F|) (x - v), v the vertex
     opposite e. Its normal component across e is 1 and its facewise
-    surface divergence is +/- |e| / |F|.
+    surface divergence is +/- |e| / |F|. MeshError if e is not a boundary
+    edge.
     """
-    b = mesh.boundary_edge_index(e)
-    x = np.asarray(x, dtype=float)
-    le = mesh.edge_lengths[e]
-    for f, sign in ((mesh.edge_plus_face[b], 1.0),
-                    (mesh.edge_minus_face[b], -1.0)):
-        hit = _on_face(mesh, int(f), x, tol)
-        if hit is None:
-            continue
-        verts, _ = hit
-        fverts = mesh.boundary_faces[int(f)]
-        opp = [v for v in fverts if v not in mesh.edges[e]]
-        v = mesh.vertices[opp[0]]
-        return sign * le / (2.0 * mesh.boundary_areas[int(f)]) * (x - v)
-    return np.zeros(3)
+    return _psi(mesh, e, x, tol)[1]
 
 
 def eval_phi(mesh, e, x, tol=1e-10):
     """Tangentially continuous edge function at x: phi_e = n x psi_e."""
-    b = mesh.boundary_edge_index(e)
-    x = np.asarray(x, dtype=float)
-    for f in (mesh.edge_plus_face[b], mesh.edge_minus_face[b]):
-        if _on_face(mesh, int(f), x, tol) is not None:
-            return np.cross(mesh.boundary_normals[int(f)],
-                            eval_psi(mesh, e, x, tol))
-    return np.zeros(3)
+    f, psi = _psi(mesh, e, x, tol)
+    return psi if f is None else np.cross(mesh.boundary_normals[f], psi)
 
 
 def _face_edge_tables(mesh):
@@ -117,18 +101,13 @@ def _face_edge_tables(mesh):
     global edge runs from slot a to slot b (ascending vertex id); asc marks
     edges whose global direction agrees with the counterclockwise cycle.
     """
-    bf = mesh.boundary_faces
-    cyc = bf[:, [(0, 1), (1, 2), (2, 0)]]
-    srt = np.sort(cyc, axis=2)
-    nv = mesh.n_vertices
-    ekey = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
-    gids = np.searchsorted(ekey, srt[..., 0].astype(np.int64) * nv + srt[..., 1])
-    bidx = np.searchsorted(mesh.boundary_edges, gids)
-    asc = cyc[..., 0] < cyc[..., 1]
     loc = np.array([(0, 1), (1, 2), (2, 0)])
+    cyc = mesh.boundary_faces[:, loc]
+    asc = cyc[..., 0] < cyc[..., 1]
     a = np.where(asc, loc[None, :, 0], loc[None, :, 1])
     b = np.where(asc, loc[None, :, 1], loc[None, :, 0])
-    lengths = mesh.edge_lengths[gids]
+    bidx = mesh.boundary_face_edges
+    lengths = mesh.edge_lengths[mesh.boundary_edges[bidx]]
     return bidx, a, b, lengths, asc
 
 
@@ -168,19 +147,6 @@ def surface_mass_matrix(mesh):
                     - gg[f, ai, bj] * lam[bi, aj] + gg[f, ai, aj] * lam[bi, bj])
             contrib[:, i, j] = lengths[:, i] * lengths[:, j] * A * term
     return symmetric_csr(contrib, bidx, mesh.n_boundary_edges)
-
-
-@dataclass(frozen=True)
-class SurfaceOperators:
-    """Bundled surface matrices: K the surface-curl Gram matrix, M the
-    mass matrix of the phi_e basis."""
-
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-
-    @classmethod
-    def build(cls, mesh):
-        return cls(K=surface_curl_matrix(mesh), M=surface_mass_matrix(mesh))
 
 
 def eval_control_on_faces(mesh, z, face_idx, ref_pts):

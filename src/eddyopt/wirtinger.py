@@ -1,4 +1,4 @@
-"""Reduced cost, conjugate-gradient ("Wirtinger") form of the reduced
+"""Reduced cost, conjugate-derivative (Wirtinger) form of the reduced
 gradient, finite-difference checks and limited-memory BFGS (20 pairs).
 
 For the real-valued reduced cost j the directional derivative along a
@@ -21,7 +21,7 @@ import numpy as np
 
 from .nedelec import _load, _mass_matrix
 from .solver import StateOperator
-from .trace import SurfaceOperators
+from .trace import surface_curl_matrix, surface_mass_matrix
 
 LBFGS_PAIRS = 20  # stored (s, y) pairs of the limited-memory BFGS
 MAX_TRIES = 25  # line-search evaluations before the optimizer gives up
@@ -54,7 +54,9 @@ class ReducedProblem:
         self.mesh = mesh
         self.config = config
         self.op = StateOperator(mesh, space, config)
-        self.surf = SurfaceOperators.build(mesh)
+        # surface-curl and surface mass Gram matrices of the control basis
+        self.K = surface_curl_matrix(mesh)
+        self.M = surface_mass_matrix(mesh)
         # The state's rule integrates Phi . Phi (degree 2k + 2) exactly; u_d
         # is not a polynomial, so d and c_d take two degrees more.
         q = config.quad_order or 2 * space.k + 2
@@ -71,7 +73,7 @@ class ReducedProblem:
         state u that the gradient reuses, each formed once."""
         self.n_evaluations += 1
         u = self.op.solve_state(z)
-        Mu, Kz, Mz = self.M_c @ u, self.surf.K @ z, self.surf.M @ z
+        Mu, Kz, Mz = self.M_c @ u, self.K @ z, self.M @ z
         J1 = 0.5 * (np.vdot(u, Mu).real - 2.0 * np.vdot(self.d, u).real
                     + self.c_d)
         J2 = 0.5 * self.config.alpha * np.vdot(z, Kz).real
@@ -121,7 +123,7 @@ def fd_check(fun, z, xi, t_list=None, cost_fn=None):
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
     f0, G, _ = vg(z)
-    d = 2.0 * np.vdot(xi, G).real
+    d = directional_derivative(G, xi)
     if cost_fn is None:
         def cost_fn(zz):
             return vg(zz)[0]

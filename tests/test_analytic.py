@@ -39,6 +39,18 @@ def test_bessel_vectorized_matches_scalar():
         assert o == bessel_I(1, complex(x))
 
 
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_value_does_not_depend_on_its_batch(nu):
+    # a point summed alone equals, bit for bit, the same point summed next
+    # to one whose series needs many more terms
+    rng = np.random.default_rng(2000)
+    xs = 3.0 * rng.random(2000) * np.exp(0.25j * np.pi)
+    batch = bessel_I(nu, np.append(xs, 30.0 + 30.0j))[:-1]
+    alone = np.array([bessel_I(nu, x) for x in xs])
+    assert alone.tobytes() == batch.tobytes()
+    assert bessel_I(nu, xs[:1]).tobytes() == batch[:1].tobytes()
+
+
 def test_bessel_at_zero():
     assert bessel_I(0, 0.0) == 1.0
     assert bessel_I(1, 0.0) == 0.0

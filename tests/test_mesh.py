@@ -63,23 +63,59 @@ def test_cylinder_volume_is_inscribed_prism():
         assert np.all(m.tet_volumes() > 0)
 
 
+MESHES = (generate_cube(2), generate_cylinder(0.5, 1.0, 1, 6, 2),
+          refine_uniform(generate_cylinder(0.5, 1.0, 1, 5, 1)))
+
+
+def _sides(m):
+    """(Fb, 3, 2) vertex ids of side i of each boundary face, cycle order."""
+    return m.boundary_faces[:, [(0, 1), (1, 2), (2, 0)]]
+
+
+@pytest.mark.parametrize("m", MESHES, ids=["cube", "cylinder", "refined"])
+def test_face_edge_table_matches_a_vertex_pair_lookup(m):
+    index = {tuple(m.edges[e].tolist()): b
+             for b, e in enumerate(m.boundary_edges.tolist())}
+    want = [[index[tuple(sorted(side))] for side in face.tolist()]
+            for face in _sides(m)]
+    assert m.boundary_face_edges.shape == (len(m.boundary_faces), 3)
+    assert np.array_equal(m.boundary_face_edges, want)
+
+
+@pytest.mark.parametrize("m", MESHES, ids=["cube", "cylinder", "refined"])
+def test_each_boundary_edge_runs_once_each_way(m):
+    sides = _sides(m)
+    ccw = sides[..., 0] < sides[..., 1]  # runs in its global direction
+    n = m.n_boundary_edges
+    assert np.all(np.bincount(m.boundary_face_edges[ccw], minlength=n) == 1)
+    assert np.all(np.bincount(m.boundary_face_edges[~ccw], minlength=n) == 1)
+
+
 def test_boundary_edge_frames():
+    # t runs from the lower to the higher vertex id; nu = t x n lies in the
+    # face plane, out of the face where t runs counterclockwise (plus) and
+    # into the other (minus)
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
-    for be in m.boundary_edges[::7]:
-        fr = m.edge_frame(be)
-        a, b = m.edges[be]
-        t = m.vertices[b] - m.vertices[a]
+    sides = _sides(m)
+    for b in range(0, m.n_boundary_edges, 7):
+        lo, hi = m.edges[m.boundary_edges[b]]
+        t = m.vertices[hi] - m.vertices[lo]
         t /= np.linalg.norm(t)
-        assert fr.t == pytest.approx(t)
-        assert abs(fr.t @ fr.n_plus) < 1e-13
-        assert abs(fr.t @ fr.n_minus) < 1e-13
-        assert np.linalg.norm(fr.nu_plus) == pytest.approx(1.0)
-        # nu = t x n points out of the plus face
-        mid = 0.5 * (m.vertices[a] + m.vertices[b])
-        cen = m.vertices[m.boundary_faces[fr.face_plus]].mean(axis=0)
-        assert fr.nu_plus @ (cen - mid) < 0
-        cen_m = m.vertices[m.boundary_faces[fr.face_minus]].mean(axis=0)
-        assert fr.nu_minus @ (cen_m - mid) > 0
+        mid = 0.5 * (m.vertices[lo] + m.vertices[hi])
+        faces, i = np.nonzero(m.boundary_face_edges == b)
+        assert len(faces) == 2
+        for f, side in zip(faces, sides[faces, i]):
+            n = m.boundary_normals[f]
+            nu = np.cross(t, n)
+            assert abs(t @ n) < 1e-13
+            assert np.linalg.norm(nu) == pytest.approx(1.0)
+            cen = m.vertices[m.boundary_faces[f]].mean(axis=0)
+            if side[0] == lo:
+                assert side[1] == hi
+                assert nu @ (cen - mid) < 0
+            else:
+                assert tuple(side) == (hi, lo)
+                assert nu @ (cen - mid) > 0
 
 
 def test_msh_round_trip():

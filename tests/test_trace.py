@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eddyopt.mesh import generate_cube, generate_cylinder
+from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
 from eddyopt.nedelec import FESpace, element_basis, interpolate
 from eddyopt.quadrature import gauss_01, triangle_rule
 from eddyopt.trace import (
-    SurfaceOperators, eval_control_on_faces, eval_phi, eval_psi,
-    face_lambda_gradients, lift, surface_curl_matrix, surface_mass_matrix,
-    tangential_trace, zeros_control,
+    eval_control_on_faces, eval_phi, eval_psi, face_lambda_gradients, lift,
+    surface_curl_matrix, surface_mass_matrix, tangential_trace,
 )
 
 
@@ -24,6 +23,17 @@ def _face_boundary_edges(m, tri):
         ge = np.searchsorted(key, np.int64(a) * m.n_vertices + b)
         out.append(int(np.searchsorted(m.boundary_edges, ge)))
     return out
+
+
+def _plus_minus_faces(m, e):
+    """The two boundary faces of edge e: the one whose counterclockwise
+    cycle runs e from its lower to its higher vertex id, then the other."""
+    lo, hi = m.edges[e].tolist()
+    pair = {}
+    for f, tri in enumerate(m.boundary_faces.tolist()):
+        if lo in tri and hi in tri:
+            pair[tri[(tri.index(lo) + 1) % 3] == hi] = f
+    return pair[True], pair[False]
 
 
 def quadrature_surface_matrices(m, degree=6):
@@ -62,19 +72,18 @@ def quadrature_surface_matrices(m, degree=6):
 
 def test_surface_matrices_match_quadrature():
     for m in (generate_cube(1), generate_cylinder(0.5, 1.0, 1, 6, 2)):
-        surf = SurfaceOperators.build(m)
         Kq, Mq = quadrature_surface_matrices(m)
-        assert abs(surf.M.toarray() - Mq).max() <= 1e-12
-        assert abs(surf.K.toarray() - Kq).max() <= 1e-12
+        assert abs(surface_mass_matrix(m).toarray() - Mq).max() <= 1e-12
+        assert abs(surface_curl_matrix(m).toarray() - Kq).max() <= 1e-12
 
 
 def test_surface_matrices_spd():
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
-    surf = SurfaceOperators.build(m)
-    assert abs(surf.K - surf.K.T).max() == 0.0
-    assert abs(surf.M - surf.M.T).max() == 0.0
-    wm = np.linalg.eigvalsh(surf.M.toarray())
-    wk = np.linalg.eigvalsh(surf.K.toarray())
+    K, M = surface_curl_matrix(m), surface_mass_matrix(m)
+    assert abs(K - K.T).max() == 0.0
+    assert abs(M - M.T).max() == 0.0
+    wm = np.linalg.eigvalsh(M.toarray())
+    wk = np.linalg.eigvalsh(K.toarray())
     assert wm.min() > 0
     assert wk.min() > -1e-12 * abs(wk).max()
     # the curl matrix is singular: constants along closed loops are curl-free
@@ -136,10 +145,9 @@ def test_facewise_surface_divergence_vanishes():
 def test_psi_is_scaled_opposite_vertex_fan():
     m = generate_cube(1)
     for be in m.boundary_edges[:6]:
-        fr = m.edge_frame(be)
         a, b = m.edges[be]
         le = np.linalg.norm(m.vertices[b] - m.vertices[a])
-        for fid, sign in ((fr.face_plus, 1.0), (fr.face_minus, -1.0)):
+        for fid, sign in zip(_plus_minus_faces(m, be), (1.0, -1.0)):
             tri = m.boundary_faces[fid]
             opp = [v for v in tri if v not in (a, b)][0]
             fv = m.vertices[tri]
@@ -154,12 +162,13 @@ def test_psi_normal_flux_continuous_across_shared_edge():
     # the edge-normal component of psi_e is continuous over its edge
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
     for be in m.boundary_edges[::6]:
-        fr = m.edge_frame(be)
         a, b = m.edges[be]
         mid = 0.5 * (m.vertices[a] + m.vertices[b])
+        t = (m.vertices[b] - m.vertices[a]) / m.edge_lengths[be]
+        plus, minus = _plus_minus_faces(m, be)
         # approach the edge from inside each face
-        for fid, nu in ((fr.face_plus, fr.nu_plus),
-                        (fr.face_minus, fr.nu_minus)):
+        for fid in (plus, minus):
+            nu = np.cross(t, m.boundary_normals[fid])
             tri = m.boundary_faces[fid]
             cen = m.vertices[tri].mean(axis=0)
             x = mid + 1e-8 * (cen - mid)
@@ -172,7 +181,7 @@ def test_psi_normal_flux_continuous_across_shared_edge():
             # edge toward the minus face, so non-coplanar pairs agree too)
             got = val @ nu
             opp = [v for v in tri if v not in (a, b)][0]
-            sign = 1.0 if fid == fr.face_plus else -1.0
+            sign = 1.0 if fid == plus else -1.0
             want = sign * le / (2 * area) * (x - m.vertices[opp]) @ nu
             assert got == pytest.approx(want, abs=1e-12)
             assert got == pytest.approx(1.0, abs=1e-6)  # unit edge flux
@@ -181,15 +190,15 @@ def test_psi_normal_flux_continuous_across_shared_edge():
 def test_phi_is_rotated_psi_and_supported_on_edge_pair():
     m = generate_cube(1)
     be = int(m.boundary_edges[0])
-    fr = m.edge_frame(be)
-    tri = m.boundary_faces[fr.face_plus]
+    pair = _plus_minus_faces(m, be)
+    tri = m.boundary_faces[pair[0]]
     fv = m.vertices[tri]
     x = fv.mean(axis=0)
     assert eval_phi(m, be, x) == pytest.approx(
-        np.cross(fr.n_plus, eval_psi(m, be, x)), abs=1e-14)
+        np.cross(m.boundary_normals[pair[0]], eval_psi(m, be, x)), abs=1e-14)
     # zero on faces not adjacent to the edge
     for fid, tri2 in enumerate(m.boundary_faces):
-        if fid in (fr.face_plus, fr.face_minus):
+        if fid in pair:
             continue
         y = m.vertices[tri2].mean(axis=0)
         assert np.all(eval_phi(m, be, y) == 0)
@@ -277,11 +286,15 @@ def test_lift_matches_surface_field_tangentially():
                     assert abs(vt - surf).max() < tol
 
 
-def test_zeros_control_shape():
-    m = generate_cube(1)
-    z = zeros_control(m)
-    assert z.shape == (m.n_boundary_edges,)
-    assert z.dtype == complex
+def test_edge_functions_reject_an_interior_edge():
+    m = generate_cube(2)
+    interior = np.setdiff1d(np.arange(m.n_edges), m.boundary_edges)
+    e = int(interior[0])
+    x = m.vertices[m.edges[e]].mean(axis=0)
+    with pytest.raises(MeshError):
+        eval_psi(m, e, x)
+    with pytest.raises(MeshError):
+        eval_phi(m, e, x)
 
 
 @settings(max_examples=10, deadline=None)
@@ -289,8 +302,8 @@ def test_zeros_control_shape():
 def test_phi_tangential_on_its_faces(eidx, s, tloc):
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
     be = int(m.boundary_edges[eidx % m.n_boundary_edges])
-    fr = m.edge_frame(be)
-    for fid, nrm in ((fr.face_plus, fr.n_plus), (fr.face_minus, fr.n_minus)):
+    for fid in _plus_minus_faces(m, be):
+        nrm = m.boundary_normals[fid]
         fv = m.vertices[m.boundary_faces[fid]]
         lam = np.array([s * tloc, (1 - s) * tloc, 1 - tloc])
         x = lam @ fv
