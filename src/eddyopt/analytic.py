@@ -12,7 +12,7 @@ with gamma = sqrt(i omega mu sigma) (principal branch; either branch gives
 the same fields since I1 is odd and I0 even).
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -69,6 +69,8 @@ class ElectrodeParams:
     L: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError("electrode parameters must be finite")
         if not (self.R > 0 and self.L > 0):
             raise ValueError("R and L must be positive")
         if not (self.mu > 0 and self.sigma > 0):

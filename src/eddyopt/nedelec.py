@@ -169,6 +169,9 @@ class ProblemConfig:
     quad_order: int = None
 
     def __post_init__(self):
+        if not np.isfinite([self.omega, self.alpha, self.beta,
+                            self.solver_tol]).all():
+            raise ValueError("omega, alpha, beta and solver_tol must be finite")
         if self.omega == 0:
             raise ValueError("omega must be nonzero")
         if self.alpha < 0 or self.beta < 0:
@@ -312,13 +315,16 @@ def _chunks(n):
         yield slice(lo, min(lo + CHUNK, n))
 
 
-def _cells(mesh, space, degree):
-    """The element loop at the degree's points, CHUNK tets at a time: yields
-    (sl, phys, w, Phi, curls) of `_element_values`, w = weights * jac."""
+def _cells(mesh, space, degree, fn):
+    """The element loop at the degree's points, CHUNK tets at a time: the
+    list of fn(sl, phys, w, Phi, curls), w = weights * jac and the rest from
+    `_element_values`, each chunk released before the next is built."""
     rp, rw = tet_rule(degree)
-    for sl in _chunks(mesh.n_tets):
+
+    def chunk(sl):
         phys, jac, Phi, curls = _element_values(mesh, space, rp, sl)
-        yield sl, phys, rw * jac[:, None], Phi, curls
+        return fn(sl, phys, rw * jac[:, None], Phi, curls)
+    return [chunk(sl) for sl in _chunks(mesh.n_tets)]
 
 
 def _gram(w, coeff, F):
@@ -346,20 +352,20 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     """
     if degree is None:
         degree = 2 * space.k + 2
-    Kel, Mel = [], []
-    for _, phys, w, Phi, curls in _cells(mesh, space, degree):
+
+    def chunk(sl, phys, w, Phi, curls):
         mu_at = _coeff_at(mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        Kel.append(_gram(w, mu_inv, curls()))
-        Mel.append(_gram(w, _coeff_at(kappa, phys, "kappa"), Phi))
+        return (_gram(w, mu_inv, curls()),
+                _gram(w, _coeff_at(kappa, phys, "kappa"), Phi))
     return tuple(symmetric_csr(np.concatenate(X), space.cell_dofs, space.n_dofs)
-                 for X in (Kel, Mel))
+                 for X in zip(*_cells(mesh, space, degree, chunk)))
 
 
 def _mass_matrix(mesh, space, degree):
     """M of `assemble_curl_mass` for kappa = 1, without the curls."""
-    Mel = [_gram(w, np.ones(()), Phi)
-           for _, _, w, Phi, _ in _cells(mesh, space, degree)]
+    Mel = _cells(mesh, space, degree,
+                 lambda sl, phys, w, Phi, curls: _gram(w, np.ones(()), Phi))
     return symmetric_csr(np.concatenate(Mel), space.cell_dofs, space.n_dofs)
 
 
@@ -379,13 +385,13 @@ def _load(mesh, space, f, degree):
     b = np.zeros(space.n_dofs, dtype=complex)
     if f is None:
         return b, 0.0
-    c = 0.0
-    for sl, phys, w, Phi, _ in _cells(mesh, space, degree):
+
+    def chunk(sl, phys, w, Phi, curls):
         v = _vector_field_at(f, phys)
         np.add.at(b, space.cell_dofs[sl],
                   np.einsum("cq,cqd,cqmd->cm", w, v, Phi))
-        c += np.einsum("cq,cqd->", w, (v * v.conj()).real)
-    return b, float(c)
+        return np.einsum("cq,cqd->", w, (v * v.conj()).real)
+    return b, float(sum(_cells(mesh, space, degree, chunk)))
 
 
 def assemble_load(mesh, space, j_c, degree=None):
@@ -419,12 +425,12 @@ def evaluate_field(space, u, ref_pts):
 
     Returns (phys (C, m, 3), vals (C, m, 3), curls (C, m, 3)).
     """
-    parts = []
-    for sl in _chunks(space.mesh.n_tets):
+    def chunk(sl):
         phys, _, Phi, curlPhi = element_basis(space.mesh, space, ref_pts, sl)
         coef = u[space.cell_dofs[sl]]
-        parts.append((phys, np.einsum("cqmd,cm->cqd", Phi, coef),
-                      np.einsum("cqmd,cm->cqd", curlPhi, coef)))
+        return (phys, np.einsum("cqmd,cm->cqd", Phi, coef),
+                np.einsum("cqmd,cm->cqd", curlPhi, coef))
+    parts = [chunk(sl) for sl in _chunks(space.mesh.n_tets)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -432,14 +438,14 @@ def hcurl_error(space, u_h, exact, exact_curl, degree=None, return_parts=False):
     """H(curl) distance (||u - u_h||_0^2 + ||curl u - curl u_h||_0^2)^(1/2)."""
     if degree is None:
         degree = 2 * space.k + 4
-    acc_v = acc_c = 0.0
-    for sl, phys, w, Phi, curls in _cells(space.mesh, space, degree):
+
+    def chunk(sl, phys, w, Phi, curls):
         coef = u_h[space.cell_dofs[sl]]
         dv = np.einsum("cqmd,cm->cqd", Phi, coef) - _vector_field_at(exact, phys)
         dc = (np.einsum("cqmd,cm->cqd", curls(), coef)
               - _vector_field_at(exact_curl, phys))
-        acc_v += np.einsum("cq,cqd->", w, (dv * dv.conj()).real)
-        acc_c += np.einsum("cq,cqd->", w, (dc * dc.conj()).real)
+        return [np.einsum("cq,cqd->", w, (d * d.conj()).real) for d in (dv, dc)]
+    acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk)))
     if return_parts:
         return np.sqrt(acc_v + acc_c), np.sqrt(acc_v), np.sqrt(acc_c)
     return np.sqrt(acc_v + acc_c)

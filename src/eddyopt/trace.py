@@ -1,14 +1,17 @@
-"""Control space on the boundary surface: edge basis, closed-form surface
-curl/mass matrices, lifting into the volume space, and the tangential trace.
+"""Control space on the boundary surface: edge basis, surface curl/mass
+matrices, lifting into the volume space, and the tangential trace.
 
 A control is one complex coefficient per boundary edge, ordered as
 mesh.boundary_edges, z = sum_e z_e phi_e, where phi_e is the lowest-order
-surface edge function: on each of
-the two faces sharing e it equals |e| (lambda_l grad_G lambda_m -
-lambda_m grad_G lambda_l) with (l, m) the edge endpoints in ascending id
-order. phi_e has unit tangential component along e, vanishing tangential
-component along every other edge, and its rotation phi_e x n is the
-divergence-conforming function psi_e supported on the same face pair.
+surface edge function: on each of the two faces sharing e it equals
+|e| (lambda_l grad_G lambda_m - lambda_m grad_G lambda_l) with (l, m) the
+edge endpoints in ascending id order. One coefficient table per boundary
+face states this basis; the curl and mass matrices, the evaluation of a
+control and the k = 1 lifting each contract it with closed-form integrals
+of the barycentric coordinates. phi_e has unit tangential component along
+e, vanishing tangential component along every other edge, and its rotation
+phi_e x n is the divergence-conforming psi_e on the same face pair;
+`eval_psi` and `eval_phi` evaluate both pointwise from their own formula.
 """
 
 import numpy as np
@@ -36,19 +39,15 @@ def symmetric_csr(local, dofs, n):
 def face_lambda_gradients(verts):
     """In-plane barycentric gradients for triangles verts (..., 3, 3).
 
-    Orientation independent: grad lambda_a is the in-plane vector
-    perpendicular to the opposite edge with grad lambda_a . (x_a - x_b) = 1.
+    grad lambda_a = n x (x_c - x_b) / |n|^2 with (a, b, c) cyclic and
+    n = (x_1 - x_0) x (x_2 - x_0); reversing the vertex order flips both
+    factors, so the result does not depend on the orientation.
     """
     verts = np.asarray(verts, dtype=float)
-    out = np.empty_like(verts)
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        opp = verts[..., c, :] - verts[..., b, :]
-        d = verts[..., a, :] - verts[..., b, :]
-        d = d - opp * (np.einsum("...d,...d->...", opp, d)
-                       / np.einsum("...d,...d->...", opp, opp))[..., None]
-        out[..., a, :] = d / np.einsum("...d,...d->...", d, d)[..., None]
-    return out
+    n = np.cross(verts[..., 1, :] - verts[..., 0, :],
+                 verts[..., 2, :] - verts[..., 0, :])[..., None, :]
+    opp = np.roll(verts, -2, axis=-2) - np.roll(verts, -1, axis=-2)
+    return np.cross(n, opp) / np.sum(n * n, axis=-1, keepdims=True)
 
 
 def _on_face(mesh, f, x, tol):
@@ -94,58 +93,45 @@ def eval_phi(mesh, e, x, tol=1e-10):
     return psi if f is None else np.cross(mesh.boundary_normals[f], psi)
 
 
-def _face_edge_tables(mesh):
-    """Per boundary face: boundary-edge index, endpoint local slots, length.
+def _face_table(mesh):
+    """The surface edge basis on every boundary face, as (bidx, W, g).
 
-    Local slots (a, b) index into the face's vertex triple so that the
-    global edge runs from slot a to slot b (ascending vertex id); asc marks
-    edges whose global direction agrees with the counterclockwise cycle.
+    bidx (Fb, 3) is `Mesh.boundary_face_edges`, g (Fb, 3, 3) the in-plane
+    barycentric gradients and W (Fb, 3, 3, 3) the coefficients of
+    phi_i = sum_cd W[f, i, c, d] lambda_c grad lambda_d: side i runs from
+    slot i to slot i + 1, so W[f, i] = |e_i| (e_a e_b^T - e_b e_a^T) with
+    (a, b) those slots in ascending vertex id order.
     """
-    loc = np.array([(0, 1), (1, 2), (2, 0)])
-    cyc = mesh.boundary_faces[:, loc]
-    asc = cyc[..., 0] < cyc[..., 1]
-    a = np.where(asc, loc[None, :, 0], loc[None, :, 1])
-    b = np.where(asc, loc[None, :, 1], loc[None, :, 0])
+    side = np.zeros((3, 3, 3))
+    side[[0, 1, 2], [0, 1, 2], [1, 2, 0]] = 1.0
+    side -= np.swapaxes(side, 1, 2)
+    tri = mesh.boundary_faces
     bidx = mesh.boundary_face_edges
-    lengths = mesh.edge_lengths[mesh.boundary_edges[bidx]]
-    return bidx, a, b, lengths, asc
+    sign = np.where(tri < np.roll(tri, -1, axis=1), 1.0, -1.0)
+    scale = sign * mesh.edge_lengths[mesh.boundary_edges[bidx]]
+    return bidx, scale[..., None, None] * side, face_lambda_gradients(
+        mesh.vertices[tri])
 
 
 def surface_curl_matrix(mesh):
-    """Gram matrix of facewise surface curls, assembled from closed forms.
-
-    Entry (i, j) = sum over shared faces of s_i s_j |e_i| |e_j| / |F|,
-    s = +1 where the edge runs counterclockwise in the face.
-    """
-    bidx, a, b, lengths, asc = _face_edge_tables(mesh)
-    sgn = np.where(asc, 1.0, -1.0)
-    val = sgn * lengths
-    contrib = np.einsum("fi,fj->fij", val, val) / mesh.boundary_areas[:, None, None]
+    """Gram matrix of facewise surface curls, assembled from closed forms:
+    curl_G(lambda_c grad lambda_d) = (grad lambda_c x grad lambda_d) . n is
+    constant on each face."""
+    bidx, W, g = _face_table(mesh)
+    gxg = np.cross(g[:, :, None], g[:, None])
+    curl = np.einsum("ficd,fcdx,fx->fi", W, gxg, mesh.boundary_normals)
+    contrib = np.einsum("f,fi,fj->fij", mesh.boundary_areas, curl, curl)
     return symmetric_csr(contrib, bidx, mesh.n_boundary_edges)
 
 
 def surface_mass_matrix(mesh):
-    """Gram matrix of the phi_e basis, assembled from closed forms.
-
-    Uses int_F lambda_a lambda_b = |F| (1 + delta_ab) / 12 and the
-    in-plane barycentric gradients; no quadrature.
-    """
-    bidx, a, b, lengths, _ = _face_edge_tables(mesh)
-    verts = mesh.vertices[mesh.boundary_faces]
-    g = face_lambda_gradients(verts)
-    gg = np.einsum("fad,fbd->fab", g, g)
-    A = mesh.boundary_areas
+    """Gram matrix of the phi_e basis, assembled from closed forms:
+    int_F lambda_c lambda_C = |F| (1 + delta_cC) / 12 and the in-plane
+    barycentric gradients; no quadrature."""
+    bidx, W, g = _face_table(mesh)
     lam = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-    contrib = np.empty((len(verts), 3, 3))
-    for i in range(3):
-        for j in range(3):
-            ai, bi = a[:, i], b[:, i]
-            aj, bj = a[:, j], b[:, j]
-            f = np.arange(len(verts))
-            term = (gg[f, bi, bj] * lam[ai, aj] - gg[f, bi, aj] * lam[ai, bj]
-                    - gg[f, ai, bj] * lam[bi, aj] + gg[f, ai, aj] * lam[bi, bj])
-            contrib[:, i, j] = lengths[:, i] * lengths[:, j] * A * term
+    contrib = np.einsum("f,ficd,cC,fdx,fDx,fjCD->fij", mesh.boundary_areas,
+                        W, lam, g, g, W, optimize=True)
     return symmetric_csr(contrib, bidx, mesh.n_boundary_edges)
 
 
@@ -155,63 +141,39 @@ def eval_control_on_faces(mesh, z, face_idx, ref_pts):
     ref_pts (m, 2) are reference-triangle coordinates; returns physical
     points (F, m, 3) and values (F, m, 3).
     """
-    bidx, a, b, lengths, _ = _face_edge_tables(mesh)
-    face_idx = np.asarray(face_idx, dtype=np.int64)
-    verts = mesh.vertices[mesh.boundary_faces[face_idx]]
-    g = face_lambda_gradients(verts)
-    p0 = verts[:, 0]
-    pts = (p0[:, None, :]
-           + ref_pts[None, :, 0, None] * (verts[:, 1] - p0)[:, None, :]
-           + ref_pts[None, :, 1, None] * (verts[:, 2] - p0)[:, None, :])
+    bidx, W, g = (a[face_idx] for a in _face_table(mesh))
     lam = np.stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1],
                     ref_pts[:, 0], ref_pts[:, 1]], axis=1)
-    vals = np.zeros(pts.shape, dtype=complex)
-    f = np.arange(len(face_idx))
-    for i in range(3):
-        ai = a[face_idx, i]
-        bi = b[face_idx, i]
-        co = z[bidx[face_idx, i]] * lengths[face_idx, i]
-        # the edge function on this face: lambda_a grad lambda_b - lambda_b grad lambda_a
-        w = (lam[:, ai].T[:, :, None] * g[f, bi][:, None, :]
-             - lam[:, bi].T[:, :, None] * g[f, ai][:, None, :])
-        vals += co[:, None, None] * w
-    return pts, vals
+    verts = mesh.vertices[mesh.boundary_faces[face_idx]]
+    zW = np.einsum("fi,ficd->fcd", z[bidx], W)
+    return (np.einsum("mc,fcx->fmx", lam, verts),
+            np.einsum("mc,fcd,fdx->fmx", lam, zW, g))
 
 
 def lifting_matrix(space):
     """Sparse matrix L of the lifting of a control into the volume space.
 
     Boundary-edge mean moments take the control coefficients, the odd edge
-    moments of z vanish, and for k = 1 the boundary-face moments of the
-    piecewise-linear surface field are filled in closed form; every
+    moments of z vanish, and for k = 1 the boundary-face moments
+    (1/|F|) int_F phi_i . q_d follow from int_F lambda_c = |F| / 3; every
     interior moment is zero, so the tangential trace of L z is exactly z.
     FESpace.lifting caches the result.
     """
     mesh = space.mesh
     n_ctrl = mesh.n_boundary_edges
-    k = space.k
-    rows = [(k + 1) * mesh.boundary_edges]
-    cols = [np.arange(n_ctrl)]
-    data = [np.ones(n_ctrl)]
-    if k == 1:
-        bidx, a, b, lengths, _ = _face_edge_tables(mesh)
-        g = face_lambda_gradients(mesh.vertices[mesh.boundary_faces])
+    rows = (space.k + 1) * mesh.boundary_edges
+    cols, data = np.arange(n_ctrl), np.ones(n_ctrl)
+    if space.k == 1:
+        bidx, W, g = _face_table(mesh)
         gids = mesh.boundary_face_ids
         sorted_verts = mesh.vertices[mesh.faces[gids]]
         # face moment directions of the volume space use the ascending-id triple
-        q = np.stack([sorted_verts[:, 1] - sorted_verts[:, 0],
-                      sorted_verts[:, 2] - sorted_verts[:, 0]], axis=1)
-        f = np.arange(len(gids))
-        for d in range(2):
-            for i in range(3):
-                grad_diff = g[f, b[:, i]] - g[f, a[:, i]]
-                rows.append(space.n_edge_dofs + 2 * gids + d)
-                cols.append(bidx[:, i])
-                data.append(lengths[:, i] / 3.0
-                            * np.einsum("fd,fd->f", q[:, d], grad_diff))
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        (space.n_dofs, n_ctrl)).tocsr()
+        q = sorted_verts[:, 1:] - sorted_verts[:, :1]
+        rows = np.append(rows, np.repeat(
+            space.n_edge_dofs + 2 * gids[:, None] + np.arange(2), 3, axis=1))
+        cols = np.append(cols, np.tile(bidx, 2))
+        data = np.append(data, np.einsum("ficd,fdx,fkx->fki", W, g, q) / 3.0)
+    return sp.csr_matrix((data, (rows, cols)), (space.n_dofs, n_ctrl))
 
 
 def lift(space, z):

@@ -152,3 +152,7 @@ def test_electrode_params_validation():
         ElectrodeParams(omega=0.0)
     with pytest.raises(ValueError):
         ElectrodeParams(sigma=0.0)
+    for name in ("iota1", "omega", "mu", "sigma", "R", "L"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ElectrodeParams(**{name: bad})

@@ -308,6 +308,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  {"problem": {"alpha": 0, "beta": 0, "u_d": "exact_H"}},
                  id="zero-weights"),
     pytest.param("optimize", {"electrode": {"R": -1}}, id="negative-radius"),
+    # JSON's NaN and Infinity parse as floats and pass sign checks
+    pytest.param("optimize", {"problem": {"alpha": float("nan"),
+                                          "u_d": "exact_H"}},
+                 id="alpha-nan"),
+    pytest.param("optimize", {"problem": {"omega": float("inf"),
+                                          "u_d": "exact_H"}},
+                 id="omega-infinite"),
+    pytest.param("validate", {"electrode": {"omega": float("nan")}},
+                 id="electrode-omega-nan"),
     pytest.param("optimize", {"order": "x"}, id="order-not-int"),
     pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": "x"}},
                  id="cube-n-not-int"),

@@ -1,5 +1,7 @@
 """Edge-element spaces: basis correctness, interpolation, assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +340,10 @@ def test_problem_config_validation():
         ProblemConfig(alpha=-1.0)
     with pytest.raises(ValueError):
         ProblemConfig(alpha=0.0, beta=0.0)
+    for name in ("omega", "alpha", "beta", "solver_tol"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ProblemConfig(**{name: bad})
     cfg = ProblemConfig(alpha=0.0, beta=1.0)  # allowed: one may vanish
     assert cfg.beta == 1.0
 
@@ -416,6 +422,23 @@ def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets():
                  np.einsum("cqmd,cm->cqd", curlPhi, coef))
         for part, want in zip(evaluate_field(space, u, ref), whole):
             assert np.array_equal(part, want)
+
+
+def test_element_loop_holds_two_basis_sized_arrays():
+    # at order 1 and the default load degree one chunk's basis values are
+    # CHUNK x 64 points x 3 x 20 doubles = 7.9 MB; the span and Phi of one
+    # chunk are two such arrays, and a loop that still holds the previous
+    # chunk's Phi while it builds the next peaks at three (26.3 MB)
+    m = generate_cylinder(0.5, 1.0, 3, 18, 6)
+    space = FESpace(m, 1)
+    space.basis  # built once per space, not part of the loop
+    tracemalloc.start()
+    try:
+        assemble_load(m, space, lambda x: np.ones(x.shape, complex))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 def test_hcurl_error_parts_and_interpolant_decay():

@@ -53,3 +53,10 @@ def test_readme_config_block_is_the_defaults(command, tmp_path):
                  "vtk"):
         assert getattr(doc, name) == getattr(empty, name), name
     assert np.array_equal(doc.t_list, empty.t_list)
+
+
+def test_readme_module_table_names_every_module_once():
+    rows = re.findall(r"^\| `eddyopt\.(\w+)`", README, flags=re.MULTILINE)
+    modules = [p.stem for p in (ROOT / "src" / "eddyopt").glob("*.py")
+               if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)

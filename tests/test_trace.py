@@ -90,6 +90,36 @@ def test_surface_matrices_spd():
     assert wk.min() < 1e-10 * abs(wk).max()
 
 
+def test_face_lambda_gradients_meet_their_definition():
+    # grad lambda_a . (x_a - x_b) = 1 for b != a, in plane, summing to zero,
+    # on random triangles and on skinny ones (height about 1e-4), in both
+    # vertex orders; round-off is measured against cond = (longest side)^2
+    # / (2 area) of each triangle
+    rng = np.random.default_rng(5)
+    tris = rng.standard_normal((200, 3, 3))
+    skinny = tris.copy()
+    skinny[:, 2] = (tris[:, 0] + rng.uniform(0.1, 0.9, (200, 1))
+                    * (tris[:, 1] - tris[:, 0])
+                    + 1e-4 * rng.standard_normal((200, 3)))
+    for verts in (tris, skinny):
+        n = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
+        side = np.linalg.norm(verts - np.roll(verts, 1, axis=1), axis=2)
+        cond = side.max(axis=1) ** 2 / np.linalg.norm(n, axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        g = face_lambda_gradients(verts)
+        big = np.abs(g).max(axis=(1, 2))
+        flipped = face_lambda_gradients(verts[:, ::-1])
+        assert (np.abs(flipped[:, ::-1] - g).max(axis=(1, 2))
+                <= 1e-14 * cond * big).all()
+        for v, gv in ((verts, g), (verts[:, ::-1], flipped)):
+            for a, b in itertools.permutations(range(3), 2):
+                dot = np.einsum("fd,fd->f", gv[:, a], v[:, a] - v[:, b])
+                assert (np.abs(dot - 1.0) <= 1e-14 * cond).all()
+            assert (np.abs(gv @ n[:, :, None]).max(axis=(1, 2))
+                    <= 1e-14 * cond * big).all()
+            assert (np.abs(gv.sum(axis=1)).max(axis=1) <= 1e-14 * big).all()
+
+
 def test_surface_curl_integral_vanishes_per_edge():
     # int_Gamma curl_G phi_e = |e| on the plus face and -|e| on the minus
     m = generate_cube(1)
