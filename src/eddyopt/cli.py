@@ -249,9 +249,9 @@ def _level_study(cfg, solve):
     the level tag, mesh size and dof count and ends with the seconds the
     level took and the process's peak resident memory so far in MB
     (ru_maxrss, KiB on Linux).  The study stops at the first level that
-    raises; returns the rows, one solver record per row (factor fill and
-    largest solve residual, for summary.json), and the failure and its
-    traceback (None when every level ran).
+    raises; returns the rows, one solver record per row (nonzeros of the
+    interior block and its factor, largest solve residual; summary.json),
+    and the failure and its traceback (None when every level ran).
     """
     rows, records, m = [], [], None
     for tag, step in cfg.family:
@@ -264,7 +264,8 @@ def _level_study(cfg, solve):
                          "n_dofs": space.n_dofs, **entries,
                          "seconds": time.perf_counter() - t0,
                          "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024})
-            records.append({"level": tag, "nnz_LU": int(op.lu.nnz),
+            records.append({"level": tag, "nnz_A_II": op.A_II.nnz,
+                            "nnz_LU": op.lu.nnz,
                             "max_residual": op.max_residual})
             if cfg.vtk:
                 write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),

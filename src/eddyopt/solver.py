@@ -5,14 +5,21 @@ factorized once, and every state solve (Dirichlet data by block
 elimination), adjoint solve (conjugate-transpose triangular solves on the
 same factors), and adjoint pairing reuses that factorization.
 
-The interior block A_II = K + i omega M is complex symmetric, so SuperLU
-runs in symmetric mode: a minimum-degree ordering of A + A^T (Amestoy,
-Davis & Duff 1996) applied to rows and columns alike, with diagonal
-pivots only. Skipping the pivot search is safe because the imaginary part
-omega M is definite: every leading principal submatrix then has a definite
-imaginary part and is nonsingular, and Higham (Math. Comp. 67, 1998)
-bounds the growth factor of such an elimination. Every solve still checks
-its relative residual against solver_tol, and the largest one is kept.
+The interior block A_II = K + i omega M is factored in SuperLU's symmetric
+mode with diagonal pivots only, in geometric nested-dissection order
+(George 1973): each dof sits at its edge's midpoint or (order 1) its
+face's centroid, and level by level every part of more than LEAF dofs
+splits at the median, ties going low, of the axis with the smallest
+separator, the fewer of the lower dofs with an upper neighbour and the
+upper dofs with a lower neighbour; a split orders the lower part, the
+upper part, then the separator, and a part no axis splits is a leaf.
+Against minimum degree on A + A^T, nnz(L+U) falls 4.35M -> 2.65M at
+order 0 on a 5x30x10 cylinder and 4.53M -> 4.41M at order 1 on 3x18x6.
+Skipping the pivot search is safe because the imaginary part omega M is
+definite: every leading principal submatrix then has a definite imaginary
+part and is nonsingular, and Higham (Math. Comp. 67, 1998) bounds the
+growth factor of such an elimination. Every solve still checks its
+relative residual against solver_tol, and the largest one is kept.
 """
 
 import numpy as np
@@ -22,8 +29,53 @@ from .nedelec import assemble, assemble_load
 from .trace import lift
 
 
+LEAF = 16  # parts of at most LEAF dofs are not split
+
+
 class SolverError(RuntimeError):
     pass
+
+
+def _dof_points(space):
+    """Edge midpoints for the edge dofs, face centroids for face dofs."""
+    m = space.mesh
+    return np.concatenate(
+        [np.repeat(m.vertices[m.edges].mean(axis=1), space.k + 1, axis=0)]
+        + [np.repeat(m.vertices[m.faces].mean(axis=1), 2, axis=0)] * space.k)
+
+
+def _nested_dissection(x, A):
+    """Order p of the dofs, dof i at x[i], that dissects the symmetric
+    pattern of A (module docstring); all parts of a level split at once."""
+    n, (r, c) = len(x), A.tocoo().coords
+    part = np.zeros(n, dtype=np.intp)  # -1 once a dof has its place
+    keys = [np.zeros(n, dtype=np.int8)]  # per level: 0 lower part or leaf,
+    while (part >= 0).any():             # 1 upper part, 2 separator
+        act = np.flatnonzero(part >= 0)
+        _, part[act], cnt = np.unique(part[act], return_inverse=True,
+                                      return_counts=True)
+        q = part[act]
+        P, mid = len(cnt), np.cumsum(cnt) - cnt + (cnt - 1) // 2
+        keep = (part[r] >= 0) & (part[r] == part[c])
+        r, c = r[keep], c[keep]
+        low, sep = np.zeros((2, 3, n), dtype=bool)
+        size = np.full((3, P), n + 1)  # n + 1: the axis does not split
+        for d in range(3):
+            med = x[act[np.lexsort((x[act, d], q))[mid]], d]
+            low[d, act] = x[act, d] <= med[q]
+            sep[d, r[low[d, r] != low[d, c]]] = True  # across the median
+            n_lo = np.bincount(part[sep[d] & low[d]], minlength=P)
+            n_hi = np.bincount(part[sep[d] & ~low[d]], minlength=P)
+            sep[d] &= low[d] != (n_hi < n_lo)[part]
+            splits = (cnt > LEAF) & (np.bincount(q, ~low[d, act]) > 0)
+            size[d, splits] = np.minimum(n_lo, n_hi)[splits]
+        axis = np.argmin(size, axis=0)
+        split = (size[axis, np.arange(P)] <= n)[q]
+        lo, on_sep = low[axis[q], act], sep[axis[q], act]
+        keys.append(np.zeros(n, dtype=np.int8))
+        keys[-1][act] = np.where(split, np.where(on_sep, 2, ~lo), 0)
+        part[act] = np.where(split & ~on_sep, 2 * q + ~lo, -1)
+    return np.lexsort(keys[::-1])
 
 
 class StateOperator:
@@ -41,8 +93,9 @@ class StateOperator:
         rows = assemble(mesh, space, config).tocsc()[I]
         self.A_II = rows[:, I].tocsc()
         self.A_IB = rows[:, B].tocsr()
+        p = self.perm = _nested_dissection(_dof_points(space)[I], self.A_II)
         try:
-            self.lu = spla.splu(self.A_II, permc_spec="MMD_AT_PLUS_A",
+            self.lu = spla.splu(self.A_II[p][:, p], permc_spec="NATURAL",
                                 diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
         except RuntimeError as err:
@@ -66,13 +119,11 @@ class StateOperator:
         """Solve with prescribed boundary dofs g (only B entries used)."""
         I, B = self.space.interior_dofs, self.space.boundary_dofs
         f = self.load if f is None else f
-        rhs = f[I] - self.A_IB @ np.asarray(g, dtype=complex)[B]
-        u = np.zeros(self.space.n_dofs, dtype=complex)
-        sol = self.lu.solve(rhs)
-        self._check_residual(rhs, sol)
+        u = np.array(g, dtype=complex)  # keeps g on B, solved for on I
+        rhs = f[I] - self.A_IB @ u[B]
+        u[I[self.perm]] = self.lu.solve(rhs[self.perm])
+        self._check_residual(rhs, u[I])
         self.n_state_solves += 1
-        u[I] = sol
-        u[B] = np.asarray(g, dtype=complex)[B]
         return u
 
     def solve_state(self, z):
@@ -84,12 +135,11 @@ class StateOperator:
         I = self.space.interior_dofs
         rho_I = np.asarray(rho, dtype=complex)[I]
         w = np.zeros(self.space.n_dofs, dtype=complex)
-        sol = self.lu.solve(rho_I, trans="H")
+        w[I[self.perm]] = self.lu.solve(rho_I[self.perm], trans="H")
         # A_II is bitwise complex symmetric (assemble_curl_mass symmetrizes
         # K and M), so A_II^H s - rho_I = conj(A_II conj(s) - conj(rho_I)).
-        self._check_residual(np.conj(rho_I), np.conj(sol))
+        self._check_residual(np.conj(rho_I), np.conj(w[I]))
         self.n_adjoint_solves += 1
-        w[I] = sol
         return w
 
     def adjoint_pairing(self, w, rho):

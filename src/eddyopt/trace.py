@@ -25,9 +25,11 @@ def symmetric_csr(local, dofs, n):
     that stores every dof pair sharing a cell, also where the sum is 0.0.
 
     (i, j) and (j, i) sum their duplicates in different orders; averaging
-    with the transpose makes the matrix bitwise symmetric.
+    with the transpose makes the matrix bitwise symmetric. The index arrays
+    are int32 where n allows, the index dtype scipy keeps anyway.
     """
     m = dofs.shape[1]
+    dofs = dofs.astype(np.int32 if n < 2**31 else np.int64, copy=False)
     rows = np.repeat(dofs, m, axis=1).ravel()
     cols = np.tile(dofs, (1, m)).ravel()
     A = sp.csr_matrix((local.ravel(), (rows, cols)), (n, n))

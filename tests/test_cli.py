@@ -83,10 +83,11 @@ def test_console_script_is_installed(tmp_path):
 
 
 def _assert_solver_records(s, tags):
-    # one record per completed level: factor fill, and the largest
-    # residual, within the default solver_tol
+    # one record per completed level: matrix size, factor fill, and the
+    # largest residual, within the default solver_tol
     assert [lv["level"] for lv in s["levels"]] == tags
     for lv in s["levels"]:
+        assert isinstance(lv["nnz_A_II"], int) and lv["nnz_A_II"] > 0
         assert isinstance(lv["nnz_LU"], int) and lv["nnz_LU"] > 0
         assert 0.0 < lv["max_residual"] <= 1e-10
 

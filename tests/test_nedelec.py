@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from eddyopt import nedelec
@@ -439,6 +440,29 @@ def test_element_loop_holds_two_basis_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 20e6
+
+
+def _symmetric_csr_int64(local, dofs, n):
+    # symmetric_csr with int64 row and column arrays, as it was built before
+    m = dofs.shape[1]
+    dofs = dofs.astype(np.int64)
+    rows = np.repeat(dofs, m, axis=1).ravel()
+    cols = np.tile(dofs, (1, m)).ravel()
+    A = sp.csr_matrix((local.ravel(), (rows, cols)), (n, n))
+    A.data = (A.data + A.T.tocsr().data) * 0.5
+    return A
+
+
+def test_int32_assembly_indices_match_an_int64_build(monkeypatch):
+    m = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    space = FESpace(m, 1)
+    got = assemble_curl_mass(m, space)
+    monkeypatch.setattr(nedelec, "symmetric_csr", _symmetric_csr_int64)
+    want = assemble_curl_mass(m, space)
+    for A, B in zip(got, want):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(A, name), getattr(B, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_hcurl_error_parts_and_interpolant_decay():

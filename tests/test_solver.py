@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
+from eddyopt.mesh import (
+    MeshError, generate_cube, generate_cylinder, parse_msh, write_msh)
 from eddyopt.nedelec import FESpace, ProblemConfig, assemble, interpolate
-from eddyopt.solver import SolverError, StateOperator
+from eddyopt.solver import (
+    LEAF, SolverError, StateOperator, _dof_points, _nested_dissection)
 from eddyopt.trace import lift, tangential_trace
 
 
@@ -178,6 +181,64 @@ def test_symmetric_factor_halves_the_default_fill():
     mesh = generate_cylinder(0.5, 1.0, 2, 12, 4)
     op = StateOperator(mesh, FESpace(mesh, 1), ProblemConfig())
     assert 2 * op.lu.nnz <= spla.splu(op.A_II).nnz
+
+
+def test_nested_dissection_cuts_the_minimum_degree_fill():
+    # the forward benchmark's block: 4.35M nonzeros under minimum degree
+    mesh = generate_cylinder(0.5, 1.0, 5, 30, 10)
+    op = StateOperator(mesh, FESpace(mesh, 0), ProblemConfig())
+    mmd = spla.splu(op.A_II, permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert op.lu.nnz <= 0.7 * mmd.nnz
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_nested_dissection_is_a_reproducible_permutation(k):
+    # the benchmark fails a run whose jobs' factors differ in fill
+    mesh = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    space = FESpace(mesh, k)
+    op = StateOperator(mesh, space, ProblemConfig())
+    assert np.array_equal(np.sort(op.perm), np.arange(op.A_II.shape[0]))
+    again = _nested_dissection(_dof_points(space)[space.interior_dofs],
+                               op.A_II)
+    assert np.array_equal(again, op.perm)
+
+
+def _path(n):
+    # pattern of a path graph with its diagonal
+    return sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
+                    [-1, 0, 1], format="csc")
+
+
+@pytest.mark.parametrize("n", [1, LEAF, 40])
+def test_unsplittable_points_are_one_leaf(n):
+    # coincident points split along no axis, and LEAF dofs are not split:
+    # either way the order is the input order
+    x = np.zeros((n, 3)) if n > LEAF else np.random.default_rng(n).random(
+        (n, 3))
+    assert np.array_equal(_nested_dissection(x, _path(n)), np.arange(n))
+
+
+def test_points_on_a_line_split_at_their_median():
+    # y and z are shared and cannot split; along x the lower median point
+    # 19 is the smallest separator and is ordered last, after both halves
+    n = 40
+    x = np.zeros((n, 3))
+    x[:, 0] = np.arange(n)
+    p = _nested_dissection(x, _path(n))
+    assert np.array_equal(np.sort(p), np.arange(n))
+    assert p[-1] == 19 and set(p[:19]) == set(range(19))
+
+
+def test_mesh_read_back_from_msh_gives_the_same_state():
+    mesh = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    back = parse_msh(write_msh(mesh))
+    cfg = ProblemConfig(j_c=np.array([0.1, 0.0, 1.0 + 0.5j]))
+    z = _random_control(mesh, np.random.default_rng(23))
+    for k in (0, 1):
+        u, v = (StateOperator(m, FESpace(m, k), cfg).solve_state(z)
+                for m in (mesh, back))
+        assert np.linalg.norm(v - u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_factor_without_pivoting_needs_only_a_definite_imaginary_part():
