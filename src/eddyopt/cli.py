@@ -31,7 +31,7 @@ from . import analytic
 from .analytic import ElectrodeParams
 from .mesh import (MeshError, cube_size, cylinder_size, generate_cube,
                    generate_cylinder, mesh_size, parse_msh, refine_uniform,
-                   write_msh, mesh_to_json)
+                   whole, write_msh, mesh_to_json)
 from .nedelec import FESpace, ProblemConfig, evaluate_field, hcurl_error, interpolate
 from .solver import StateOperator
 from .wirtinger import ReducedProblem, bfgs_minimize, fd_check, loglog_slope
@@ -120,7 +120,7 @@ def load_config(path, command, out=None, order=None, seed=None):
         el = raw.get("electrode", {})
         electrode = ElectrodeParams(**{f.name: float(el.get(f.name, f.default))
                                        for f in fields(ElectrodeParams)})
-        order = int(raw.get("order", 0)) if order is None else order
+        order = whole(raw.get("order", 0)) if order is None else order
         if order not in (0, 1):
             raise ConfigError(f"order must be 0 or 1, got {order}")
 
@@ -135,7 +135,7 @@ def load_config(path, command, out=None, order=None, seed=None):
             alpha=float(p.get("alpha", 1e-3)),
             beta=float(p.get("beta", 0.0)),
             solver_tol=float(p.get("solver_tol", 1e-10)),
-            quad_order=None if quad_order is None else int(quad_order),
+            quad_order=None if quad_order is None else whole(quad_order),
         )
         if command == "grad-check" and problem.u_d is None and problem.j_c is None:
             problem = replace(problem, j_c=np.array([0, 0, 1.0 + 0.5j]),
@@ -145,10 +145,10 @@ def load_config(path, command, out=None, order=None, seed=None):
 
         opt = raw.get("optimize", {})
         gc = raw.get("gradcheck", {})
-        n_probes = int(gc.get("n_probes", 3))
+        n_probes = whole(gc.get("n_probes", 3))
         t_list = np.geomspace(float(gc.get("t_max", 1e-1)),
                               float(gc.get("t_min", 1e-9)),
-                              int(gc.get("n_t", 17)))
+                              whole(gc.get("n_t", 17)))
         fit_floor = float(gc.get("fit_floor", 1e-5))
         if n_probes < 1 or np.count_nonzero(t_list >= fit_floor) < 2:
             raise ConfigError("gradcheck needs n_probes >= 1 and at least two "
@@ -184,7 +184,7 @@ def load_config(path, command, out=None, order=None, seed=None):
         if "refine" in spec and family:
             base = family[0][1]
             family = [(f"L{i}", refine_uniform if i else base)
-                      for i in range(int(spec["refine"]))]
+                      for i in range(whole(spec["refine"]))]
         if not family:
             raise ConfigError("mesh: the level family is empty "
                               "(refine must be >= 1, levels non-empty)")
@@ -193,10 +193,10 @@ def load_config(path, command, out=None, order=None, seed=None):
             command=command, order=order, electrode=electrode,
             problem=problem, family=family,
             out=out if out is not None else raw.get("out", "out"),
-            seed=int(raw.get("seed", 0)) if seed is None else seed,
+            seed=whole(raw.get("seed", 0)) if seed is None else seed,
             vtk=bool(raw.get("vtk", False)),
             tol=float(opt.get("tol", 1e-9)),
-            max_iter=int(opt.get("max_iter", 500)),
+            max_iter=whole(opt.get("max_iter", 500)),
             n_probes=n_probes, t_list=t_list, fit_floor=fit_floor,
         )
     except (ValueError, TypeError, AttributeError) as exc:  # ConfigError is one
@@ -315,9 +315,7 @@ def cmd_validate(cfg):
 
     def solve(tag, m, space):
         op = StateOperator(m, space, pc)
-        g = np.zeros(space.n_dofs, dtype=complex)
-        g[space.boundary_dofs] = interpolate(space, exact)[space.boundary_dofs]
-        u = op.solve_dirichlet(g)
+        u = op.solve_dirichlet(interpolate(space, exact))
         return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
 
     rows, levels, failure, trace = _level_study(cfg, solve)

@@ -8,8 +8,11 @@ higher vertex id, which makes every orientation-dependent quantity a pure
 function of the vertex numbering.
 
 Supported I/O: MSH v2.2 ASCII (read and write) and a JSON debug dump.
-Built-in generators: unit cube (Kuhn subdivision) and a structured
-cylinder (extruded triangulated disk).
+Built-in generators: the unit cube and a structured cylinder, both one
+extrusion of a triangulated 2D section into prisms, each cut into three
+tets through its smallest vertex id (the min-id rule of Dompierre et al.,
+IMR 1999). Extruding the diagonally cut square grid gives the Kuhn
+(Freudenthal) cube. `refine_uniform` splits every tet into eight.
 """
 
 from dataclasses import dataclass
@@ -323,9 +326,16 @@ def mesh_to_json(mesh, path=None):
 # Generators
 
 
+def whole(v):
+    """int(v), or MeshError where that would truncate v."""
+    if int(v) != v:
+        raise MeshError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def cube_size(n):
     """generate_cube's n as an int; MeshError outside its limit."""
-    n = int(n)
+    n = whole(n)
     if n < 1:
         raise MeshError("need at least one subdivision per axis")
     return n
@@ -336,119 +346,93 @@ def cylinder_size(R, L, n_r, n_theta, n_z):
     outside its limits."""
     if not (R > 0 and L > 0):
         raise MeshError("need positive radius and height")
-    n_r, n_theta, n_z = int(n_r), int(n_theta), int(n_z)
+    n_r, n_theta, n_z = whole(n_r), whole(n_theta), whole(n_z)
     if n_r < 1 or n_theta < 3 or n_z < 1:
         raise MeshError("need n_r >= 1, n_theta >= 3, n_z >= 1")
     return n_r, n_theta, n_z
 
 
+# Min-id rule for a prism (bottom a b c, top a' b' c'): rotate it so that
+# its smallest vertex id comes first, then cut the quad face opposite that
+# vertex along the diagonal through the smaller of its two candidate ids.
+# Every quad face is then cut through its smallest id, alike from both sides.
+_ROTATIONS = np.array([(0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 5, 3),
+                       (2, 0, 1, 5, 3, 4), (3, 5, 4, 0, 2, 1),
+                       (4, 3, 5, 1, 0, 2), (5, 4, 3, 2, 1, 0)])
+_CUTS = np.array([[(0, 1, 2, 5), (0, 1, 5, 4), (0, 4, 5, 3)],
+                  [(0, 1, 2, 4), (0, 4, 2, 5), (0, 4, 5, 3)]])
+
+
+def _extrude(section, tris, zs):
+    """Vertices and tets of a triangulated 2D section extruded over the
+    ascending heights zs.
+
+    Vertex layer * len(section) + s is section vertex s with height
+    zs[layer] as its last coordinate. Each counterclockwise triangle of
+    tris gives one prism per layer, cut into 3 tets by the min-id rule;
+    the tets of each prism, in order, are checked to fill it exactly.
+    """
+    ns, nl = len(section), len(zs)
+    verts = np.column_stack([np.tile(section, (nl, 1)), np.repeat(zs, ns)])
+    bot = (ns * np.arange(nl - 1)[:, None, None] + tris).reshape(-1, 3)
+    prisms = np.concatenate([bot, bot + ns], axis=1)
+    v = np.take_along_axis(prisms, _ROTATIONS[prisms.argmin(axis=1)], axis=1)
+    cut = np.minimum(v[:, 1], v[:, 5]) >= np.minimum(v[:, 2], v[:, 4])
+    tets = np.take_along_axis(v[:, None], _CUTS[cut.astype(int)], axis=2)
+    tets = tets.reshape(-1, 4)
+    u, w = (section[tris[:, i]] - section[tris[:, 0]] for i in (1, 2))
+    area = 0.5 * np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    vol = np.abs(_signed_volumes(verts, tets)).reshape(-1, 3).sum(axis=1)
+    if not np.allclose(vol, (np.diff(zs)[:, None] * area).ravel(),
+                       rtol=1e-10, atol=0.0):
+        raise MeshError("prism split does not tile the prism")
+    return verts, tets
+
+
 def generate_cube(n):
-    """Unit cube [0,1]^3 split into 6 n^3 tets (Kuhn subdivision)."""
+    """Unit cube [0,1]^3 split into 6 n^3 tets (Kuhn subdivision).
+
+    The (y, z) grid, each square cut along its diagonal through the lower
+    corner, is extruded along x; the min-id rule then cuts every prism
+    into the Kuhn tets of its cube. Vertex (i, j, k) at (g_i, g_j, g_k)
+    has id (i (n + 1) + j) (n + 1) + k.
+    """
     n = cube_size(n)
     g = np.linspace(0.0, 1.0, n + 1)
-    X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
-    verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    paths = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for p in paths:
-                    corners = [base.copy()]
-                    for ax in p:
-                        nxt = corners[-1].copy()
-                        nxt[ax] += 1
-                        corners.append(nxt)
-                    tets.append([vid(*c) for c in corners])
-    return build_mesh(verts, np.array(tets, dtype=np.int64))
-
-
-def _split_prism(bot, top):
-    # Dompierre min-id rule: rotate the prism so the smallest global id sits
-    # at position 0, then cut the remaining quad face along the diagonal
-    # through the smaller of its candidate ids.
-    prism = (bot[0], bot[1], bot[2], top[0], top[1], top[2])
-    relabelings = (
-        (0, 1, 2, 3, 4, 5),
-        (1, 2, 0, 4, 5, 3),
-        (2, 0, 1, 5, 3, 4),
-        (3, 5, 4, 0, 2, 1),
-        (4, 3, 5, 1, 0, 2),
-        (5, 4, 3, 2, 1, 0),
-    )
-    best = min(relabelings, key=lambda r: prism[r[0]])
-    v = [prism[i] for i in best]
-    if min(v[1], v[5]) < min(v[2], v[4]):
-        tets = [(v[0], v[1], v[2], v[5]),
-                (v[0], v[1], v[5], v[4]),
-                (v[0], v[4], v[5], v[3])]
-    else:
-        tets = [(v[0], v[1], v[2], v[4]),
-                (v[0], v[4], v[2], v[5]),
-                (v[0], v[4], v[5], v[3])]
-    return tets
+    Y, Z = np.meshgrid(g, g, indexing="ij")
+    a = ((n + 1) * np.arange(n)[:, None] + np.arange(n)).ravel()
+    tris = np.stack([a, a + n + 1, a + n + 2, a, a + n + 2, a + 1], axis=1)
+    verts, tets = _extrude(np.column_stack([Y.ravel(), Z.ravel()]),
+                           tris.reshape(-1, 3), g)
+    return build_mesh(verts[:, [2, 0, 1]], tets)
 
 
 def generate_cylinder(R, L, n_r, n_theta, n_z):
     """Structured mesh of the cylinder {x^2 + y^2 < R^2, 0 < z < L}.
 
-    A triangulated disk (center fan plus n_r - 1 annuli, n_theta sectors)
-    is extruded into n_z layers of prisms, each split into 3 tets with a
-    vertex-id rule that keeps neighboring prisms face-compatible. The rim
+    A triangulated disk (a center fan of n_theta triangles, then two
+    triangles per sector of each of the n_r - 1 annuli) is extruded into
+    n_z layers of prisms, each cut into 3 tets by the min-id rule. The rim
     vertices lie exactly on radius R, so the mesh is the inscribed
     polyhedron: its volume is L * (n_theta R^2 / 2) sin(2 pi / n_theta).
     """
     n_r, n_theta, n_z = cylinder_size(R, L, n_r, n_theta, n_z)
-
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    disk = [(0.0, 0.0)]
-    ring_start = [None]  # ring i >= 1 starts at ring_start[i]
-    for i in range(1, n_r + 1):
-        r = R * (i / n_r)
-        ring_start.append(len(disk))
-        disk.extend(zip(r * np.cos(theta), r * np.sin(theta)))
-    disk = np.array(disk)
-    n_disk = len(disk)
+    r = R * (np.arange(1, n_r + 1) / n_r)[:, None]
+    disk = np.vstack([np.zeros((1, 2)), np.column_stack(
+        [(r * np.cos(theta)).ravel(), (r * np.sin(theta)).ravel()])])
+    v = 1 + np.arange(n_r * n_theta).reshape(n_r, n_theta)  # ring i + 1, sector j
+    vn = np.roll(v, -1, axis=1)  # sector j + 1
+    ring = np.stack([v[:-1], v[1:], vn[1:], v[:-1], vn[1:], vn[:-1]], axis=-1)
+    tris = np.vstack([np.column_stack([np.zeros_like(v[0]), v[0], vn[0]]),
+                      ring.reshape(-1, 3)])
+    return build_mesh(*_extrude(disk, tris, L * np.arange(n_z + 1) / n_z))
 
-    tris = []
-    for j in range(n_theta):
-        jn = (j + 1) % n_theta
-        tris.append((0, ring_start[1] + j, ring_start[1] + jn))
-    for i in range(1, n_r):
-        inn, out = ring_start[i], ring_start[i + 1]
-        for j in range(n_theta):
-            jn = (j + 1) % n_theta
-            tris.append((inn + j, out + j, out + jn))
-            tris.append((inn + j, out + jn, inn + jn))
 
-    zs = L * np.arange(n_z + 1) / n_z
-    verts = np.concatenate(
-        [np.column_stack([disk, np.full(n_disk, z)]) for z in zs])
-
-    tets = []
-    tri_area = []
-    for (a, b, c) in tris:
-        u, v = disk[b] - disk[a], disk[c] - disk[a]
-        tri_area.append(0.5 * abs(u[0] * v[1] - u[1] * v[0]))
-    dz = L / n_z
-    for layer in range(n_z):
-        off0, off1 = layer * n_disk, (layer + 1) * n_disk
-        for (a, b, c) in tris:
-            bot = (off0 + a, off0 + b, off0 + c)
-            top = (off1 + a, off1 + b, off1 + c)
-            tets.extend(_split_prism(bot, top))
-    tets = np.array(tets, dtype=np.int64)
-    # the three tets of each prism, in order, must fill it exactly
-    vol = np.abs(_signed_volumes(verts, tets)).reshape(-1, 3).sum(axis=1)
-    if not np.all(np.isclose(vol, np.tile(tri_area, n_z) * dz,
-                             rtol=1e-10, atol=0.0)):
-        raise MeshError("prism split does not tile the prism")
-    return build_mesh(verts, tets)
+# child tets of red refinement, as local node ids: 0-3 the parent's
+# vertices, 4 + k the midpoint of its local edge k (LOCAL_EDGES order)
+_CHILDREN = np.array([(0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
+                      (4, 5, 6, 8), (4, 5, 7, 8), (5, 6, 8, 9), (5, 7, 8, 9)])
 
 
 def refine_uniform(mesh):
@@ -459,25 +443,10 @@ def refine_uniform(mesh):
     The domain (a fixed polyhedron) is preserved exactly and every edge
     length halves, so repeated calls produce a nested family.
     """
-    nv = mesh.n_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    verts = np.vstack([mesh.vertices, mids])
-
-    # local edge order: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3)
-    v = mesh.tets
-    m01, m02, m03, m12, m13, m23 = (nv + mesh.tet_edges[:, i] for i in range(6))
-    v0, v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
-    children = np.stack([
-        np.column_stack([v0, m01, m02, m03]),
-        np.column_stack([m01, v1, m12, m13]),
-        np.column_stack([m02, m12, v2, m23]),
-        np.column_stack([m03, m13, m23, v3]),
-        np.column_stack([m01, m02, m03, m13]),
-        np.column_stack([m01, m02, m12, m13]),
-        np.column_stack([m02, m03, m13, m23]),
-        np.column_stack([m02, m12, m13, m23]),
-    ], axis=1).reshape(-1, 4)
-    return build_mesh(verts, children)
+    nodes = np.concatenate([mesh.tets, mesh.n_vertices + mesh.tet_edges], axis=1)
+    return build_mesh(np.vstack([mesh.vertices, mids]),
+                      nodes[:, _CHILDREN].reshape(-1, 4))
 
 
 def mesh_size(mesh):

@@ -17,7 +17,7 @@ space, stored as a table of monomial coefficients.
 Every element loop visits CHUNK tets at a time, which bounds its working
 set: basis values and curls are CHUNK x points x 3 x S doubles each, 1.0
 MB at k = 0 (S = 6, 27 points) and 7.9 MB at k = 1 (S = 20, 64 points) at
-the default load degree 2k + 4. Loads and the tracking mass skip curls.
+the default load degree 2k + 4, built one at a time, curls only where used.
 """
 
 from dataclasses import dataclass
@@ -291,13 +291,13 @@ def _expand(span, C):
 
 
 def _element_values(mesh, space, ref_pts, sl):
-    """(phys, jac, Phi) of `element_basis` for tets in sl, and a callable
-    that evaluates curlPhi, so that callers without curls skip them."""
+    """(phys, jac) of `element_basis` for tets in sl, and basis(curls),
+    which builds Phi or, for curls True, curlPhi anew on each call."""
     C, centers, scales = (a[sl] for a in space.basis)
     phys, jac = map_to_tets(mesh.vertices[mesh.tets[sl]], ref_pts)
     loc = (phys - centers[:, None, :]) / scales[:, None, None]
-    return phys, jac, _expand(_span(space.k, loc, False), C), lambda: _expand(
-        _span(space.k, loc, True), C / scales[:, None, None])
+    return phys, jac, lambda curls: _expand(
+        _span(space.k, loc, curls), C / scales[:, None, None] if curls else C)
 
 
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
@@ -306,8 +306,8 @@ def element_basis(mesh, space, ref_pts, sl=slice(None)):
     Returns (phys (C, m, 3), jac (C,), Phi (C, m, n_local, 3),
     curlPhi (C, m, n_local, 3)); jac = 6 * volume.
     """
-    phys, jac, Phi, curls = _element_values(mesh, space, ref_pts, sl)
-    return phys, jac, Phi, curls()
+    phys, jac, basis = _element_values(mesh, space, ref_pts, sl)
+    return phys, jac, basis(False), basis(True)
 
 
 def _chunks(n):
@@ -317,13 +317,13 @@ def _chunks(n):
 
 def _cells(mesh, space, degree, fn):
     """The element loop at the degree's points, CHUNK tets at a time: the
-    list of fn(sl, phys, w, Phi, curls), w = weights * jac and the rest from
+    list of fn(sl, phys, w, basis), w = weights * jac and the rest from
     `_element_values`, each chunk released before the next is built."""
     rp, rw = tet_rule(degree)
 
     def chunk(sl):
-        phys, jac, Phi, curls = _element_values(mesh, space, rp, sl)
-        return fn(sl, phys, rw * jac[:, None], Phi, curls)
+        phys, jac, basis = _element_values(mesh, space, rp, sl)
+        return fn(sl, phys, rw * jac[:, None], basis)
     return [chunk(sl) for sl in _chunks(mesh.n_tets)]
 
 
@@ -353,19 +353,19 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     if degree is None:
         degree = 2 * space.k + 2
 
-    def chunk(sl, phys, w, Phi, curls):
+    def chunk(sl, phys, w, basis):
         mu_at = _coeff_at(mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        return (_gram(w, mu_inv, curls()),
-                _gram(w, _coeff_at(kappa, phys, "kappa"), Phi))
+        return (_gram(w, mu_inv, basis(True)),
+                _gram(w, _coeff_at(kappa, phys, "kappa"), basis(False)))
     return tuple(symmetric_csr(np.concatenate(X), space.cell_dofs, space.n_dofs)
                  for X in zip(*_cells(mesh, space, degree, chunk)))
 
 
 def _mass_matrix(mesh, space, degree):
     """M of `assemble_curl_mass` for kappa = 1, without the curls."""
-    Mel = _cells(mesh, space, degree,
-                 lambda sl, phys, w, Phi, curls: _gram(w, np.ones(()), Phi))
+    Mel = _cells(mesh, space, degree, lambda sl, phys, w, basis: _gram(
+        w, np.ones(()), basis(False)))
     return symmetric_csr(np.concatenate(Mel), space.cell_dofs, space.n_dofs)
 
 
@@ -386,7 +386,8 @@ def _load(mesh, space, f, degree):
     if f is None:
         return b, 0.0
 
-    def chunk(sl, phys, w, Phi, curls):
+    def chunk(sl, phys, w, basis):
+        Phi = basis(False)  # before v, which would add to its peak
         v = _vector_field_at(f, phys)
         np.add.at(b, space.cell_dofs[sl],
                   np.einsum("cq,cqd,cqmd->cm", w, v, Phi))
@@ -439,12 +440,14 @@ def hcurl_error(space, u_h, exact, exact_curl, degree=None, return_parts=False):
     if degree is None:
         degree = 2 * space.k + 4
 
-    def chunk(sl, phys, w, Phi, curls):
+    def chunk(sl, phys, w, basis):
         coef = u_h[space.cell_dofs[sl]]
-        dv = np.einsum("cqmd,cm->cqd", Phi, coef) - _vector_field_at(exact, phys)
-        dc = (np.einsum("cqmd,cm->cqd", curls(), coef)
-              - _vector_field_at(exact_curl, phys))
-        return [np.einsum("cq,cqd->", w, (d * d.conj()).real) for d in (dv, dc)]
+
+        def part(curls, f):  # Phi, then curlPhi: one basis-sized array
+            d = (np.einsum("cqmd,cm->cqd", basis(curls), coef)
+                 - _vector_field_at(f, phys))
+            return np.einsum("cq,cqd->", w, (d * d.conj()).real)
+        return [part(False, exact), part(True, exact_curl)]
     acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk)))
     if return_parts:
         return np.sqrt(acc_v + acc_c), np.sqrt(acc_v), np.sqrt(acc_c)

@@ -352,6 +352,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("optimize", {"mesh": {"kind": "cube", "levels": [1, 0]},
                               "problem": {"u_d": [1, 0, 0]}},
                  id="later-cube-level-out-of-range"),
+    # fractional counts, which int() would truncate to a valid run
+    pytest.param("validate", {"mesh": {"levels": [[1.5, 6.9, 2]]}},
+                 id="level-fractional"),
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": 1.9}},
+                 id="cube-n-fractional"),
+    pytest.param("validate", {"order": 1.7}, id="order-fractional"),
+    pytest.param("optimize", {"mesh": {"kind": "cylinder", "base": [1, 6, 2],
+                                       "refine": 1.5},
+                              "problem": {"u_d": "exact_H"}},
+                 id="refine-fractional"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = _write(tmp_path, "cfg.json", payload)

@@ -1,5 +1,6 @@
 """Mesh construction, topology, file round-trips, refinement."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -39,6 +40,36 @@ def test_cube_family_invariants(n):
     assert m.tet_volumes().sum() == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cube_tets_are_kuhn_simplices(n):
+    # sorted by vertex id, each tet is a lattice chain from a cell's lower
+    # corner to its upper one whose three steps are distinct unit vectors
+    m = generate_cube(n)
+    ijk = np.stack(np.unravel_index(np.sort(m.tets, axis=1), (n + 1,) * 3),
+                   axis=-1)
+    steps = np.diff(ijk, axis=1)  # (T, 3 steps, 3 axes)
+    assert np.all((steps == 0) | (steps == 1))
+    assert np.all(steps.sum(axis=1) == 1) and np.all(steps.sum(axis=2) == 1)
+    assert len({tuple(t) for t in np.sort(m.tets, axis=1).tolist()}) == 6 * n**3
+
+
+def _tets_digest(m):
+    data = np.ascontiguousarray(m.tets, dtype="<i8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: generate_cylinder(0.5, 1, 5, 30, 10), "56b7c0a5bdebed56"),
+    (lambda: refine_uniform(refine_uniform(
+        generate_cylinder(0.5, 1, 1, 8, 2))), "64646259b48ef92f"),
+    (lambda: generate_cylinder(0.5, 1, 3, 18, 6), "e1652a00342c9820"),
+], ids=["forward-o0", "optimize-o0-L2", "optimize-o1"])
+def test_bench_meshes_keep_their_tets(make, digest):
+    # the tets, in order, of the meshes behind the bench references; the
+    # vertex bits are left out, they depend on the platform's libm
+    assert _tets_digest(make()) == digest
+
+
 def test_cube_boundary_faces_counterclockwise_outward():
     m = generate_cube(2)
     v = m.vertices[m.boundary_faces]
@@ -50,7 +81,8 @@ def test_cube_boundary_faces_counterclockwise_outward():
 
 
 def test_cylinder_volume_is_inscribed_prism():
-    for n_r, n_t, n_z in [(1, 6, 2), (2, 12, 4), (3, 7, 1)]:
+    for n_r, n_t, n_z in [(1, 6, 2), (2, 12, 4), (3, 7, 1), (1, 3, 1),
+                          (4, 5, 3)]:
         m = generate_cylinder(0.5, 1.0, n_r, n_t, n_z)
         exact = 1.0 * n_t * 0.5**2 / 2 * np.sin(2 * np.pi / n_t)
         assert m.tet_volumes().sum() == pytest.approx(exact, rel=1e-12)
@@ -200,3 +232,14 @@ def test_generate_cylinder_rejects_bad_params():
         generate_cylinder(0.5, 1.0, 0, 6, 2)
     with pytest.raises((MeshError, ValueError)):
         generate_cylinder(0.5, 1.0, 1, 2, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_cube(1.9), lambda: generate_cylinder(0.5, 1.0, 1.5, 6, 2),
+    lambda: generate_cylinder(0.5, 1.0, 1, 6.9, 2),
+    lambda: generate_cylinder(0.5, 1.0, 1, 6, 2.5),
+], ids=["cube-n", "cylinder-n_r", "cylinder-n_theta", "cylinder-n_z"])
+def test_generators_reject_fractional_counts(make):
+    # int() would truncate these to a valid, smaller mesh
+    with pytest.raises(MeshError, match="expected an integer"):
+        make()

@@ -425,17 +425,21 @@ def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets():
             assert np.array_equal(part, want)
 
 
-def test_element_loop_holds_two_basis_sized_arrays():
+@pytest.mark.parametrize("run", [
+    lambda space, f: assemble_load(space.mesh, space, f),
+    lambda space, f: hcurl_error(space, np.zeros(space.n_dofs), f, f),
+], ids=["assemble_load", "hcurl_error"])
+def test_element_loop_holds_two_basis_sized_arrays(run):
     # at order 1 and the default load degree one chunk's basis values are
     # CHUNK x 64 points x 3 x 20 doubles = 7.9 MB; the span and Phi of one
     # chunk are two such arrays, and a loop that still holds the previous
-    # chunk's Phi while it builds the next peaks at three (26.3 MB)
+    # chunk's Phi, or Phi while it builds curlPhi, peaks at three (26.3 MB)
     m = generate_cylinder(0.5, 1.0, 3, 18, 6)
     space = FESpace(m, 1)
     space.basis  # built once per space, not part of the loop
     tracemalloc.start()
     try:
-        assemble_load(m, space, lambda x: np.ones(x.shape, complex))
+        run(space, lambda x: np.ones(x.shape, complex))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
