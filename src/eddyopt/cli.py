@@ -188,13 +188,18 @@ def load_config(path, command, out=None, order=None, seed=None):
         if not family:
             raise ConfigError("mesh: the level family is empty "
                               "(refine must be >= 1, levels non-empty)")
+        seed = whole(raw.get("seed", 0)) if seed is None else seed
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        vtk = raw.get("vtk", False)
+        if not isinstance(vtk, bool):
+            raise ConfigError(f"vtk must be true or false, got {vtk!r}")
 
         return RunConfig(
             command=command, order=order, electrode=electrode,
             problem=problem, family=family,
             out=out if out is not None else raw.get("out", "out"),
-            seed=whole(raw.get("seed", 0)) if seed is None else seed,
-            vtk=bool(raw.get("vtk", False)),
+            seed=seed, vtk=vtk,
             tol=float(opt.get("tol", 1e-9)),
             max_iter=whole(opt.get("max_iter", 500)),
             n_probes=n_probes, t_list=t_list, fit_floor=fit_floor,

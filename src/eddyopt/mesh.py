@@ -244,6 +244,8 @@ def parse_msh(src):
     xyz = np.empty((n_nodes, 3), dtype=float)
     for k, ln in enumerate(node_lines[1:]):
         parts = ln.split()
+        if len(parts) < 4:
+            raise MeshError(f"$Nodes line {ln!r} has fewer than 4 fields")
         ids[k] = int(parts[0])
         xyz[k] = [float(parts[1]), float(parts[2]), float(parts[3])]
     id2idx = {int(v): k for k, v in enumerate(ids)}
@@ -255,6 +257,9 @@ def parse_msh(src):
     tets, tris = [], []
     for ln in elem_lines[1:]:
         parts = [int(p) for p in ln.split()]
+        if len(parts) < 3 or len(parts) < 3 + parts[2]:
+            raise MeshError(f"$Elements line {ln!r} is shorter than its "
+                            "tag count implies")
         etype, ntags = parts[1], parts[2]
         nodes = parts[3 + ntags:]
         try:
@@ -327,8 +332,8 @@ def mesh_to_json(mesh, path=None):
 
 
 def whole(v):
-    """int(v), or MeshError where that would truncate v."""
-    if int(v) != v:
+    """int(v), or MeshError where v is a bool or int() would truncate it."""
+    if isinstance(v, bool) or int(v) != v:
         raise MeshError(f"expected an integer, got {v!r}")
     return int(v)
 

@@ -95,10 +95,13 @@ def _span(k, pts, curls):
 class FESpace:
     """H(curl)-conforming space of order k on a tetrahedral mesh.
 
-    Dof numbering: k + 1 moments per edge first (edge e, moment m -> dof
-    (k+1) e + m), then for k = 1 two moments per face (face f, moment d ->
-    2 E + 2 f + d). `boundary_dofs` collects the dofs of boundary edges
-    and boundary faces; `interior_dofs` is the complement.
+    Dof numbering, the one place it is decided: `edge_dofs[e, m]` (E, k + 1)
+    is the global dof of moment m of edge e, and `face_dofs[f, d]` (F, 2k)
+    that of moment d of face f; the edge dofs come first, so
+    edge_dofs[e, m] = (k+1) e + m and face_dofs[f, d] = (k+1) E + 2 f + d.
+    `cell_dofs` (tets, n_local) lists a tet's edge dofs, then its face dofs,
+    in `tet_edges` and `tet_faces` order. `boundary_dofs` collects the dofs
+    of boundary edges and boundary faces; `interior_dofs` is the complement.
     """
 
     def __init__(self, mesh, k):
@@ -107,29 +110,17 @@ class FESpace:
         self.mesh = mesh
         self.k = k
         ne, nf = mesh.n_edges, len(mesh.faces)
-        self.n_edge_dofs = (k + 1) * ne
-        self.n_dofs = self.n_edge_dofs + (2 * nf if k == 1 else 0)
-
-        te = mesh.tet_edges
-        if k == 0:
-            self.cell_dofs = te.copy()
-        else:
-            parts = [2 * te, 2 * te + 1]
-            ed = np.stack(parts, axis=2).reshape(-1, 12)
-            tf = mesh.tet_faces
-            fd = np.stack(
-                [self.n_edge_dofs + 2 * tf, self.n_edge_dofs + 2 * tf + 1],
-                axis=2).reshape(-1, 8)
-            self.cell_dofs = np.concatenate([ed, fd], axis=1)
-
-        bd = [(k + 1) * mesh.boundary_edges + m for m in range(k + 1)]
-        if k == 1:
-            bd += [self.n_edge_dofs + 2 * mesh.boundary_face_ids + d
-                   for d in range(2)]
-        self.boundary_dofs = np.unique(np.concatenate(bd))
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.boundary_dofs] = False
-        self.interior_dofs = np.flatnonzero(mask)
+        self.n_dofs = (k + 1) * ne + 2 * k * nf
+        self.edge_dofs = np.arange((k + 1) * ne).reshape(ne, k + 1)
+        self.face_dofs = np.arange((k + 1) * ne, self.n_dofs).reshape(nf, 2 * k)
+        per_tet = lambda table, ids: table[ids].reshape(mesh.n_tets, -1)
+        self.cell_dofs = np.hstack([per_tet(self.edge_dofs, mesh.tet_edges),
+                                    per_tet(self.face_dofs, mesh.tet_faces)])
+        self.boundary_dofs = np.unique(np.concatenate([
+            self.edge_dofs[mesh.boundary_edges].ravel(),
+            self.face_dofs[mesh.boundary_face_ids].ravel()]))
+        self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs),
+                                          self.boundary_dofs, assume_unique=True)
 
     @property
     def n_local(self):

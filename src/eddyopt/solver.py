@@ -38,10 +38,10 @@ class SolverError(RuntimeError):
 
 def _dof_points(space):
     """Edge midpoints for the edge dofs, face centroids for face dofs."""
-    m = space.mesh
-    return np.concatenate(
-        [np.repeat(m.vertices[m.edges].mean(axis=1), space.k + 1, axis=0)]
-        + [np.repeat(m.vertices[m.faces].mean(axis=1), 2, axis=0)] * space.k)
+    m, x = space.mesh, np.empty((space.n_dofs, 3))
+    x[space.edge_dofs] = m.vertices[m.edges].mean(axis=1)[:, None]
+    x[space.face_dofs] = m.vertices[m.faces].mean(axis=1)[:, None]
+    return x
 
 
 def _nested_dissection(x, A):

@@ -163,7 +163,7 @@ def lifting_matrix(space):
     """
     mesh = space.mesh
     n_ctrl = mesh.n_boundary_edges
-    rows = (space.k + 1) * mesh.boundary_edges
+    rows = space.edge_dofs[mesh.boundary_edges, 0]
     cols, data = np.arange(n_ctrl), np.ones(n_ctrl)
     if space.k == 1:
         bidx, W, g = _face_table(mesh)
@@ -171,8 +171,7 @@ def lifting_matrix(space):
         sorted_verts = mesh.vertices[mesh.faces[gids]]
         # face moment directions of the volume space use the ascending-id triple
         q = sorted_verts[:, 1:] - sorted_verts[:, :1]
-        rows = np.append(rows, np.repeat(
-            space.n_edge_dofs + 2 * gids[:, None] + np.arange(2), 3, axis=1))
+        rows = np.append(rows, np.repeat(space.face_dofs[gids], 3, axis=1))
         cols = np.append(cols, np.tile(bidx, 2))
         data = np.append(data, np.einsum("ficd,fdx,fkx->fki", W, g, q) / 3.0)
     return sp.csr_matrix((data, (rows, cols)), (space.n_dofs, n_ctrl))
@@ -188,5 +187,5 @@ def lift(space, z):
 
 def tangential_trace(space, u):
     """Mean tangential moments on boundary edges (the j = 0 trace)."""
-    mesh = space.mesh
-    return np.asarray(u, dtype=complex)[(space.k + 1) * mesh.boundary_edges]
+    dofs = space.edge_dofs[space.mesh.boundary_edges, 0]
+    return np.asarray(u, dtype=complex)[dofs]

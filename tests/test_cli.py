@@ -11,7 +11,7 @@ import pytest
 
 from eddyopt import cli
 from eddyopt.cli import main
-from eddyopt.mesh import parse_msh
+from eddyopt.mesh import generate_cube, parse_msh, write_msh
 
 
 def _write(tmp_path, name, payload):
@@ -303,6 +303,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  str(tmp_path / "o")]) == 2
     assert "u_d" in capsys.readouterr().err
 
+    cfg = _write(tmp_path, "seed.json", {"mesh": {"kind": "cube", "n": 1}})
+    assert main(["grad-check", "--config", cfg, "--out",
+                 str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+    # a node line with three fields, which used to raise IndexError
+    msh = tmp_path / "short.msh"
+    good = write_msh(generate_cube(1))
+    msh.write_text(good.replace("\n1 0.0 0.0 0.0\n", "\n1 0.0 0.0\n", 1),
+                   encoding="utf-8")
+    cfg = _write(tmp_path, "msh.json", {"mesh": {"file": str(msh)}})
+    assert main(["gen-mesh", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "$Nodes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("command, payload", [
     pytest.param("optimize",
@@ -362,6 +378,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
                                        "refine": 1.5},
                               "problem": {"u_d": "exact_H"}},
                  id="refine-fractional"),
+    # JSON true is a Python bool, and int(True) == 1
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": True}},
+                 id="count-boolean"),
+    pytest.param("grad-check", {"seed": -1}, id="seed-negative"),
+    pytest.param("validate", {"vtk": "false"}, id="vtk-not-bool"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = _write(tmp_path, "cfg.json", payload)

@@ -186,6 +186,15 @@ def test_msh_parser_errors():
         no_tets.append(ln)
     with pytest.raises(MeshError):
         parse_msh(io.StringIO("\n".join(no_tets)))
+    # lines too short to hold their fields name their section
+    node = next(ln for ln in good.splitlines() if ln.startswith("1 "))
+    with pytest.raises(MeshError, match=r"\$Nodes"):
+        parse_msh(io.StringIO(good.replace(node, "1 0.0 0.0", 1)))
+    elements = good.split("$Elements\n")
+    short = elements[1].split("\n", 2)
+    short[1] = "1 2"
+    with pytest.raises(MeshError, match=r"\$Elements"):
+        parse_msh(io.StringIO(elements[0] + "$Elements\n" + "\n".join(short)))
 
 
 def test_mesh_to_json_round_trips_counts():
@@ -238,8 +247,10 @@ def test_generate_cylinder_rejects_bad_params():
     lambda: generate_cube(1.9), lambda: generate_cylinder(0.5, 1.0, 1.5, 6, 2),
     lambda: generate_cylinder(0.5, 1.0, 1, 6.9, 2),
     lambda: generate_cylinder(0.5, 1.0, 1, 6, 2.5),
-], ids=["cube-n", "cylinder-n_r", "cylinder-n_theta", "cylinder-n_z"])
+    lambda: generate_cube(True),
+], ids=["cube-n", "cylinder-n_r", "cylinder-n_theta", "cylinder-n_z",
+        "cube-n-bool"])
 def test_generators_reject_fractional_counts(make):
-    # int() would truncate these to a valid, smaller mesh
+    # int() would truncate these to a valid, smaller mesh, and True == 1
     with pytest.raises(MeshError, match="expected an integer"):
         make()

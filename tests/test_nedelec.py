@@ -178,10 +178,20 @@ def test_dof_counts():
     assert s0.n_dofs == m.n_edges
     assert s1.n_dofs == 2 * m.n_edges + 2 * m.faces.shape[0]
     assert s0.n_local == 6 and s1.n_local == 20
-    # boundary + interior partition the dofs
-    for s in (s0, s1):
+    E, F = m.n_edges, m.faces.shape[0]
+    for k, s in enumerate((s0, s1)):
+        # boundary + interior partition the dofs
         both = np.concatenate([s.boundary_dofs, s.interior_dofs])
         assert np.array_equal(np.sort(both), np.arange(s.n_dofs))
+        # the numbering the entity tables state, edge dofs first
+        e, mom = np.indices((E, k + 1))
+        assert np.array_equal(s.edge_dofs, (k + 1) * e + mom)
+        assert s.face_dofs.shape == (F, 2 * k)
+        f, d = np.indices((F, 2 * k))
+        assert np.array_equal(s.face_dofs, (k + 1) * E + 2 * f + d)
+        assert np.array_equal(s.cell_dofs, np.hstack([
+            s.edge_dofs[m.tet_edges].reshape(m.n_tets, -1),
+            s.face_dofs[m.tet_faces].reshape(m.n_tets, -1)]))
 
 
 def test_fespace_rejects_unsupported_order():
