@@ -225,16 +225,17 @@ def parse_msh(src):
         else:
             i += 1
 
-    if "MeshFormat" not in sections:
-        raise MeshError("missing $MeshFormat header")
+    for name in ("MeshFormat", "Nodes", "Elements"):
+        if not sections.get(name):
+            raise MeshError(f"missing or empty ${name} section")
     fmt = sections["MeshFormat"][0].split()
+    if len(fmt) < 2:
+        raise MeshError(f"$MeshFormat line {sections['MeshFormat'][0]!r} "
+                        "has fewer than 2 fields")
     if fmt[0] != "2.2":
         raise MeshError(f"unsupported MSH version {fmt[0]}, need 2.2")
     if fmt[1] != "0":
         raise MeshError("binary MSH files are not supported")
-
-    if "Nodes" not in sections or "Elements" not in sections:
-        raise MeshError("missing $Nodes or $Elements section")
 
     node_lines = sections["Nodes"]
     n_nodes = int(node_lines[0])

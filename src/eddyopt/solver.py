@@ -10,11 +10,12 @@ mode with diagonal pivots only, in geometric nested-dissection order
 (George 1973): each dof sits at its edge's midpoint or (order 1) its
 face's centroid, and level by level every part of more than LEAF dofs
 splits at the median, ties going low, of the axis with the smallest
-separator, the fewer of the lower dofs with an upper neighbour and the
-upper dofs with a lower neighbour; a split orders the lower part, the
-upper part, then the separator, and a part no axis splits is a leaf.
-Against minimum degree on A + A^T, nnz(L+U) falls 4.35M -> 2.65M at
-order 0 on a 5x30x10 cylinder and 4.53M -> 4.41M at order 1 on 3x18x6.
+separator. The separator is a minimum vertex cover of the bipartite graph
+of the entries that cross the median (Liu 1989), read off a maximum
+matching by Konig's theorem; a split orders the lower part, the upper
+part, then the separator, and a part no axis splits is a leaf. Against
+minimum degree on A + A^T, nnz(L+U) falls 4.35M -> 2.29M at order 0 on a
+5x30x10 cylinder and 4.53M -> 3.39M at order 1 on 3x18x6.
 Skipping the pivot search is safe because the imaginary part omega M is
 definite: every leading principal submatrix then has a definite imaginary
 part and is nonsingular, and Higham (Math. Comp. 67, 1998) bounds the
@@ -23,7 +24,10 @@ relative residual against solver_tol, and the largest one is kept.
 """
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import (breadth_first_order,
+                                  maximum_bipartite_matching)
 
 from .nedelec import assemble, assemble_load
 from .trace import lift
@@ -44,38 +48,97 @@ def _dof_points(space):
     return x
 
 
+def _graph(rows, cols, k):
+    """CSR pattern of the edges rows[i] -> cols[i] among k nodes."""
+    return sp.csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                        shape=(k, k))
+
+
+def _vertex_cover(lower, upper, mate):
+    """Minimum vertex cover, as a mask of nodes 0 .. k-1, of the bipartite
+    graph of edges lower[i] -> upper[i], given a maximum matching of it:
+    mate[u] (k entries) is the upper node matched to lower node u, or -1.
+
+    Konig: the cover is the lower nodes that no alternating path from an
+    unmatched lower node reaches, and the upper nodes that one does; a path
+    leaves a lower node by any edge and an upper node by its matching edge.
+    It has one node per matching edge.
+    """
+    k = len(mate)
+    is_lower = np.zeros(k, dtype=bool)
+    is_lower[lower] = True
+    back = np.flatnonzero(mate >= 0)
+    free = np.flatnonzero(is_lower & (mate < 0))
+    walk = _graph(np.r_[lower, mate[back], np.full_like(free, k)],
+                  np.r_[upper, back, free], k + 1)
+    reached = np.zeros(k + 1, dtype=bool)
+    reached[breadth_first_order(walk, k, return_predecessors=False)] = True
+    return reached[:k] != is_lower
+
+
 def _nested_dissection(x, A):
     """Order p of the dofs, dof i at x[i], that dissects the symmetric
     pattern of A (module docstring); all parts of a level split at once."""
     n, (r, c) = len(x), A.tocoo().coords
+    r, c = r[r < c], c[r < c]  # each edge once
+    rank = np.argsort(np.argsort(x, axis=0, kind="stable"), axis=0)
     part = np.zeros(n, dtype=np.intp)  # -1 once a dof has its place
-    keys = [np.zeros(n, dtype=np.int8)]  # per level: 0 lower part or leaf,
-    while (part >= 0).any():             # 1 upper part, 2 separator
+    keys = [np.zeros(n, dtype=np.int8)]  # per level: 0 lower part or
+                                         # leaf, 1 upper, 2 separator
+    while True:
         act = np.flatnonzero(part >= 0)
-        _, part[act], cnt = np.unique(part[act], return_inverse=True,
-                                      return_counts=True)
-        q = part[act]
-        P, mid = len(cnt), np.cumsum(cnt) - cnt + (cnt - 1) // 2
-        keep = (part[r] >= 0) & (part[r] == part[c])
-        r, c = r[keep], c[keep]
-        low, sep = np.zeros((2, 3, n), dtype=bool)
+        cnt = np.bincount(part[act])
+        big = cnt > LEAF  # a part of at most LEAF dofs is a leaf
+        part[act] = np.where(big, np.cumsum(big) - 1, -1)[part[act]]
+        act, cnt = act[part[act] >= 0], cnt[big]
+        if not len(act):
+            return np.lexsort(keys[::-1])
+        q, P = part[act], len(cnt)
+        mid = np.cumsum(cnt) - cnt + (cnt - 1) // 2
+        low = np.zeros(len(act), dtype=np.int32)  # bit d: lower half on d
+        for d in range(3):
+            med = x[act[np.argsort(q * n + rank[act, d])[mid]], d]
+            low |= (x[act, d] <= med[q]) << d
+        # code 8 * part + low, and a part of its own for each placed dof:
+        # an edge lies in one part iff its ends' codes differ below bit 3
+        code = 8 * (P + np.arange(n, dtype=np.int32))
+        code[act] = 8 * q + low
+        diff = code[r] ^ code[c]
+        r, c, diff = r[diff < 8], c[diff < 8], diff[diff < 8]
+        # the ends of the edges across a median, numbered 0 .. k-1
+        e = np.flatnonzero(diff)
+        nodes = np.zeros(n, dtype=bool)
+        nodes[r[e]] = nodes[c[e]] = True
+        nodes = np.flatnonzero(nodes)
+        k, local = len(nodes), np.empty(n, dtype=np.intp)
+        local[nodes] = np.arange(k)
+        # per axis, the crossing graph from lower to upper ends, a maximum
+        # matching on it, and its size, the size of a minimum cover (Konig)
+        cross, mate = [], np.empty((3, k), dtype=np.intp)
         size = np.full((3, P), n + 1)  # n + 1: the axis does not split
         for d in range(3):
-            med = x[act[np.lexsort((x[act, d], q))[mid]], d]
-            low[d, act] = x[act, d] <= med[q]
-            sep[d, r[low[d, r] != low[d, c]]] = True  # across the median
-            n_lo = np.bincount(part[sep[d] & low[d]], minlength=P)
-            n_hi = np.bincount(part[sep[d] & ~low[d]], minlength=P)
-            sep[d] &= low[d] != (n_hi < n_lo)[part]
-            splits = (cnt > LEAF) & (np.bincount(q, ~low[d, act]) > 0)
-            size[d, splits] = np.minimum(n_lo, n_hi)[splits]
+            on = e[(diff[e] >> d & 1).astype(bool)]
+            r_lo = (code[r[on]] >> d & 1).astype(bool)
+            ends = local[r[on]], local[c[on]]
+            cross.append(np.where(r_lo, ends, ends[::-1]))
+            mate[d] = maximum_bipartite_matching(_graph(*cross[d], k),
+                                                 perm_type="column")
+            splits = np.bincount(q, (low >> d & 1) == 0) > 0
+            size[d, splits] = np.bincount(part[nodes[mate[d] >= 0]],
+                                          minlength=P)[splits]
         axis = np.argmin(size, axis=0)
-        split = (size[axis, np.arange(P)] <= n)[q]
-        lo, on_sep = low[axis[q], act], sep[axis[q], act]
+        split = size[axis, np.arange(P)] <= n
+        # the cover of the chosen axis' crossing graph, all parts at once
+        a, s = axis[part[nodes]], split[part[nodes]]
+        path = np.hstack([g[:, s[g[0]] & (a[g[0]] == d)]
+                          for d, g in enumerate(cross)])
+        m = np.where(s, mate[a, np.arange(k)], -1)
+        on_sep = np.zeros(n, dtype=bool)
+        on_sep[nodes[_vertex_cover(*path, m)]] = True
+        on_sep, lo = on_sep[act], (low >> axis[q] & 1).astype(bool)
         keys.append(np.zeros(n, dtype=np.int8))
-        keys[-1][act] = np.where(split, np.where(on_sep, 2, ~lo), 0)
-        part[act] = np.where(split & ~on_sep, 2 * q + ~lo, -1)
-    return np.lexsort(keys[::-1])
+        keys[-1][act] = np.where(split[q], np.where(on_sep, 2, ~lo), 0)
+        part[act] = np.where(split[q] & ~on_sep, 2 * q + ~lo, -1)
 
 
 class StateOperator:

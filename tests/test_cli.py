@@ -319,6 +319,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "$Nodes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
+    # empty sections and a one-field format line, which raised IndexError
+    for name, text in [
+            ("Nodes", good.split("$Nodes\n")[0] + "$Nodes\n$EndNodes\n"
+             + good.split("$EndNodes\n")[1]),
+            ("MeshFormat", good.replace("2.2 0 8\n", "", 1)),
+            ("Elements", good.split("$Elements\n")[0]
+             + "$Elements\n$EndElements\n"),
+            ("MeshFormat", good.replace("2.2 0 8", "2.2", 1))]:
+        msh.write_text(text, encoding="utf-8")
+        assert main(["gen-mesh", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        assert f"${name}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("command, payload", [
     pytest.param("optimize",

@@ -195,6 +195,13 @@ def test_msh_parser_errors():
     short[1] = "1 2"
     with pytest.raises(MeshError, match=r"\$Elements"):
         parse_msh(io.StringIO(elements[0] + "$Elements\n" + "\n".join(short)))
+    # empty sections and a one-field format line name their section
+    for name in ("MeshFormat", "Nodes", "Elements"):
+        body = good.split(f"${name}\n", 1)[1].split(f"$End{name}", 1)[0]
+        with pytest.raises(MeshError, match=rf"\${name}"):
+            parse_msh(io.StringIO(good.replace(body, "", 1)))
+    with pytest.raises(MeshError, match=r"\$MeshFormat"):
+        parse_msh(io.StringIO(good.replace("2.2 0 8", "2.2", 1)))
 
 
 def test_mesh_to_json_round_trips_counts():
