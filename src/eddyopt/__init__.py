@@ -3,7 +3,8 @@
 Edge (Nedelec) finite elements over complex fields, a surface-edge control
 space on the boundary with closed-form curl/mass matrices, adjoint-based
 reduced gradients in Wirtinger form, and a limited-memory BFGS (20 pairs)
-driver, validated against an analytic cylinder solution.
+driver preconditioned by the controls' Riesz map, validated against an
+analytic cylinder solution.
 """
 
 from .mesh import (

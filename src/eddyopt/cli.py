@@ -7,9 +7,9 @@ a ``summary.json`` into an output directory:
 * ``validate``   boundary-driven solves against the analytic cylinder field
                  on a refinement family; reports the H(curl) convergence rate
 * ``grad-check`` finite-difference probe of the reduced gradient
-* ``optimize``   limited-memory BFGS (20 pairs) control optimization across
-                 a refinement family with relative cost gaps against the
-                 finest level
+* ``optimize``   Riesz-preconditioned limited-memory BFGS (20 pairs) control
+                 optimization across a refinement family with relative
+                 cost gaps against the finest level
 
 Every command is deterministic for a fixed seed.  The exit code is 0 only
 if all internal assertions (rate/slope/plateau/termination checks) pass.
@@ -405,7 +405,9 @@ def _monotone(gaps, key):
 
 
 def cmd_optimize(cfg):
-    """Limited-memory BFGS (20 pairs) control optimization across levels.
+    """Riesz-preconditioned limited-memory BFGS (20 pairs) control
+    optimization across levels; its evaluation count does not grow with
+    the level.
 
     The finest level's optimum is the reference; relative gaps of J and of
     the tracking term are reported per level.  Exit 0 requires every level
