@@ -11,8 +11,10 @@ a ``summary.json`` into an output directory:
                  optimization across a refinement family with relative
                  cost gaps against the finest level
 
-Every command is deterministic for a fixed seed.  The exit code is 0 only
-if all internal assertions (rate/slope/plateau/termination checks) pass.
+Every command is deterministic for a fixed seed.  ``main`` writes every
+``summary.json``: ``ok`` only if all checks (rate/slope/plateau/termination)
+pass, and a raised error as ``failure`` with its ``traceback``.  It exits 0
+when ok, 1 if not, and 2 on a bad config, ``--out`` or degenerate mesh.
 """
 
 import argparse
@@ -246,7 +248,11 @@ def write_vtk_state(path, mesh, space, u, title="state"):
                 fh.write(f"{v[0]!r} {v[1]!r} {v[2]!r}\n")
 
 
-def _level_study(cfg, solve):
+def _failure(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _level_study(cfg, solve, summary):
     """Run ``solve(tag, mesh, space)`` on every level of the family.
 
     ``solve`` returns the level's table entries (a dict), its StateOperator
@@ -254,9 +260,11 @@ def _level_study(cfg, solve):
     the level tag, mesh size and dof count and ends with the seconds the
     level took and the process's peak resident memory so far in MB
     (ru_maxrss, KiB on Linux).  The study stops at the first level that
-    raises; returns the rows, one solver record per row (nonzeros of the
-    interior block and its factor, largest solve residual; summary.json),
-    and the failure and its traceback (None when every level ran).
+    raises and records it in ``summary`` as ``failure`` with its
+    ``traceback``; the tables keep the levels before it.  ``summary`` also
+    gets ``levels``, one solver record per completed level (nonzeros of the
+    interior block and its factor, largest solve residual), and
+    ``levels_completed``.  Returns the rows.
     """
     rows, records, m = [], [], None
     for tag, step in cfg.family:
@@ -275,24 +283,24 @@ def _level_study(cfg, solve):
             if cfg.vtk:
                 write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
                                 m, space, state())
-        except Exception as exc:  # the tables keep the levels before it
-            return rows, records, f"level {tag}: {exc}", traceback.format_exc()
-    return rows, records, None, None
+        except Exception as exc:
+            summary.update(failure=f"level {tag}: {_failure(exc)}",
+                           traceback=traceback.format_exc())
+            break
+    summary.update(levels=records, levels_completed=len(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_mesh(cfg):
+def cmd_gen_mesh(cfg, summary):
     """Build the family's first mesh, write MSH + JSON topology summary."""
-    _, first = cfg.family[0]
-    m = first(None)
-    os.makedirs(cfg.out, exist_ok=True)
+    m = cfg.family[0][1](None)  # the first level's step
     write_msh(m, os.path.join(cfg.out, "mesh.msh"))
-    with open(os.path.join(cfg.out, "mesh.json"), "w", encoding="utf-8") as fh:
-        fh.write(mesh_to_json(m))
-    info = {
+    mesh_to_json(m, os.path.join(cfg.out, "mesh.json"))
+    summary["mesh"] = {
         "n_vertices": m.n_vertices, "n_edges": m.n_edges,
         "n_faces": int(m.faces.shape[0]), "n_tets": m.n_tets,
         "n_boundary_faces": int(m.boundary_faces.shape[0]),
@@ -301,18 +309,18 @@ def cmd_gen_mesh(cfg):
         "volume": float(m.tet_volumes().sum()),
         "euler_characteristic": m.euler_characteristic(),
     }
-    _write_summary(cfg.out, {"command": "gen-mesh", "mesh": info, "ok": True})
-    return 0
+    return True
 
 
-def cmd_validate(cfg):
+def cmd_validate(cfg, summary):
     """Convergence study: boundary-driven solve vs the analytic rod field.
 
     Each level solves the homogeneous-source problem whose boundary data is
     the interpolated analytic magnetic field, then measures the H(curl)
-    error.  Exit 0 requires the fitted rate to reach the order's target.
+    error.  It passes when the fitted rate reaches the order's target.
     """
-    os.makedirs(cfg.out, exist_ok=True)
+    target = 0.9 if cfg.order == 0 else 1.8
+    summary.update(order=cfg.order, rate=None, rate_target=target)
     el = cfg.electrode
     exact = lambda x: analytic.exact_H(x, el)
     exact_curl = lambda x: analytic.exact_curl_H(x, el)
@@ -323,26 +331,18 @@ def cmd_validate(cfg):
         u = op.solve_dirichlet(interpolate(space, exact))
         return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
 
-    rows, levels, failure, trace = _level_study(cfg, solve)
+    rows = _level_study(cfg, solve, summary)
     header = ["level", "h", "n_dofs", "hcurl_error", "seconds", "peak_rss_mb"]
     _write_csv(os.path.join(cfg.out, "convergence.csv"), header,
                [[r[k] for k in header] for r in rows])
-    slope = None
-    if len(rows) >= 2:
-        slope = loglog_slope([r["h"] for r in rows],
-                             [r["hcurl_error"] for r in rows])
-    target = 0.9 if cfg.order == 0 else 1.8
-    ok = failure is None and slope is not None and slope >= target
-    _write_summary(cfg.out, {
-        "command": "validate", "order": cfg.order, "rate": slope,
-        "rate_target": target, "levels_completed": len(rows),
-        "levels": levels, "failure": failure, "traceback": trace,
-        "ok": bool(ok),
-    })
-    return 0 if ok else 1
+    if len(rows) < 2:
+        return False
+    summary["rate"] = loglog_slope([r["h"] for r in rows],
+                                   [r["hcurl_error"] for r in rows])
+    return summary["rate"] >= target
 
 
-def cmd_gradcheck(cfg):
+def cmd_gradcheck(cfg, summary):
     """Finite-difference probe of the reduced gradient.
 
     Writes one error column per probe direction; asserts the fitted decay
@@ -351,9 +351,8 @@ def cmd_gradcheck(cfg):
     derivative (a random probe's own derivative can be near zero, which
     would report float64 round-off in j as a gradient error).
     """
-    _, first = cfg.family[0]
-    m = first(None)
-    os.makedirs(cfg.out, exist_ok=True)
+    summary.update(order=cfg.order, seed=cfg.seed)
+    m = cfg.family[0][1](None)  # the first level's step
     space = FESpace(m, cfg.order)
     rp = ReducedProblem(m, space, cfg.problem)
     rng = np.random.default_rng(cfg.seed)
@@ -381,13 +380,8 @@ def cmd_gradcheck(cfg):
     _write_csv(os.path.join(cfg.out, "gradcheck.csv"),
                ["t"] + [f"err_probe{i}" for i in range(len(probes))],
                [tuple(float(v) for v in row) for row in cols])
-    ok = all(0.8 <= s <= 1.2 for s in slopes) and all(p <= 1e-7 for p in plateaus)
-    _write_summary(cfg.out, {
-        "command": "grad-check", "order": cfg.order,
-        "slopes": [float(s) for s in slopes],
-        "plateaus": plateaus, "seed": cfg.seed, "ok": bool(ok),
-    })
-    return 0 if ok else 1
+    summary.update(slopes=[float(s) for s in slopes], plateaus=plateaus)
+    return all(0.8 <= s <= 1.2 for s in slopes) and all(p <= 1e-7 for p in plateaus)
 
 
 def _gap(value, ref):
@@ -404,16 +398,16 @@ def _monotone(gaps, key):
     return all(a >= b for a, b in zip(g, g[1:]))
 
 
-def cmd_optimize(cfg):
+def cmd_optimize(cfg, summary):
     """Riesz-preconditioned limited-memory BFGS (20 pairs) control
     optimization across levels; its evaluation count does not grow with
     the level.
 
     The finest level's optimum is the reference; relative gaps of J and of
-    the tracking term are reported per level.  Exit 0 requires every level
-    to terminate at the gradient tolerance.
+    the tracking term are reported per level.  It passes when every level
+    terminates at the gradient tolerance.
     """
-    os.makedirs(cfg.out, exist_ok=True)
+    summary.update(order=cfg.order, tol=cfg.tol)
     hist_rows = []
 
     def solve(tag, m, space):
@@ -439,18 +433,17 @@ def cmd_optimize(cfg):
                  "state_solves": rp.op.n_state_solves},
                 rp.op, lambda: rp.op.solve_state(z))
 
-    rows, levels, failure, trace = _level_study(cfg, solve)
+    rows = _level_study(cfg, solve, summary)
     _write_csv(os.path.join(cfg.out, "history.csv"),
                ["level", "iteration", "J", "J1", "J2", "J3", "grad_norm",
                 "step"], hist_rows)
 
     stalled = [r for r in rows if r["grad_norm"] > cfg.tol]
-    if failure is None and stalled:
-        failure = f"level {stalled[-1]['level']}: no convergence " \
+    if summary["failure"] is None and stalled:
+        summary["failure"] = f"level {stalled[-1]['level']}: no convergence " \
             f"(grad_norm={stalled[-1]['grad_norm']:.3e} > {cfg.tol:.1e})"
-    ok = failure is None
     gaps = []
-    if len(rows) >= 2 and ok:
+    if len(rows) >= 2 and summary["failure"] is None:
         ref = rows[-1]
         gaps = [{"level": r["level"], "gap_J": _gap(r["J"], ref["J"]),
                  "gap_J1": _gap(r["J1"], ref["J1"])} for r in rows[:-1]]
@@ -462,14 +455,9 @@ def cmd_optimize(cfg):
               "peak_rss_mb", "gap_J", "gap_J1"]
     _write_csv(os.path.join(cfg.out, "study.csv"), header,
                [[r.get(k, "") for k in header] for r in rows])
-    _write_summary(cfg.out, {
-        "command": "optimize", "order": cfg.order, "tol": cfg.tol,
-        "levels_completed": len(rows), "levels": levels,
-        "gaps": gaps, "monotone_gap_J": _monotone(gaps, "gap_J"),
-        "monotone_gap_J1": _monotone(gaps, "gap_J1"),
-        "failure": failure, "traceback": trace, "ok": bool(ok),
-    })
-    return 0 if ok else 1
+    summary.update(gaps=gaps, monotone_gap_J=_monotone(gaps, "gap_J"),
+                   monotone_gap_J1=_monotone(gaps, "gap_J1"))
+    return not stalled
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +489,22 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.command, out=args.out,
                           order=args.order, seed=args.seed)
-    except (OSError, ConfigError) as exc:
+        os.makedirs(cfg.out, exist_ok=True)
+        summary = {"command": cfg.command, "failure": None, "traceback": None}
+        try:
+            passed = _COMMANDS[cfg.command](cfg, summary)
+        except MeshError:  # a generated mesh is degenerate (e.g. R = 1e-200)
+            raise
+        except Exception as exc:
+            passed = False
+            summary.update(failure=_failure(exc),
+                           traceback=traceback.format_exc())
+    except (OSError, ConfigError, MeshError) as exc:
         print(f"eddyctl: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except MeshError as exc:  # a generated mesh is degenerate (e.g. R = 1e-200)
-        print(f"eddyctl: {exc}", file=sys.stderr)
-        return 2
+    summary["ok"] = bool(passed) and summary["failure"] is None
+    _write_summary(cfg.out, summary)
+    return 0 if summary["ok"] else 1
 
 
 if __name__ == "__main__":

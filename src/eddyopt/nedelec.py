@@ -170,6 +170,11 @@ class ProblemConfig:
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both vanish")
 
+    def quad_degree(self, k):
+        """Rule degree q of K, M and the tracking mass, 2k + 2 (exact for
+        Phi . Phi) unless set; the loads of j_c and u_d take q + 2."""
+        return self.quad_order or 2 * k + 2
+
 
 def _check_spd(mat, what):
     # mat (..., 3, 3)
@@ -362,9 +367,8 @@ def _mass_matrix(mesh, space, degree):
 
 def assemble(mesh, space, config):
     """Complex system matrix A = K(1/mu) + i omega M(kappa)."""
-    K, M = assemble_curl_mass(
-        mesh, space, config.mu, config.kappa,
-        config.quad_order if config.quad_order else 2 * space.k + 2)
+    K, M = assemble_curl_mass(mesh, space, config.mu, config.kappa,
+                              config.quad_degree(space.k))
     # K and M share one stored pattern; summing the data keeps all of it
     return sp.csr_matrix((K.data + 1j * config.omega * M.data, K.indices,
                           K.indptr), K.shape)

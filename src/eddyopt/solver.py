@@ -167,7 +167,8 @@ class StateOperator:
         self.n_state_solves = 0
         self.n_adjoint_solves = 0
         self.max_residual = 0.0
-        self.load = assemble_load(mesh, space, config.j_c)
+        self.load = assemble_load(mesh, space, config.j_c,
+                                  config.quad_degree(space.k) + 2)
 
     def _check_residual(self, rhs, sol):
         # written so that a NaN residual (NaN or inf data) fails the check

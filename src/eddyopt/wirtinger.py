@@ -76,9 +76,7 @@ class ReducedProblem:
         # surface-curl and surface mass Gram matrices of the control basis
         self.K = surface_curl_matrix(mesh)
         self.M = surface_mass_matrix(mesh)
-        # The state's rule integrates Phi . Phi (degree 2k + 2) exactly; u_d
-        # is not a polynomial, so d and c_d take two degrees more.
-        q = config.quad_order or 2 * space.k + 2
+        q = config.quad_degree(space.k)
         self.M_c = _mass_matrix(mesh, space, q)
         self.d, self.c_d = _load(mesh, space, config.u_d, q + 2)
         # P is symmetric positive definite, so diagonal pivots are safe.

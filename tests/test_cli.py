@@ -436,3 +436,51 @@ def test_order_override_flows_into_summary(tmp_path):
     assert main(["grad-check", "--config", cfg, "--out", out,
                  "--order", "1"]) == 0
     assert _summary(out)["order"] == 1
+
+
+@pytest.mark.parametrize("problem, error", [
+    ({"solver_tol": 1e-20}, "SolverError"),
+    ({"kappa": -1}, "AssemblyError"),
+])
+def test_grad_check_failure_keeps_its_traceback(tmp_path, problem, error):
+    # an error outside a level study is recorded like one inside it
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]]},
+        "problem": problem,
+        "gradcheck": {"n_probes": 1, "n_t": 9},
+    })
+    out = str(tmp_path / "out")
+    assert main(["grad-check", "--config", cfg, "--out", out]) == 1
+    s = _summary(out)
+    assert s["ok"] is False and s["command"] == "grad-check"
+    assert s["failure"].startswith(f"{error}: ")
+    assert "Traceback" in s["traceback"] and error in s["traceback"]
+
+
+def test_out_naming_a_file_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"mesh": {"kind": "cube", "n": 1}})
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["gen-mesh", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("eddyctl:")
+    assert out.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("gen-mesh", {"mesh": {"kind": "cube", "n": 1}}),
+    # one level fits no rate: ok is false, with no failure
+    ("validate", {"mesh": {"kind": "cylinder", "levels": [[1, 6, 2]]}}),
+    ("grad-check", {"mesh": {"kind": "cube", "n": 1},
+                    "gradcheck": {"n_probes": 1, "n_t": 9}}),
+    ("optimize", {"mesh": {"kind": "cube", "n": 1},
+                  "problem": {"u_d": [0.1, 0, 0.2]}}),
+])
+def test_every_command_writes_the_same_summary_record(tmp_path, command,
+                                                      payload):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "out")
+    code = main([command, "--config", cfg, "--out", out])
+    s = _summary(out)  # strict JSON: NaN or Infinity would raise
+    assert s["command"] == command
+    assert code == (0 if s["ok"] else 1)
+    assert s["failure"] is None and s["traceback"] is None

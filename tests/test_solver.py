@@ -11,7 +11,9 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from eddyopt.mesh import (
     MeshError, generate_cube, generate_cylinder, parse_msh, write_msh)
-from eddyopt.nedelec import FESpace, ProblemConfig, assemble, interpolate
+from eddyopt.analytic import ElectrodeParams, exact_J
+from eddyopt.nedelec import (
+    FESpace, ProblemConfig, assemble, assemble_load, interpolate)
 from eddyopt.solver import (
     LEAF, SolverError, StateOperator, _dof_points, _graph, _nested_dissection,
     _vertex_cover)
@@ -61,6 +63,18 @@ def test_state_satisfies_interior_rows_and_boundary_data():
     assert np.linalg.norm(res) / np.linalg.norm(op.load[I]) <= 1e-10
     # the trace of the state is the control it was driven by
     assert np.abs(tangential_trace(space, u) - z).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k, quad_order", [(0, 6), (1, 2)])
+def test_load_takes_the_degree_of_quad_order(k, quad_order):
+    # j_c is integrated two degrees above the state's rule, as u_d is
+    mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    space = FESpace(mesh, k)
+    el = ElectrodeParams()
+    j_c = lambda x: exact_J(x, el)
+    op = StateOperator(mesh, space, ProblemConfig(j_c=j_c, quad_order=quad_order))
+    assert np.array_equal(op.load,
+                          assemble_load(mesh, space, j_c, quad_order + 2))
 
 
 @pytest.mark.parametrize("k,mesh_idx", [(0, 1), (0, 2), (1, 0)])
