@@ -76,17 +76,27 @@ class RunConfig:
 
 
 def _as_complex_vec(spec, name):
-    """Accept [a, b, c] (real) or {"re": [...], "im": [...]}."""
+    """Accept [a, b, c] (real) or {"re": [...], "im": [...]}, all finite."""
     if isinstance(spec, dict):
         re = np.asarray(spec.get("re", [0, 0, 0]), dtype=float)
         im = np.asarray(spec.get("im", [0, 0, 0]), dtype=float)
-        if re.shape != (3,) or im.shape != (3,):
-            raise ConfigError(f"{name}: expected 3-vectors for re/im")
-        return re + 1j * im
-    v = np.asarray(spec, dtype=float)
-    if v.shape != (3,):
-        raise ConfigError(f"{name}: expected a 3-vector")
-    return v.astype(complex)
+    else:
+        re, im = np.asarray(spec, dtype=float), np.zeros(3)
+    if re.shape != (3,) or im.shape != (3,):
+        raise ConfigError(f"{name}: expected a real or complex 3-vector")
+    # checked apart: combining an inf with 1j would warn and make NaNs
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ConfigError(f"{name}: entries must be finite")
+    return re + 1j * im
+
+
+def _finite(value, name, positive=False):
+    """value as a finite float, and > 0 if positive; NaN fails both."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0.0 or not positive)):
+        rule = "finite and positive" if positive else "finite"
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+    return value
 
 
 def resolve_field(spec, electrode, name):
@@ -129,8 +139,9 @@ def load_config(path, command, out=None, order=None, seed=None):
         p = raw.get("problem", {})
         quad_order = p.get("quad_order")
         problem = ProblemConfig(
-            mu=float(p.get("mu", 1.0)),
-            kappa=float(p.get("kappa", 1.0)),
+            mu=_finite(p.get("mu", 1.0), "problem.mu", positive=True),
+            # a kappa <= 0 is left to the assembly (AssemblyError)
+            kappa=_finite(p.get("kappa", 1.0), "problem.kappa"),
             omega=float(p.get("omega", 1.0)),
             j_c=resolve_field(p.get("j_c"), electrode, "j_c"),
             u_d=resolve_field(p.get("u_d"), electrode, "u_d"),
@@ -146,6 +157,10 @@ def load_config(path, command, out=None, order=None, seed=None):
             raise ConfigError("optimize requires problem.u_d")
 
         opt = raw.get("optimize", {})
+        tol = _finite(opt.get("tol", 1e-9), "optimize.tol", positive=True)
+        max_iter = whole(opt.get("max_iter", 500))
+        if max_iter < 0:
+            raise ConfigError(f"optimize.max_iter must be >= 0, got {max_iter}")
         gc = raw.get("gradcheck", {})
         n_probes = whole(gc.get("n_probes", 3))
         t_list = np.geomspace(float(gc.get("t_max", 1e-1)),
@@ -202,11 +217,11 @@ def load_config(path, command, out=None, order=None, seed=None):
             problem=problem, family=family,
             out=out if out is not None else raw.get("out", "out"),
             seed=seed, vtk=vtk,
-            tol=float(opt.get("tol", 1e-9)),
-            max_iter=whole(opt.get("max_iter", 500)),
+            tol=tol, max_iter=max_iter,
             n_probes=n_probes, t_list=t_list, fit_floor=fit_floor,
         )
-    except (ValueError, TypeError, AttributeError) as exc:  # ConfigError is one
+    except (ValueError, TypeError, AttributeError,
+            OverflowError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -220,9 +235,10 @@ def _write_csv(path, header, rows):
 
 
 def _write_summary(outdir, payload):
+    # serialized first, so a value JSON cannot hold leaves no partial file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_vtk_state(path, mesh, space, u, title="state"):

@@ -15,17 +15,19 @@ gradient of j is 2G. The state map is complex linear, so j is a quadratic
 and its line search interpolates a parabola.
 
 The controls are regularized by the surface curl, so the gradient's
-natural representative is its Riesz representative R = P^-1 G under the
-real surface matrix P = alpha K + (beta + RIESZ_MASS) M, factored once
-per problem. L-BFGS takes P^-1 as its initial inverse Hessian, which
-makes its evaluation count independent of the mesh (Schwedes, Ham, Funke
-& Piggott 2017): from z = 0 at order 0, alpha = 1e-3, beta = 0, levels
-L0-L3 of the [1, 8, 2] cylinder take 20 / 24 / 24 / 27 evaluations
-against 24 / 31 / 69 / 159 in the Euclidean metric.
+natural representative is its Riesz representative P^-1 G under the real
+surface matrix P = alpha K + (beta + RIESZ_MASS) M, factored once per
+problem. Each report carries the map v -> P^-1 v, and L-BFGS takes P^-1
+as its initial inverse Hessian, which makes its evaluation count
+independent of the mesh (Schwedes, Ham, Funke & Piggott 2017): from
+z = 0 at order 0, alpha = 1e-3, beta = 0, levels L0-L3 of the [1, 8, 2]
+cylinder take 20 / 24 / 24 / 27 evaluations against 24 / 31 / 69 / 159
+in the Euclidean metric.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -47,8 +49,8 @@ RIESZ_MASS = 0.1
 class CostReport:
     """Cost value and its parts: J = J1 + J2 + J3 with J1 the tracking
     misfit, J2 the surface-curl penalty, J3 the surface mass penalty.
-    riesz is the Riesz representative P^-1 G of the gradient; the
-    optimizer clears it once read, so kept reports do not hold it."""
+    riesz is the Riesz map v -> P^-1 v of the control space, or None for
+    the Euclidean one (P = I)."""
 
     J: float
     J1: float
@@ -57,7 +59,7 @@ class CostReport:
     iteration: int = None
     grad_norm: float = None
     step: float = None
-    riesz: np.ndarray = None
+    riesz: object = None
 
 
 class ReducedProblem:
@@ -66,7 +68,8 @@ class ReducedProblem:
     One factorization is shared by all cost/gradient evaluations; each
     evaluation costs one state solve, plus one adjoint solve when the
     gradient is requested. The Riesz map P of the controls is a surface
-    matrix with its own small factor; its solve is not a volume solve.
+    matrix with its own small factor; `riesz` solves with it, and that
+    solve is not a volume solve.
     """
 
     def __init__(self, mesh, space, config):
@@ -104,12 +107,17 @@ class ReducedProblem:
         J3 = 0.5 * self.config.beta * np.vdot(z, Mz).real
         return CostReport(J=J1 + J2 + J3, J1=J1, J2=J2, J3=J3), Mu, Kz, Mz
 
+    def riesz(self, v):
+        """P^-1 v for a complex v, as one two-column real solve."""
+        x = self.riesz_lu.solve(np.column_stack([v.real, v.imag]))
+        return x[:, 0] + 1j * x[:, 1]
+
     def cost(self, z):
         return self._evaluate(z)[0]
 
     def cost_and_gradient(self, z):
         """(CostReport, G) at z, with G the complex conjugate derivative
-        and the report carrying its Riesz representative P^-1 G."""
+        and the report carrying the Riesz map `riesz`."""
         z = np.asarray(z, dtype=complex)
         report, Mu, Kz, Mz = self._evaluate(z)
         rho = Mu - self.d
@@ -117,8 +125,7 @@ class ReducedProblem:
         G = (0.5 * T + 0.5 * self.config.alpha * Kz
              + 0.5 * self.config.beta * Mz)
         report.grad_norm = float(np.linalg.norm(G))
-        R = self.riesz_lu.solve(np.column_stack([G.real, G.imag]))
-        report.riesz = R[:, 0] + 1j * R[:, 1]
+        report.riesz = self.riesz
         return report, G
 
 
@@ -128,16 +135,13 @@ def directional_derivative(G, xi):
 
 
 def _as_value_grad(fun):
-    """fun as z -> (cost, G, R, report or None); R is the report's Riesz
-    representative, read and cleared, or G itself (P = I) if it has none."""
+    """fun as z -> (CostReport, G); a float cost becomes a report of J
+    alone, with no Riesz map."""
     def wrapped(z):
         f, G = fun(z)
-        G = np.asarray(G, dtype=complex)
         if not isinstance(f, CostReport):
-            return float(f), G, G, None
-        R = G if f.riesz is None else f.riesz
-        f.riesz = None
-        return f.J, G, R, f
+            f = CostReport(J=float(f), J1=float(f), J2=0.0, J3=0.0)
+        return f, np.asarray(G, dtype=complex)
     return wrapped
 
 
@@ -153,8 +157,8 @@ def fd_check(fun, z, xi, t_list=None, cost_fn=None):
         t_list = np.logspace(-1, -9, 17)
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    f0, G, _, _ = vg(z)
-    d = directional_derivative(G, xi)
+    report, G = vg(z)
+    f0, d = report.J, directional_derivative(G, xi)
     if cost_fn is None:
         def cost_fn(zz):
             return vg(zz)[0]
@@ -173,22 +177,20 @@ def loglog_slope(x, y):
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _two_loop(pairs, g, Pg):
-    """Inverse-Hessian approximation times g from the stored
-    (s, y, P^-1 y, 1/s.y) pairs (Nocedal 1980), with H0 = gamma P^-1 and
-    gamma = s.y / y.P^-1 y from the newest pair; Pg = P^-1 g, and a.b is
-    the real inner product Re(a^H b). P^-1 is linear, so P^-1 of the
-    first loop's vector q is carried along as r."""
-    q, r = g.copy(), Pg.copy()
+def _two_loop(pairs, g, P_inv):
+    """Inverse-Hessian approximation times g from the stored (s, y, 1/s.y)
+    pairs (Nocedal 1980), with H0 = gamma P^-1 and gamma = s.y / y.P^-1 y
+    from the newest pair; a.b is the real inner product Re(a^H b)."""
+    q = g.copy()
     alphas = []
-    for s, y, Py, rho in reversed(pairs):
+    for s, y, rho in reversed(pairs):
         alphas.append(rho * np.vdot(s, q).real)
         q -= alphas[-1] * y
-        r -= alphas[-1] * Py
+    r = P_inv(q)
     if pairs:
-        _, y, Py, rho = pairs[-1]
-        r /= rho * np.vdot(y, Py).real
-    for (s, y, Py, rho), a in zip(pairs, reversed(alphas)):
+        _, y, rho = pairs[-1]
+        r /= rho * np.vdot(y, P_inv(y)).real
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         r += (a - rho * np.vdot(y, r).real) * s
     return r
 
@@ -199,60 +201,53 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500):
 
     fun(z) -> (cost, G) where cost is a float or a CostReport and G the
     complex conjugate derivative. Iterates on z with the real inner
-    product Re(a^H b), under which the gradient is 2G. A CostReport may
-    carry the Riesz representative R = P^-1 G (`ReducedProblem` does);
-    the initial inverse Hessian is then gamma P^-1, and the first step and
-    the steepest-descent fallback go along -2R. A plain float cost, or a
-    report without R, is the case P = I. The optimizer never holds P:
-    each pair keeps P^-1 y = 2 (R_new - R) next to s and y. The line search
-    tries the unit step, then backtracks to the minimizer of the parabola
-    through f(0), f'(0) and the last rejected try, clamped to [0.1, 0.5]
-    of that try (Nocedal & Wright 2006, sec. 3.5); on a quadratic cost the
-    second try is the exact minimizer along the line. Terminates when
-    ||G|| drops to tol, or early when MAX_TRIES steps bring no sufficient
+    product Re(a^H b), under which the gradient is 2G. The first report's
+    Riesz map v -> P^-1 v (`ReducedProblem` sets one) is read once: the
+    initial inverse Hessian is gamma P^-1, and the first step and the
+    steepest-descent fallback go along -P^-1 (2G). A plain float cost, or
+    a report without a map, is the case P = I. The line search tries the
+    unit step, then backtracks to the minimizer of the parabola through
+    f(0), f'(0) and the last rejected try, clamped to [0.1, 0.5] of that
+    try (Nocedal & Wright 2006, sec. 3.5); on a quadratic cost the second
+    try is the exact minimizer along the line. Terminates when ||G||
+    drops to tol, or early when MAX_TRIES steps bring no sufficient
     decrease (a wrong gradient), leaving ||G|| > tol in the last history
     entry. Returns (z, history of CostReports).
     """
     vg = _as_value_grad(fun)
     z = np.asarray(z0, dtype=complex)
-    f, G, R, rep = vg(z)
+    rep, G = vg(z)
+    f, P_inv = rep.J, rep.riesz or (lambda v: v)
     history = []
-
-    def record(i, step):
-        r = rep if rep is not None else CostReport(
-            J=f, J1=f, J2=0.0, J3=0.0)
-        r.iteration = i
-        r.grad_norm = float(np.linalg.norm(G))
-        r.step = step
-        history.append(r)
-
-    record(0, None)
-    pairs = deque(maxlen=LBFGS_PAIRS)  # (s, y, P^-1 y, 1 / s.y), oldest first
-    for it in range(1, max_iter + 1):
-        if np.linalg.norm(G) <= tol:
+    pairs = deque(maxlen=LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
+    for it in count():
+        rep.iteration, rep.grad_norm = it, float(np.linalg.norm(G))
+        history.append(rep)
+        if rep.grad_norm <= tol or it >= max_iter:
             break
-        g, Pg = 2.0 * G, 2.0 * R
-        p = -_two_loop(pairs, g, Pg)
+        g = 2.0 * G
+        p = -_two_loop(pairs, g, P_inv)
         dphi0 = np.vdot(g, p).real
         if dphi0 >= 0.0:
             # fall back to steepest descent when the model direction fails
             pairs.clear()
-            p = -Pg
+            p = -P_inv(g)
             dphi0 = np.vdot(g, p).real
         a = 1.0
         for _ in range(MAX_TRIES):
             z_new = z + a * p
-            f_new, G_new, R_new, rep_new = vg(z_new)
+            rep_new, G_new = vg(z_new)
+            f_new = rep_new.J
             if f_new < f and f_new <= f + SUFFICIENT_DECREASE * a * dphi0:
                 break
             a_min = -dphi0 * a * a / (2.0 * (f_new - f - a * dphi0))
             a = min(0.5 * a, max(0.1 * a, a_min))
         else:
             break
-        s, y, Py = z_new - z, 2.0 * (G_new - G), 2.0 * (R_new - R)
+        s, y = z_new - z, 2.0 * (G_new - G)
         sy = np.vdot(s, y).real
         if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, Py, 1.0 / sy))
-        z, f, G, R, rep = z_new, f_new, G_new, R_new, rep_new
-        record(it, a)
+            pairs.append((s, y, 1.0 / sy))
+        z, f, G, rep = z_new, f_new, G_new, rep_new
+        rep.step = a
     return z, history

@@ -13,6 +13,9 @@ from eddyopt import cli
 from eddyopt.cli import main
 from eddyopt.mesh import generate_cube, parse_msh, write_msh
 
+# written by json.dumps as NaN and Infinity, which json.load accepts
+NAN, INF = float("nan"), float("inf")
+
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -397,6 +400,29 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  id="count-boolean"),
     pytest.param("grad-check", {"seed": -1}, id="seed-negative"),
     pytest.param("validate", {"vtk": "false"}, id="vtk-not-bool"),
+    # non-finite or non-positive physics, which would fail in a solve or
+    # the assembly after the output directory was written
+    pytest.param("grad-check", {"problem": {"j_c": [NAN, 0, 0]}},
+                 id="j-c-nan"),
+    pytest.param("grad-check", {"problem": {"u_d": {"re": [1, 0, 0],
+                                                    "im": [INF, 0, 0]}}},
+                 id="u-d-im-inf"),
+    pytest.param("grad-check", {"problem": {"mu": NAN}}, id="mu-nan"),
+    pytest.param("grad-check", {"problem": {"kappa": INF}}, id="kappa-inf"),
+    pytest.param("grad-check", {"problem": {"mu": -1.0}}, id="mu-negative"),
+    # a tolerance no gradient norm can reach, or an iteration count below 0
+    pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
+                              "optimize": {"tol": NAN}}, id="tol-nan"),
+    pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
+                              "optimize": {"tol": -1.0}}, id="tol-negative"),
+    pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
+                              "optimize": {"tol": INF}}, id="tol-inf"),
+    pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
+                              "optimize": {"max_iter": -3}},
+                 id="max-iter-negative"),
+    pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
+                              "optimize": {"max_iter": INF}},
+                 id="max-iter-inf"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -484,3 +510,10 @@ def test_every_command_writes_the_same_summary_record(tmp_path, command,
     assert s["command"] == command
     assert code == (0 if s["ok"] else 1)
     assert s["failure"] is None and s["traceback"] is None
+
+
+def test_a_summary_json_cannot_hold_leaves_no_file(tmp_path):
+    # a NaN is refused before summary.json is opened, not halfway through
+    with pytest.raises(ValueError):
+        cli._write_summary(str(tmp_path), {"ok": False, "rate": NAN})
+    assert not (tmp_path / "summary.json").exists()

@@ -70,8 +70,8 @@ def test_backtrack_lands_on_the_minimizer_of_a_quadratic():
 
 def test_riesz_preconditioned_first_step_is_the_newton_step():
     # j = sum d |z - c|^2 has G = d (z - c) and real Hessian 2 diag(d); with
-    # that Hessian as the Riesz map, R = G / (2 d) and the unit step along
-    # -2R lands on c
+    # that Hessian as the Riesz map, P^-1 v = v / (2 d) and the unit step
+    # along -P^-1 (2G) lands on c
     rng = np.random.default_rng(11)
     d = rng.uniform(1.0, 100.0, 6)
     c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -82,13 +82,16 @@ def test_riesz_preconditioned_first_step_is_the_newton_step():
         r = z - c
         J = float(d @ (r.real ** 2 + r.imag ** 2))
         G = d * r
-        return CostReport(J=J, J1=J, J2=0.0, J3=0.0, riesz=G / (2 * d)), G
+        return CostReport(J=J, J1=J, J2=0.0, J3=0.0,
+                          riesz=lambda v: v / (2 * d)), G
 
     z, history = bfgs_minimize(fun, np.zeros(6, complex), tol=1e-9)
     assert history[-1].iteration == 1
     assert len(calls) == 2
     assert np.linalg.norm(z - c) <= 1e-14 * np.linalg.norm(c)
-    assert all(h.riesz is None for h in history)
+    # the reports carry the map, never a vector solved per evaluation
+    assert not any(isinstance(v, np.ndarray)
+                   for h in history for v in vars(h).values())
 
 
 def test_bfgs_stops_when_the_line_search_finds_no_decrease():
@@ -126,6 +129,28 @@ def test_bfgs_memory_stays_linear_in_the_controls():
     assert history[-1].grad_norm <= 1e-9
     assert np.abs(z - c).max() <= 1e-9
     assert peak < 32e6
+
+
+def test_bfgs_keeps_one_copy_of_each_pair_without_a_riesz_map():
+    # 20 pairs (s, y) of n = 5000 complex vectors are 3.2 MB; a second
+    # copy of y per pair, as P^-1 y with P = I, took the peak to 5.78 MB
+    rng = np.random.default_rng(3)
+    n = 5000
+    d = rng.uniform(1.0, 10.0, n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def fun(z):
+        r = z - c
+        return float(d @ (r.real ** 2 + r.imag ** 2)), d * r
+
+    tracemalloc.start()
+    try:
+        _, history = bfgs_minimize(fun, np.zeros(n, complex), tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history[-1].grad_norm <= 1e-9
+    assert peak < 4.6e6
 
 
 def test_pairing_identity_on_quadratic_with_known_gradient():
@@ -298,6 +323,13 @@ def test_riesz_lbfgs_evaluations_do_not_grow_with_the_mesh():
         if level:
             m = refine_uniform(m)
         prob = ReducedProblem(m, FESpace(m, 0), cfg)
+        riesz, calls = prob.riesz, []
+
+        def counted(v):
+            calls.append(prob.n_evaluations)
+            return riesz(v)
+
+        prob.riesz = counted
         z, history = bfgs_minimize(prob.cost_and_gradient,
                                    np.zeros(prob.n_controls, complex),
                                    tol=1e-9, max_iter=600)
@@ -307,11 +339,14 @@ def test_riesz_lbfgs_evaluations_do_not_grow_with_the_mesh():
         # volume solve per evaluation, as without it
         assert prob.n_evaluations == prob.op.n_state_solves
         assert prob.op.n_state_solves == prob.op.n_adjoint_solves
-        # the optimizer read each Riesz representative and let it go
-        assert all(h.riesz is None for h in history)
+        # P^-1 is applied by the optimizer, to the two-loop's q and to the
+        # newest y, at most twice per iteration
+        assert len(calls) <= 2 * history[-1].iteration + 1
+        n_calls = len(calls)
         report, G = prob.cost_and_gradient(z + 0.1)
+        assert len(calls) == n_calls  # an evaluation solves nothing with P
         P = cfg.alpha * prob.K + (cfg.beta + RIESZ_MASS) * prob.M
-        assert np.linalg.norm(P @ report.riesz - G) <= \
+        assert np.linalg.norm(P @ report.riesz(G) - G) <= \
             1e-12 * np.linalg.norm(G)
 
 
