@@ -12,6 +12,7 @@ with gamma = sqrt(i omega mu sigma) (principal branch; either branch gives
 the same fields since I1 is odd and I0 even).
 """
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -22,18 +23,51 @@ class DomainError(ValueError):
     pass
 
 
+# Coefficients 1/(k! (k + nu)!) of the series of I_nu in t = x^2/4
+# (Abramowitz & Stegun 9.6.10); at |t| <= 1 the first omitted term, k = 14,
+# is below 2e-22.
+_SERIES = {nu: [1.0 / (math.factorial(k) * math.factorial(k + nu))
+                for k in range(14)] for nu in (0, 1)}
+
+
+def _series(nu, x):
+    """I_nu(x) = (x/2)^nu sum_k t^k / (k! (k + nu)!), t = x^2/4, by Horner.
+
+    Every step makes a new array, so that a point rounds the same way
+    whatever the length of the batch it is summed in.
+    """
+    h = 0.5 * x
+    t = h * h
+    c = _SERIES[nu]
+    acc = np.full(x.shape, c[-1], dtype=complex)
+    for ck in c[-2::-1]:
+        acc = acc * t + ck
+    return acc * h if nu else acc
+
+
 def bessel_I(nu, x):
-    """Modified Bessel function of the first kind, order nu in {0, 1}, from
-    scipy.special.iv, point by point. Only |x| <= 50 is accepted; a larger
-    argument raises DomainError.
+    """Modified Bessel function of the first kind, order nu in {0, 1}.
+
+    The fixed-length power series `_series` for |x| <= 2, scipy.special.iv
+    for 2 < |x| <= 50, point by point; a larger argument raises
+    DomainError. A scalar is summed as a batch of one and returned as a
+    Python complex.
     """
     if nu not in (0, 1):
         raise ValueError("order must be 0 or 1")
     x = np.asarray(x, dtype=complex)
-    if np.any(np.abs(x) > 50.0):
+    flat = x.reshape(-1)
+    size = np.abs(flat)
+    if np.any(size > 50.0):
         raise DomainError("argument outside the supported range |x| <= 50")
-    value = iv(nu, x)
-    return value if x.shape else complex(value)
+    large = size > 2.0
+    if large.any():  # gather and scatter only where iv is needed
+        value = np.empty_like(flat)
+        value[large] = iv(nu, flat[large])
+        value[~large] = _series(nu, flat[~large])
+    else:
+        value = _series(nu, flat)
+    return value.reshape(x.shape) if x.shape else complex(value[0])
 
 
 @dataclass(frozen=True)

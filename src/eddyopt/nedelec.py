@@ -18,10 +18,14 @@ Every element loop visits CHUNK tets at a time, which bounds its working
 set: basis values and curls are CHUNK x points x 3 x S doubles each, 1.0
 MB at k = 0 (S = 6, 27 points) and 7.9 MB at k = 1 (S = 20, 64 points) at
 the default load degree 2k + 4, built one at a time, curls only where used.
+The H(curl) error contracts each tet's coefficients with its basis table
+first and builds no basis values at all: its largest temporary is one
+span (or span of curls) of that size.
 """
 
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,7 +150,9 @@ class ProblemConfig:
     mu and kappa may be positive scalars, 3x3 SPD matrices, or callables
     mapping points (..., 3) to either; j_c and u_d are complex 3-vector
     fields (callables or constants, None = zero). omega is the angular
-    frequency, alpha/beta the boundary regularization weights.
+    frequency, alpha/beta the boundary regularization weights, solver_tol
+    (positive) the relative residual every solve must meet and quad_order
+    (a positive integer, None = unset) the rule degree of `quad_degree`.
     """
 
     mu: object = 1.0
@@ -169,11 +175,17 @@ class ProblemConfig:
             raise ValueError("regularization weights must be nonnegative")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both vanish")
+        if self.solver_tol <= 0:
+            raise ValueError("solver_tol must be positive")
+        q = self.quad_order
+        if q is not None and (isinstance(q, bool)
+                              or not isinstance(q, numbers.Integral) or q < 1):
+            raise ValueError(f"quad_order must be a positive integer, got {q!r}")
 
     def quad_degree(self, k):
         """Rule degree q of K, M and the tracking mass, 2k + 2 (exact for
         Phi . Phi) unless set; the loads of j_c and u_d take q + 2."""
-        return self.quad_order or 2 * k + 2
+        return 2 * k + 2 if self.quad_order is None else self.quad_order
 
 
 def _check_spd(mat, what):
@@ -286,14 +298,43 @@ def _expand(span, C):
     return np.swapaxes(rows.reshape(n, q, 3, -1), -1, -2)
 
 
-def _element_values(mesh, space, ref_pts, sl):
-    """(phys, jac) of `element_basis` for tets in sl, and basis(curls),
-    which builds Phi or, for curls True, curlPhi anew on each call."""
+def _local_points(mesh, space, ref_pts, sl):
+    """(phys, jac, loc, C, scales) for tets in sl: the mapped points, the
+    Jacobians, the points in each tet's frame (x - center)/scale and the
+    tets' basis coefficients and scales from `FESpace.basis`."""
     C, centers, scales = (a[sl] for a in space.basis)
     phys, jac = map_to_tets(mesh.vertices[mesh.tets[sl]], ref_pts)
     loc = (phys - centers[:, None, :]) / scales[:, None, None]
+    return phys, jac, loc, C, scales
+
+
+def _element_values(mesh, space, ref_pts, sl):
+    """(phys, jac) of `element_basis` for tets in sl, and basis(curls),
+    which builds Phi or, for curls True, curlPhi anew on each call."""
+    phys, jac, loc, C, scales = _local_points(mesh, space, ref_pts, sl)
     return phys, jac, lambda curls: _expand(
         _span(space.k, loc, curls), C / scales[:, None, None] if curls else C)
+
+
+def _field_values(mesh, space, ref_pts, sl, u):
+    """(phys, jac) for tets in sl, and field(curls), the values or, for
+    curls True, the curls of the FE field u there, coefficients first.
+
+    Each cell's span coefficients a = C u[cell_dofs] are formed once, as
+    real and imaginary columns; a field is then one (3 q, S) x (S, 2)
+    product per cell with the span or its curls (times a / scale), and
+    no element basis is built.
+    """
+    phys, jac, loc, C, scales = _local_points(mesh, space, ref_pts, sl)
+    coef = u[space.cell_dofs[sl]]
+    a = C @ np.stack([coef.real, coef.imag], axis=-1)
+
+    def field(curls):
+        span = _span(space.k, loc, curls)
+        n, q, _, S = span.shape
+        b = a / scales[:, None, None] if curls else a
+        return (span.reshape(n, 3 * q, S) @ b).view(complex).reshape(n, q, 3)
+    return phys, jac, field
 
 
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
@@ -311,14 +352,15 @@ def _chunks(n):
         yield slice(lo, min(lo + CHUNK, n))
 
 
-def _cells(mesh, space, degree, fn):
+def _cells(mesh, space, degree, fn, values=_element_values):
     """The element loop at the degree's points, CHUNK tets at a time: the
     list of fn(sl, phys, w, basis), w = weights * jac and the rest from
-    `_element_values`, each chunk released before the next is built."""
+    `values` (`_element_values`, or `_field_values` bound to a field),
+    each chunk released before the next is built."""
     rp, rw = tet_rule(degree)
 
     def chunk(sl):
-        phys, jac, basis = _element_values(mesh, space, rp, sl)
+        phys, jac, basis = values(mesh, space, rp, sl)
         return fn(sl, phys, rw * jac[:, None], basis)
     return [chunk(sl) for sl in _chunks(mesh.n_tets)]
 
@@ -435,15 +477,13 @@ def hcurl_error(space, u_h, exact, exact_curl, degree=None, return_parts=False):
     if degree is None:
         degree = 2 * space.k + 4
 
-    def chunk(sl, phys, w, basis):
-        coef = u_h[space.cell_dofs[sl]]
-
-        def part(curls, f):  # Phi, then curlPhi: one basis-sized array
-            d = (np.einsum("cqmd,cm->cqd", basis(curls), coef)
-                 - _vector_field_at(f, phys))
+    def chunk(sl, phys, w, field):
+        def part(curls, f):
+            d = field(curls) - _vector_field_at(f, phys)
             return np.einsum("cq,cqd->", w, (d * d.conj()).real)
         return [part(False, exact), part(True, exact_curl)]
-    acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk)))
+    acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk,
+                                        partial(_field_values, u=u_h))))
     if return_parts:
         return np.sqrt(acc_v + acc_c), np.sqrt(acc_v), np.sqrt(acc_c)
     return np.sqrt(acc_v + acc_c)

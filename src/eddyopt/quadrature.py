@@ -90,13 +90,9 @@ def map_to_tets(verts, pts):
     absolute Jacobian determinant (...,) = 6 * volume.
     """
     verts = np.asarray(verts, dtype=float)
-    p0 = verts[..., 0, :]
-    e1 = verts[..., 1, :] - p0
-    e2 = verts[..., 2, :] - p0
-    e3 = verts[..., 3, :] - p0
-    x = (p0[..., None, :]
-         + pts[:, 0, None] * e1[..., None, :]
-         + pts[:, 1, None] * e2[..., None, :]
-         + pts[:, 2, None] * e3[..., None, :])
+    p0 = verts[..., :1, :]
+    edges = verts[..., 1:, :] - p0  # rows e1, e2, e3
+    x = p0 + pts @ edges
+    e1, e2, e3 = np.moveaxis(edges, -2, 0)
     jac = np.abs(np.einsum("...i,...i->...", e1, np.cross(e2, e3)))
     return x, jac

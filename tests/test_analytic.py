@@ -3,8 +3,10 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from eddyopt import analytic
 from eddyopt.analytic import (
     DomainError, ElectrodeParams, bessel_I, exact_curl_H, exact_E, exact_H,
     exact_J,
@@ -49,6 +51,30 @@ def test_bessel_value_does_not_depend_on_its_batch(nu):
     alone = np.array([bessel_I(nu, x) for x in xs])
     assert alone.tobytes() == batch.tobytes()
     assert bessel_I(nu, xs[:1]).tobytes() == batch[:1].tobytes()
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_series_meets_iv_at_the_seam_and_iv_takes_the_rest(
+        monkeypatch, nu):
+    # the series serves |x| <= 2 and scipy's iv the rest: the two agree on
+    # both sides of |x| = 2, and iv is never handed a point the series takes
+    rng = np.random.default_rng(31)
+    angles = np.exp(2j * np.pi * rng.random(400))
+    xs = np.concatenate([rng.uniform(1.9, 2.1, 400) * angles,
+                         2.0 * angles[:50],
+                         rng.uniform(2.0, 50.0, 400) * angles])
+    seen = []
+
+    def counted_iv(order, x):
+        seen.append(np.abs(x))
+        return scipy.special.iv(order, x)
+    monkeypatch.setattr(analytic, "iv", counted_iv)
+    got = bessel_I(nu, xs)
+    seen = np.concatenate(seen)
+    assert seen.size == np.count_nonzero(np.abs(xs) > 2.0)
+    assert np.all(seen > 2.0)
+    want = scipy.special.iv(nu, xs)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def test_bessel_at_zero():

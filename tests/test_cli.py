@@ -423,6 +423,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
                               "optimize": {"max_iter": INF}},
                  id="max-iter-inf"),
+    # a solve tolerance no residual can meet, a rule degree below 1
+    pytest.param("grad-check", {"problem": {"solver_tol": -1}},
+                 id="solver-tol-negative"),
+    pytest.param("grad-check", {"problem": {"quad_order": 0}},
+                 id="quad-order-zero"),
+    pytest.param("grad-check", {"problem": {"quad_order": -1}},
+                 id="quad-order-negative"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -481,6 +488,24 @@ def test_grad_check_failure_keeps_its_traceback(tmp_path, problem, error):
     assert s["ok"] is False and s["command"] == "grad-check"
     assert s["failure"].startswith(f"{error}: ")
     assert "Traceback" in s["traceback"] and error in s["traceback"]
+
+
+def test_optimizer_that_stops_short_records_no_convergence(tmp_path):
+    # one iteration cannot reach the gradient tolerance: the run ends with a
+    # failure record, every level still solved, and no traceback to keep
+    cfg = _write(tmp_path, "cfg.json", {
+        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
+        "problem": {"u_d": "exact_H"},
+        "optimize": {"max_iter": 1},
+    })
+    out = str(tmp_path / "out")
+    assert main(["optimize", "--config", cfg, "--out", out]) == 1
+    s = _summary(out)  # strict JSON: NaN or Infinity would raise
+    assert s["ok"] is False and s["command"] == "optimize"
+    assert s["failure"] == ("level L1: no convergence "
+                            "(grad_norm=1.731e-03 > 1.0e-09)")
+    assert s["traceback"] is None
+    assert s["levels_completed"] == 2
 
 
 def test_out_naming_a_file_exits_two(tmp_path, capsys):

@@ -359,6 +359,21 @@ def test_problem_config_validation():
     assert cfg.beta == 1.0
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("solver_tol", 0.0), ("solver_tol", -1.0),
+    ("quad_order", 0), ("quad_order", -1), ("quad_order", 2.5),
+    ("quad_order", True),
+])
+def test_problem_config_rejects_a_tolerance_or_rule_that_cannot_work(field,
+                                                                      bad):
+    # a tolerance <= 0 fails every solve's residual check; a rule degree
+    # below 1 leaves K and M inexact, and 0 must not read as unset
+    with pytest.raises(ValueError, match=field):
+        ProblemConfig(**{field: bad})
+    assert ProblemConfig(quad_order=np.int64(3)).quad_degree(1) == 3
+    assert ProblemConfig().quad_degree(1) == 4
+
+
 def test_load_vector_against_direct_quadrature():
     rng = np.random.default_rng(13)
     m = generate_cube(1)
@@ -433,6 +448,42 @@ def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets():
                  np.einsum("cqmd,cm->cqd", curlPhi, coef))
         for part, want in zip(evaluate_field(space, u, ref), whole):
             assert np.array_equal(part, want)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
+    # the field and its curl at the points, and the error built on them,
+    # agree with the element basis contracted with the same coefficients;
+    # the error never builds that basis
+    m = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    assert m.n_tets > nedelec.CHUNK
+    space = FESpace(m, k)
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(
+        space.n_dofs)
+    exact = lambda x: np.stack([np.sin(x[..., 1]), x[..., 2] ** 2,
+                                1j * x[..., 0]], axis=-1)
+    curl = lambda x: np.stack([2 * x[..., 2], -1j * np.ones(x.shape[:-1]),
+                               -np.cos(x[..., 1])], axis=-1)
+    degree = 2 * k + 4
+    pts, w = tet_rule(degree)
+    _, jac, Phi, curlPhi = element_basis(m, space, pts)
+    phys, _, field = nedelec._field_values(m, space, pts, slice(None), u)
+    coef = u[space.cell_dofs]
+    want_parts = []
+    for got, basis, f in ((field(False), Phi, exact),
+                          (field(True), curlPhi, curl)):
+        want = np.einsum("cqmd,cm->cqd", basis, coef)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        d = want - f(phys)
+        want_parts.append(np.einsum("q,c,cqd->", w, jac, (d * d.conj()).real))
+
+    def no_basis(*args):
+        raise AssertionError("hcurl_error built the element basis")
+    monkeypatch.setattr(nedelec, "_expand", no_basis)
+    got = hcurl_error(space, u, exact, curl, return_parts=True)
+    want = np.sqrt([sum(want_parts), *want_parts])
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("run", [

@@ -96,3 +96,21 @@ def test_map_to_tets_volume_jacobian():
     assert (w * jac[0]).sum() == pytest.approx(1.0 / 6.0)
     x = phys[0, :, 0]
     assert (w * x * jac[0]).sum() == pytest.approx(tet_monomial(1, 0, 0))
+
+
+def test_map_to_tets_one_product_matches_the_edge_sum():
+    # the points are p0 + sum_i pts_i e_i to round-off, and the Jacobian
+    # is the triple product of the same edges, bit for bit
+    rng = np.random.default_rng(3)
+    verts = rng.uniform(-5.0, 5.0, (300, 4, 3))
+    pts_ref, _ = tet_rule(4)
+    phys, jac = map_to_tets(verts, pts_ref)
+    p0 = verts[:, 0]
+    e1, e2, e3 = (verts[:, i] - p0 for i in (1, 2, 3))
+    want = (p0[:, None] + pts_ref[:, 0, None] * e1[:, None]
+            + pts_ref[:, 1, None] * e2[:, None]
+            + pts_ref[:, 2, None] * e3[:, None])
+    assert phys.shape == want.shape
+    assert np.abs(phys - want).max() <= 4e-16 * np.abs(want).max()
+    want_jac = np.abs(np.einsum("...i,...i->...", e1, np.cross(e2, e3)))
+    assert jac.tobytes() == want_jac.tobytes()
