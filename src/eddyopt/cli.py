@@ -90,15 +90,6 @@ def _as_complex_vec(spec, name):
     return re + 1j * im
 
 
-def _finite(value, name, positive=False):
-    """value as a finite float, and > 0 if positive; NaN fails both."""
-    value = float(value)
-    if not (np.isfinite(value) and (value > 0.0 or not positive)):
-        rule = "finite and positive" if positive else "finite"
-        raise ConfigError(f"{name} must be {rule}, got {value}")
-    return value
-
-
 def resolve_field(spec, electrode, name):
     """Turn a config field spec into a constant vector or callable.
 
@@ -139,9 +130,8 @@ def load_config(path, command, out=None, order=None, seed=None):
         p = raw.get("problem", {})
         quad_order = p.get("quad_order")
         problem = ProblemConfig(
-            mu=_finite(p.get("mu", 1.0), "problem.mu", positive=True),
-            # a kappa <= 0 is left to the assembly (AssemblyError)
-            kappa=_finite(p.get("kappa", 1.0), "problem.kappa"),
+            mu=float(p.get("mu", 1.0)),
+            kappa=float(p.get("kappa", 1.0)),
             omega=float(p.get("omega", 1.0)),
             j_c=resolve_field(p.get("j_c"), electrode, "j_c"),
             u_d=resolve_field(p.get("u_d"), electrode, "u_d"),
@@ -157,7 +147,10 @@ def load_config(path, command, out=None, order=None, seed=None):
             raise ConfigError("optimize requires problem.u_d")
 
         opt = raw.get("optimize", {})
-        tol = _finite(opt.get("tol", 1e-9), "optimize.tol", positive=True)
+        tol = float(opt.get("tol", 1e-9))
+        if not 0.0 < tol < np.inf:
+            raise ConfigError(f"optimize.tol must be finite and positive, "
+                              f"got {tol}")
         max_iter = whole(opt.get("max_iter", 500))
         if max_iter < 0:
             raise ConfigError(f"optimize.max_iter must be >= 0, got {max_iter}")

@@ -14,18 +14,18 @@ bookkeeping. The element basis dual to these moments is built per element
 by inverting a moment matrix over a spanning set of the local polynomial
 space, stored as a table of monomial coefficients.
 
-Every element loop visits CHUNK tets at a time, which bounds its working
-set: basis values and curls are CHUNK x points x 3 x S doubles each, 1.0
-MB at k = 0 (S = 6, 27 points) and 7.9 MB at k = 1 (S = 20, 64 points) at
-the default load degree 2k + 4, built one at a time, curls only where used.
-The H(curl) error contracts each tet's coefficients with its basis table
-first and builds no basis values at all: its largest temporary is one
-span (or span of curls) of that size.
+Every element integral works on the span and the tet's coefficient table
+C (Phi = span C): matrices are C^T (int span^T coeff span) C, loads
+(int f . span) C and fields span (C u). Each loop visits CHUNK tets at a
+time, which bounds its working set to one span or span of curls, CHUNK x
+points x 3 x S doubles: 1.0 MB at k = 0 (S = 6, 27 points) and 7.9 MB at
+k = 1 (S = 20, 64 points) at the default load degree 2k + 4, curls only
+where used. No loop builds Phi; only `element_basis` expands it.
 """
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,7 +85,7 @@ def _span(k, pts, curls):
     (curls True) at pts (..., 3), from one table of `_span_table`.
 
     Returns (..., 3, S): the S fields run along the last axis, the layout
-    `_expand` multiplies without a copy. The span is {a + b cross x} for
+    that multiplies C without a copy. The span is {a + b cross x} for
     k = 0 and (P1)^3 plus the 8 quadratic fields x cross (Q x) for k = 1.
     """
     T = _SPAN[k][curls]
@@ -148,7 +148,8 @@ class ProblemConfig:
     """Data of the control problem.
 
     mu and kappa may be positive scalars, 3x3 SPD matrices, or callables
-    mapping points (..., 3) to either; j_c and u_d are complex 3-vector
+    mapping points (..., 3) to either, constants checked here by the rule
+    the assembly applies to every value; j_c and u_d are complex 3-vector
     fields (callables or constants, None = zero). omega is the angular
     frequency, alpha/beta the boundary regularization weights, solver_tol
     (positive) the relative residual every solve must meet and quad_order
@@ -181,6 +182,9 @@ class ProblemConfig:
         if q is not None and (isinstance(q, bool)
                               or not isinstance(q, numbers.Integral) or q < 1):
             raise ValueError(f"quad_order must be a positive integer, got {q!r}")
+        for c, what in ((self.mu, "mu"), (self.kappa, "kappa")):
+            if not callable(c):
+                _coeff_at(c, np.zeros(3), what)
 
     def quad_degree(self, k):
         """Rule degree q of K, M and the tracking mass, 2k + 2 (exact for
@@ -287,64 +291,36 @@ def _basis_coeffs(space, sl):
     return C, centers, scales
 
 
-def _expand(span, C):
-    """sum_s span[c, q, d, s] C[c, s, m] as one product per cell.
-
-    Returns (cells, q, m, 3) as a view whose last two axes are swapped,
-    so that `_gram` reads it without a copy.
-    """
-    n, q, _, S = span.shape
-    rows = span.reshape(n, 3 * q, S) @ C
-    return np.swapaxes(rows.reshape(n, q, 3, -1), -1, -2)
-
-
 def _local_points(mesh, space, ref_pts, sl):
-    """(phys, jac, loc, C, scales) for tets in sl: the mapped points, the
-    Jacobians, the points in each tet's frame (x - center)/scale and the
-    tets' basis coefficients and scales from `FESpace.basis`."""
+    """(phys, jac, local) for tets in sl: the mapped points, the Jacobians
+    and local(curls), which returns (span, D): the spanning fields
+    (cells, q, 3, S) of `_span` in each tet's frame (x - center)/scale, or
+    their curls, and the table D (cells, S, S) of `FESpace.basis` that maps
+    them to the basis, Phi = span D; D = C for values and C / scale for
+    curls."""
     C, centers, scales = (a[sl] for a in space.basis)
     phys, jac = map_to_tets(mesh.vertices[mesh.tets[sl]], ref_pts)
     loc = (phys - centers[:, None, :]) / scales[:, None, None]
-    return phys, jac, loc, C, scales
-
-
-def _element_values(mesh, space, ref_pts, sl):
-    """(phys, jac) of `element_basis` for tets in sl, and basis(curls),
-    which builds Phi or, for curls True, curlPhi anew on each call."""
-    phys, jac, loc, C, scales = _local_points(mesh, space, ref_pts, sl)
-    return phys, jac, lambda curls: _expand(
+    return phys, jac, lambda curls: (
         _span(space.k, loc, curls), C / scales[:, None, None] if curls else C)
 
 
-def _field_values(mesh, space, ref_pts, sl, u):
-    """(phys, jac) for tets in sl, and field(curls), the values or, for
-    curls True, the curls of the FE field u there, coefficients first.
-
-    Each cell's span coefficients a = C u[cell_dofs] are formed once, as
-    real and imaginary columns; a field is then one (3 q, S) x (S, 2)
-    product per cell with the span or its curls (times a / scale), and
-    no element basis is built.
-    """
-    phys, jac, loc, C, scales = _local_points(mesh, space, ref_pts, sl)
-    coef = u[space.cell_dofs[sl]]
-    a = C @ np.stack([coef.real, coef.imag], axis=-1)
-
-    def field(curls):
-        span = _span(space.k, loc, curls)
-        n, q, _, S = span.shape
-        b = a / scales[:, None, None] if curls else a
-        return (span.reshape(n, 3 * q, S) @ b).view(complex).reshape(n, q, 3)
-    return phys, jac, field
-
-
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
-    """Basis values/curls at mapped reference points for tets in sl.
+    """Basis values/curls at mapped reference points for tets in sl, the
+    one place the basis Phi = span D is expanded (a reference for tests and
+    VTK output; the element loops below work on the span and D).
 
     Returns (phys (C, m, 3), jac (C,), Phi (C, m, n_local, 3),
     curlPhi (C, m, n_local, 3)); jac = 6 * volume.
     """
-    phys, jac, basis = _element_values(mesh, space, ref_pts, sl)
-    return phys, jac, basis(False), basis(True)
+    phys, jac, local = _local_points(mesh, space, ref_pts, sl)
+
+    def expand(curls):  # one (3 m, S) x (S, S) product per cell
+        span, D = local(curls)
+        n, q, _, S = span.shape
+        rows = span.reshape(n, 3 * q, S) @ D
+        return np.swapaxes(rows.reshape(n, q, 3, -1), -1, -2)
+    return phys, jac, expand(False), expand(True)
 
 
 def _chunks(n):
@@ -352,34 +328,34 @@ def _chunks(n):
         yield slice(lo, min(lo + CHUNK, n))
 
 
-def _cells(mesh, space, degree, fn, values=_element_values):
+def _cells(mesh, space, degree, fn):
     """The element loop at the degree's points, CHUNK tets at a time: the
-    list of fn(sl, phys, w, basis), w = weights * jac and the rest from
-    `values` (`_element_values`, or `_field_values` bound to a field),
-    each chunk released before the next is built."""
+    list of fn(sl, phys, w, local), w = weights * jac and local(curls) the
+    (span, D) of `_local_points`, each chunk released before the next is
+    built."""
     rp, rw = tet_rule(degree)
 
     def chunk(sl):
-        phys, jac, basis = values(mesh, space, rp, sl)
-        return fn(sl, phys, rw * jac[:, None], basis)
+        phys, jac, local = _local_points(mesh, space, rp, sl)
+        return fn(sl, phys, rw * jac[:, None], local)
     return [chunk(sl) for sl in _chunks(mesh.n_tets)]
 
 
-def _gram(w, coeff, F):
-    """Element matrices sum_q w_q F_m^T coeff F_n as one batched product.
+def _gram(w, coeff, span, D):
+    """Element matrices D^T (sum_q w_q span^T coeff span) D, each a batched
+    product over the span, then two (S, S) products.
 
-    w (C, q) are weights times Jacobians, F (C, q, m, 3) basis fields and
-    coeff a per-point coefficient from `_coeff_at`.
+    w (C, q) are weights times Jacobians, (span, D) from `_cells`' local
+    and coeff a per-point coefficient from `_coeff_at`.
     """
-    if coeff.ndim > w.ndim:  # matrix-valued: rows F_m^T coeff
-        left = F @ coeff
+    if coeff.ndim > w.ndim:  # matrix-valued: columns coeff span_t
+        right = coeff @ span
     else:
-        left, w = F, w * coeff
-    n, q, m, _ = F.shape
-    left = w[..., None, None] * np.swapaxes(left, -1, -2)
-    left = left.reshape(n, 3 * q, m)
-    right = np.swapaxes(F, -1, -2).reshape(n, 3 * q, m)
-    return np.swapaxes(left, -1, -2) @ right
+        right, w = span, w * coeff
+    n, q, _, S = span.shape
+    right = (w[..., None, None] * right).reshape(n, 3 * q, S)
+    G = np.swapaxes(span.reshape(n, 3 * q, S), -1, -2) @ right
+    return np.swapaxes(D, -1, -2) @ G @ D
 
 
 def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
@@ -391,19 +367,19 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     if degree is None:
         degree = 2 * space.k + 2
 
-    def chunk(sl, phys, w, basis):
+    def chunk(sl, phys, w, local):
         mu_at = _coeff_at(mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        return (_gram(w, mu_inv, basis(True)),
-                _gram(w, _coeff_at(kappa, phys, "kappa"), basis(False)))
+        return (_gram(w, mu_inv, *local(True)),
+                _gram(w, _coeff_at(kappa, phys, "kappa"), *local(False)))
     return tuple(symmetric_csr(np.concatenate(X), space.cell_dofs, space.n_dofs)
                  for X in zip(*_cells(mesh, space, degree, chunk)))
 
 
 def _mass_matrix(mesh, space, degree):
     """M of `assemble_curl_mass` for kappa = 1, without the curls."""
-    Mel = _cells(mesh, space, degree, lambda sl, phys, w, basis: _gram(
-        w, np.ones(()), basis(False)))
+    Mel = _cells(mesh, space, degree, lambda sl, phys, w, local: _gram(
+        w, np.ones(()), *local(False)))
     return symmetric_csr(np.concatenate(Mel), space.cell_dofs, space.n_dofs)
 
 
@@ -423,11 +399,11 @@ def _load(mesh, space, f, degree):
     if f is None:
         return b, 0.0
 
-    def chunk(sl, phys, w, basis):
-        Phi = basis(False)  # before v, which would add to its peak
+    def chunk(sl, phys, w, local):
+        span, C = local(False)  # before v, which would add to its peak
         v = _vector_field_at(f, phys)
-        np.add.at(b, space.cell_dofs[sl],
-                  np.einsum("cq,cqd,cqmd->cm", w, v, Phi))
+        np.add.at(b, space.cell_dofs[sl], np.einsum(
+            "cs,csm->cm", np.einsum("cq,cqd,cqds->cs", w, v, span), C))
         return np.einsum("cq,cqd->", w, (v * v.conj()).real)
     return b, float(sum(_cells(mesh, space, degree, chunk)))
 
@@ -477,13 +453,20 @@ def hcurl_error(space, u_h, exact, exact_curl, degree=None, return_parts=False):
     if degree is None:
         degree = 2 * space.k + 4
 
-    def chunk(sl, phys, w, field):
+    def chunk(sl, phys, w, local):
+        coef = u_h[space.cell_dofs[sl]]
+        coef = np.stack([coef.real, coef.imag], axis=-1)
+
         def part(curls, f):
-            d = field(curls) - _vector_field_at(f, phys)
+            # span (D u): one (3 q, S) x (S, 2) product per cell on the
+            # real and imaginary columns, and no element basis
+            span, D = local(curls)
+            n, q, _, S = span.shape
+            d = (span.reshape(n, 3 * q, S) @ (D @ coef)).view(complex)
+            d = d.reshape(n, q, 3) - _vector_field_at(f, phys)
             return np.einsum("cq,cqd->", w, (d * d.conj()).real)
         return [part(False, exact), part(True, exact_curl)]
-    acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk,
-                                        partial(_field_values, u=u_h))))
+    acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk)))
     if return_parts:
         return np.sqrt(acc_v + acc_c), np.sqrt(acc_v), np.sqrt(acc_c)
     return np.sqrt(acc_v + acc_c)

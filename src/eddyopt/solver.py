@@ -144,9 +144,9 @@ def _nested_dissection(x, A):
 class StateOperator:
     """Factorized solver for one mesh/space/config triple.
 
-    Solve counts are instrumented: n_factorizations, n_state_solves,
-    n_adjoint_solves; max_residual is the largest relative residual of
-    any solve so far.
+    The interior block is factored once. Solve counts are instrumented:
+    n_state_solves, n_adjoint_solves; max_residual is the largest relative
+    residual of any solve so far.
     """
 
     def __init__(self, mesh, space, config):
@@ -163,7 +163,6 @@ class StateOperator:
                                 options={"SymmetricMode": True})
         except RuntimeError as err:
             raise SolverError(f"singular interior block: {err}") from None
-        self.n_factorizations = 1
         self.n_state_solves = 0
         self.n_adjoint_solves = 0
         self.max_residual = 0.0

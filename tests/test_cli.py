@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from eddyopt import cli
+from eddyopt import cli, nedelec
 from eddyopt.cli import main
 from eddyopt.mesh import generate_cube, parse_msh, write_msh
 
@@ -410,6 +410,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("grad-check", {"problem": {"mu": NAN}}, id="mu-nan"),
     pytest.param("grad-check", {"problem": {"kappa": INF}}, id="kappa-inf"),
     pytest.param("grad-check", {"problem": {"mu": -1.0}}, id="mu-negative"),
+    pytest.param("grad-check", {"problem": {"kappa": -1}},
+                 id="kappa-negative"),
+    pytest.param("grad-check", {"problem": {"kappa": 0}}, id="kappa-zero"),
     # a tolerance no gradient norm can reach, or an iteration count below 0
     pytest.param("optimize", {"problem": {"u_d": [1, 0, 0]},
                               "optimize": {"tol": NAN}}, id="tol-nan"),
@@ -473,10 +476,19 @@ def test_order_override_flows_into_summary(tmp_path):
 
 @pytest.mark.parametrize("problem, error", [
     ({"solver_tol": 1e-20}, "SolverError"),
-    ({"kappa": -1}, "AssemblyError"),
+    ({}, "AssemblyError"),
 ])
-def test_grad_check_failure_keeps_its_traceback(tmp_path, problem, error):
+def test_grad_check_failure_keeps_its_traceback(tmp_path, monkeypatch,
+                                                problem, error):
     # an error outside a level study is recorded like one inside it
+    if error == "AssemblyError":  # a coefficient rejected at the assembly
+        check = nedelec._coeff_at
+
+        def failing(c, pts, what):
+            if pts.ndim > 1:  # the assembly's points, not the config check
+                raise nedelec.AssemblyError(f"{what} is not positive definite")
+            return check(c, pts, what)
+        monkeypatch.setattr(nedelec, "_coeff_at", failing)
     cfg = _write(tmp_path, "cfg.json", {
         "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]]},
         "problem": problem,

@@ -318,6 +318,37 @@ def test_spatially_varying_matrix_coefficient():
     assert w.max() > 0
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("coeff", [
+    3.0,
+    np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]]),
+    lambda x: 1.0 + x[..., 0] ** 2,
+    lambda x: np.eye(3) + np.einsum("...a,...b->...ab", x, x),
+], ids=["scalar", "spd", "callable", "callable-spd"])
+def test_span_first_gram_matches_the_element_basis(k, coeff):
+    # D^T (sum_q w_q span^T c span) D on every chunk equals the quadrature
+    # of Phi_m . c Phi_n, and of the curls, over the expanded basis
+    m = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    assert m.n_tets > nedelec.CHUNK
+    space = FESpace(m, k)
+    degree = 2 * k + 2
+    pts, rw = tet_rule(degree)
+    phys, jac, Phi, curlPhi = element_basis(m, space, pts)
+    c = nedelec._coeff_at(coeff, phys, "c")
+    got = nedelec._cells(m, space, degree, lambda sl, phys, w, local: [
+        nedelec._gram(w, nedelec._coeff_at(coeff, phys, "c"), *local(curls))
+        for curls in (False, True)])
+    for curls, basis in ((False, Phi), (True, curlPhi)):
+        if c.ndim > 2:
+            c_basis = np.einsum("cqab,cqnb->cqna", c, basis)
+        else:
+            c_basis = c[..., None, None] * basis
+        want = np.einsum("q,c,cqmd,cqnd->cmn", rw, jac, basis, c_basis)
+        gram = np.concatenate([g[curls] for g in got])
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(gram - want) / scale).max() <= 1e-13
+
+
 def test_non_spd_coefficient_rejected():
     m = generate_cube(1)
     space = FESpace(m, 0)
@@ -357,6 +388,17 @@ def test_problem_config_validation():
                 ProblemConfig(**{name: bad})
     cfg = ProblemConfig(alpha=0.0, beta=1.0)  # allowed: one may vanish
     assert cfg.beta == 1.0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("kappa", -1), ("kappa", 0.0), ("mu", np.nan),
+    ("mu", np.diag([1.0, 1.0, -0.5])),
+])
+def test_problem_config_rejects_a_constant_coefficient_as_assembly_would(
+        field, bad):
+    # the rule of _coeff_at, applied when the config is made, before a run
+    with pytest.raises(AssemblyError, match=f"{field} is not"):
+        ProblemConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -468,11 +510,16 @@ def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
     degree = 2 * k + 4
     pts, w = tet_rule(degree)
     _, jac, Phi, curlPhi = element_basis(m, space, pts)
-    phys, _, field = nedelec._field_values(m, space, pts, slice(None), u)
+
+    def field(sl, phys, w, local):  # span (D u) on each chunk
+        coef = u[space.cell_dofs[sl]]
+        return [phys] + [np.einsum("cqds,cst,ct->cqd", *local(curls), coef)
+                         for curls in (False, True)]
+    phys, vals, curls = map(np.concatenate, zip(*nedelec._cells(
+        m, space, degree, field)))
     coef = u[space.cell_dofs]
     want_parts = []
-    for got, basis, f in ((field(False), Phi, exact),
-                          (field(True), curlPhi, curl)):
+    for got, basis, f in ((vals, Phi, exact), (curls, curlPhi, curl)):
         want = np.einsum("cqmd,cm->cqd", basis, coef)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         d = want - f(phys)
@@ -480,7 +527,7 @@ def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
 
     def no_basis(*args):
         raise AssertionError("hcurl_error built the element basis")
-    monkeypatch.setattr(nedelec, "_expand", no_basis)
+    monkeypatch.setattr(nedelec, "element_basis", no_basis)
     got = hcurl_error(space, u, exact, curl, return_parts=True)
     want = np.sqrt([sum(want_parts), *want_parts])
     assert np.allclose(got, want, rtol=1e-14, atol=0)

@@ -367,6 +367,25 @@ def test_trivial_target_drives_control_to_zero():
         np.zeros(prob.n_controls), abs=1e-16)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_run_paths_never_expand_the_element_basis(monkeypatch, k):
+    # assembly, loads, the tracking data and the H(curl) error work on the
+    # span and the coefficient table; only evaluate_field expands Phi
+    def no_basis(*args):
+        raise AssertionError("a run path built the element basis")
+    monkeypatch.setattr(nedelec, "element_basis", no_basis)
+    m = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    space = FESpace(m, k)
+    u_d = partial(exact_H, params=ElectrodeParams())
+    prob = ReducedProblem(m, space, ProblemConfig(
+        u_d=u_d, j_c=np.array([0.0, 0.0, 1.0 + 0.5j])))
+    report, G = prob.cost_and_gradient(np.zeros(prob.n_controls, complex))
+    assert np.isfinite(report.J) and np.isfinite(G).all()
+    assert np.isfinite(hcurl_error(space, prob.d, u_d, None))
+    with pytest.raises(AssertionError, match="built the element basis"):
+        evaluate_field(space, prob.d, np.full((1, 3), 0.25))
+
+
 @pytest.mark.parametrize("k, quad_order", [(0, None), (0, 4), (1, None),
                                            (1, 6)])
 def test_tracking_data_in_one_pass_without_curls(monkeypatch, k, quad_order):
@@ -375,8 +394,8 @@ def test_tracking_data_in_one_pass_without_curls(monkeypatch, k, quad_order):
     space = FESpace(m, k)
     u_d = partial(exact_H, params=ElectrodeParams())
     cells, curls = [], []
-    values, span = nedelec._element_values, nedelec._span
-    monkeypatch.setattr(nedelec, "_element_values", lambda mesh, s, pts, sl: (
+    values, span = nedelec._local_points, nedelec._span
+    monkeypatch.setattr(nedelec, "_local_points", lambda mesh, s, pts, sl: (
         cells.append(len(range(mesh.n_tets)[sl])) or values(mesh, s, pts, sl)))
     monkeypatch.setattr(nedelec, "_span", lambda k, pts, c: (
         curls.append(c) or span(k, pts, c)))
