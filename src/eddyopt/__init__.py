@@ -17,12 +17,9 @@ from .analytic import (
 )
 from .nedelec import (
     FESpace, ProblemConfig, AssemblyError, assemble, assemble_curl_mass,
-    assemble_load, interpolate, evaluate_field, hcurl_error, integrate,
+    assemble_load, interpolate, evaluate_field, hcurl_error,
 )
-from .trace import (
-    eval_psi, eval_phi, surface_curl_matrix, surface_mass_matrix, lift,
-    tangential_trace, eval_control_on_faces,
-)
+from .trace import surface_curl_matrix, surface_mass_matrix, lift
 from .solver import StateOperator, SolverError
 from .wirtinger import (
     ReducedProblem, CostReport, directional_derivative, fd_check,
@@ -36,9 +33,7 @@ __all__ = [
     "ElectrodeParams", "DomainError", "bessel_I", "exact_H",
     "exact_E", "exact_J", "exact_curl_H", "FESpace", "ProblemConfig",
     "AssemblyError", "assemble", "assemble_curl_mass", "assemble_load",
-    "interpolate", "evaluate_field", "hcurl_error", "integrate",
-    "eval_psi", "eval_phi", "surface_curl_matrix", "surface_mass_matrix",
-    "lift", "tangential_trace", "eval_control_on_faces", "StateOperator",
-    "SolverError", "ReducedProblem", "CostReport", "directional_derivative",
+    "interpolate", "evaluate_field", "hcurl_error", "surface_curl_matrix",
+    "surface_mass_matrix", "lift", "StateOperator", "SolverError", "ReducedProblem", "CostReport", "directional_derivative",
     "fd_check", "loglog_slope", "bfgs_minimize",
 ]

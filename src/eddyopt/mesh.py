@@ -95,13 +95,6 @@ class Mesh:
         return (self.boundary_vertices().size - self.boundary_edges.size
                 + self.boundary_faces.shape[0])
 
-    def boundary_edge_index(self, e):
-        """Position of global edge id e in the boundary-edge ordering."""
-        i = int(np.searchsorted(self.boundary_edges, e))
-        if i >= self.boundary_edges.size or self.boundary_edges[i] != e:
-            raise MeshError(f"edge {e} is not a boundary edge")
-        return i
-
 
 def _signed_volumes(vertices, tets):
     v = vertices[tets]

@@ -20,7 +20,7 @@ C (Phi = span C): matrices are C^T (int span^T coeff span) C, loads
 time, which bounds its working set to one span or span of curls, CHUNK x
 points x 3 x S doubles: 1.0 MB at k = 0 (S = 6, 27 points) and 7.9 MB at
 k = 1 (S = 20, 64 points) at the default load degree 2k + 4, curls only
-where used. No loop builds Phi; only `element_basis` expands it.
+where used. No loop builds Phi; only `element_basis` expands it, for tests.
 """
 
 import numbers
@@ -103,7 +103,7 @@ class FESpace:
     is the global dof of moment m of edge e, and `face_dofs[f, d]` (F, 2k)
     that of moment d of face f; the edge dofs come first, so
     edge_dofs[e, m] = (k+1) e + m and face_dofs[f, d] = (k+1) E + 2 f + d.
-    `cell_dofs` (tets, n_local) lists a tet's edge dofs, then its face dofs,
+    `cell_dofs` (tets, S) lists a tet's edge dofs, then its face dofs,
     in `tet_edges` and `tet_faces` order. `boundary_dofs` collects the dofs
     of boundary edges and boundary faces; `interior_dofs` is the complement.
     """
@@ -125,10 +125,6 @@ class FESpace:
             self.face_dofs[mesh.boundary_face_ids].ravel()]))
         self.interior_dofs = np.setdiff1d(np.arange(self.n_dofs),
                                           self.boundary_dofs, assume_unique=True)
-
-    @property
-    def n_local(self):
-        return _SPAN[self.k][0].shape[-1]
 
     @cached_property
     def lifting(self):
@@ -307,11 +303,12 @@ def _local_points(mesh, space, ref_pts, sl):
 
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
     """Basis values/curls at mapped reference points for tets in sl, the
-    one place the basis Phi = span D is expanded (a reference for tests and
-    VTK output; the element loops below work on the span and D).
+    one place the basis Phi = span D is expanded: the reference the tests
+    compare against (no run path calls it; the element loops below work on
+    the span and D).
 
-    Returns (phys (C, m, 3), jac (C,), Phi (C, m, n_local, 3),
-    curlPhi (C, m, n_local, 3)); jac = 6 * volume.
+    Returns (phys (C, m, 3), jac (C,), Phi (C, m, S, 3),
+    curlPhi (C, m, S, 3)); jac = 6 * volume.
     """
     phys, jac, local = _local_points(mesh, space, ref_pts, sl)
 
@@ -414,18 +411,6 @@ def assemble_load(mesh, space, j_c, degree=None):
                  2 * space.k + 4 if degree is None else degree)[0]
 
 
-def integrate(mesh, f, degree=6):
-    """Volume integral of a scalar function f(points (..., 3)) -> (...,)."""
-    rp, rw = tet_rule(degree)
-    total = 0.0
-    for sl in _chunks(mesh.n_tets):
-        verts = mesh.vertices[mesh.tets[sl]]
-        phys, jac = map_to_tets(verts, rp)
-        vals = np.asarray(f(phys))
-        total = total + np.einsum("cq,q,c->", vals, rw, jac)
-    return total
-
-
 def interpolate(space, v):
     """Moment interpolant of a smooth field v (callable or constant)."""
     mesh = space.mesh
@@ -434,39 +419,40 @@ def interpolate(space, v):
                     INTERP_FACE_DEGREE)[:, 0]
 
 
+def _field(local, curls, coef):
+    """The field span (D coef) (cells, q, 3), or its curl, from the (span,
+    D) of `_local_points`' local and the cell coefficients coef (cells, S):
+    one (3 q, S) x (S, 2) product per cell on the real and imaginary
+    columns, and no element basis."""
+    span, D = local(curls)
+    n, q, _, S = span.shape
+    a = D @ np.stack([coef.real, coef.imag], axis=-1)
+    return (span.reshape(n, 3 * q, S) @ a).view(complex).reshape(n, q, 3)
+
+
 def evaluate_field(space, u, ref_pts):
     """Evaluate the FE field at mapped reference points of every tet.
 
     Returns (phys (C, m, 3), vals (C, m, 3), curls (C, m, 3)).
     """
     def chunk(sl):
-        phys, _, Phi, curlPhi = element_basis(space.mesh, space, ref_pts, sl)
+        phys, _, local = _local_points(space.mesh, space, ref_pts, sl)
         coef = u[space.cell_dofs[sl]]
-        return (phys, np.einsum("cqmd,cm->cqd", Phi, coef),
-                np.einsum("cqmd,cm->cqd", curlPhi, coef))
+        return phys, _field(local, False, coef), _field(local, True, coef)
     parts = [chunk(sl) for sl in _chunks(space.mesh.n_tets)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def hcurl_error(space, u_h, exact, exact_curl, degree=None, return_parts=False):
+def hcurl_error(space, u_h, exact, exact_curl, degree=None):
     """H(curl) distance (||u - u_h||_0^2 + ||curl u - curl u_h||_0^2)^(1/2)."""
     if degree is None:
         degree = 2 * space.k + 4
 
     def chunk(sl, phys, w, local):
         coef = u_h[space.cell_dofs[sl]]
-        coef = np.stack([coef.real, coef.imag], axis=-1)
 
         def part(curls, f):
-            # span (D u): one (3 q, S) x (S, 2) product per cell on the
-            # real and imaginary columns, and no element basis
-            span, D = local(curls)
-            n, q, _, S = span.shape
-            d = (span.reshape(n, 3 * q, S) @ (D @ coef)).view(complex)
-            d = d.reshape(n, q, 3) - _vector_field_at(f, phys)
+            d = _field(local, curls, coef) - _vector_field_at(f, phys)
             return np.einsum("cq,cqd->", w, (d * d.conj()).real)
-        return [part(False, exact), part(True, exact_curl)]
-    acc_v, acc_c = map(sum, zip(*_cells(space.mesh, space, degree, chunk)))
-    if return_parts:
-        return np.sqrt(acc_v + acc_c), np.sqrt(acc_v), np.sqrt(acc_c)
-    return np.sqrt(acc_v + acc_c)
+        return part(False, exact) + part(True, exact_curl)
+    return np.sqrt(sum(_cells(space.mesh, space, degree, chunk)))

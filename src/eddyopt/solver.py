@@ -2,8 +2,8 @@
 
 The system matrix is assembled once per mesh, the interior block is LU
 factorized once, and every state solve (Dirichlet data by block
-elimination), adjoint solve (conjugate-transpose triangular solves on the
-same factors), and adjoint pairing reuses that factorization.
+elimination), adjoint solve (the conjugate of a forward solve, A_II being
+complex symmetric), and adjoint pairing reuses that factorization.
 
 The interior block A_II = K + i omega M is factored in SuperLU's symmetric
 mode with diagonal pivots only, in geometric nested-dissection order
@@ -169,7 +169,11 @@ class StateOperator:
         self.load = assemble_load(mesh, space, config.j_c,
                                   config.quad_degree(space.k) + 2)
 
-    def _check_residual(self, rhs, sol):
+    def _solve_interior(self, rhs):
+        """A_II^-1 rhs by the permuted factor, its relative residual checked
+        against solver_tol and the largest one kept."""
+        sol = np.empty_like(rhs)
+        sol[self.perm] = self.lu.solve(rhs[self.perm])
         # written so that a NaN residual (NaN or inf data) fails the check
         rel = (np.linalg.norm(self.A_II @ sol - rhs)
                / max(np.linalg.norm(rhs), 1e-300))
@@ -177,15 +181,14 @@ class StateOperator:
             self.max_residual = max(self.max_residual, rel)
         if not (rel <= max(self.config.solver_tol, 1e-30) or not rhs.any()):
             raise SolverError(f"relative residual {rel:.3e} above tolerance")
+        return sol
 
     def solve_dirichlet(self, g, f=None):
         """Solve with prescribed boundary dofs g (only B entries used)."""
         I, B = self.space.interior_dofs, self.space.boundary_dofs
         f = self.load if f is None else f
         u = np.array(g, dtype=complex)  # keeps g on B, solved for on I
-        rhs = f[I] - self.A_IB @ u[B]
-        u[I[self.perm]] = self.lu.solve(rhs[self.perm])
-        self._check_residual(rhs, u[I])
+        u[I] = self._solve_interior(f[I] - self.A_IB @ u[B])
         self.n_state_solves += 1
         return u
 
@@ -194,14 +197,16 @@ class StateOperator:
         return self.solve_dirichlet(lift(self.space, z))
 
     def solve_adjoint(self, rho):
-        """Solve the conjugate-transposed interior system against rho."""
+        """Solve the conjugate-transposed interior system against rho.
+
+        A_II is bitwise complex symmetric (assemble_curl_mass symmetrizes K
+        and M), so A_II^H w = rho_I is the conjugate of the forward solve
+        A_II conj(w) = conj(rho_I), residual check included.
+        """
         I = self.space.interior_dofs
-        rho_I = np.asarray(rho, dtype=complex)[I]
         w = np.zeros(self.space.n_dofs, dtype=complex)
-        w[I[self.perm]] = self.lu.solve(rho_I[self.perm], trans="H")
-        # A_II is bitwise complex symmetric (assemble_curl_mass symmetrizes
-        # K and M), so A_II^H s - rho_I = conj(A_II conj(s) - conj(rho_I)).
-        self._check_residual(np.conj(rho_I), np.conj(w[I]))
+        w[I] = np.conj(self._solve_interior(
+            np.conj(np.asarray(rho, dtype=complex)[I])))
         self.n_adjoint_solves += 1
         return w
 

@@ -1,17 +1,16 @@
 """Control space on the boundary surface: edge basis, surface curl/mass
-matrices, lifting into the volume space, and the tangential trace.
+matrices and lifting into the volume space.
 
 A control is one complex coefficient per boundary edge, ordered as
 mesh.boundary_edges, z = sum_e z_e phi_e, where phi_e is the lowest-order
 surface edge function: on each of the two faces sharing e it equals
 |e| (lambda_l grad_G lambda_m - lambda_m grad_G lambda_l) with (l, m) the
 edge endpoints in ascending id order. One coefficient table per boundary
-face states this basis; the curl and mass matrices, the evaluation of a
-control and the k = 1 lifting each contract it with closed-form integrals
-of the barycentric coordinates. phi_e has unit tangential component along
-e, vanishing tangential component along every other edge, and its rotation
-phi_e x n is the divergence-conforming psi_e on the same face pair;
-`eval_psi` and `eval_phi` evaluate both pointwise from their own formula.
+face states this basis; the curl and mass matrices and the k = 1 lifting
+each contract it with closed-form integrals of the barycentric
+coordinates. phi_e has unit tangential component along e, vanishing
+tangential component along every other edge, and its rotation phi_e x n
+is the divergence-conforming psi_e on the same face pair.
 """
 
 import numpy as np
@@ -50,49 +49,6 @@ def face_lambda_gradients(verts):
                  verts[..., 2, :] - verts[..., 0, :])[..., None, :]
     opp = np.roll(verts, -2, axis=-2) - np.roll(verts, -1, axis=-2)
     return np.cross(n, opp) / np.sum(n * n, axis=-1, keepdims=True)
-
-
-def _on_face(mesh, f, x, tol):
-    """Whether x lies on boundary face f, to within tol."""
-    verts = mesh.vertices[mesh.boundary_faces[f]]
-    if abs(mesh.boundary_normals[f] @ (x - verts[0])) > tol:
-        return False
-    lam = 1.0 / 3.0 + face_lambda_gradients(verts) @ (x - verts.mean(axis=0))
-    return lam.min() >= -tol
-
-
-def _psi(mesh, e, x, tol):
-    """(f, psi_e(x)) with f the face of e's pair that holds x, the plus
-    face tried first; (None, 0) if neither does. e runs counterclockwise
-    (from its lower to its higher vertex id) in the plus face."""
-    x = np.asarray(x, dtype=float)
-    faces, sides = np.nonzero(
-        mesh.boundary_face_edges == mesh.boundary_edge_index(e))
-    if mesh.boundary_faces[faces[0], sides[0]] != mesh.edges[e, 0]:
-        faces, sides = faces[::-1], sides[::-1]
-    for f, i, sign in zip(faces, sides, (1.0, -1.0)):
-        if _on_face(mesh, f, x, tol):
-            v = mesh.vertices[mesh.boundary_faces[f, (i + 2) % 3]]
-            return f, (sign * mesh.edge_lengths[e]
-                       / (2.0 * mesh.boundary_areas[f]) * (x - v))
-    return None, np.zeros(3)
-
-
-def eval_psi(mesh, e, x, tol=1e-10):
-    """Divergence-conforming edge function at x; zero off its face pair.
-
-    On the plus/minus face: +/- |e| / (2 |F|) (x - v), v the vertex
-    opposite e. Its normal component across e is 1 and its facewise
-    surface divergence is +/- |e| / |F|. MeshError if e is not a boundary
-    edge.
-    """
-    return _psi(mesh, e, x, tol)[1]
-
-
-def eval_phi(mesh, e, x, tol=1e-10):
-    """Tangentially continuous edge function at x: phi_e = n x psi_e."""
-    f, psi = _psi(mesh, e, x, tol)
-    return psi if f is None else np.cross(mesh.boundary_normals[f], psi)
 
 
 def _face_table(mesh):
@@ -137,21 +93,6 @@ def surface_mass_matrix(mesh):
     return symmetric_csr(contrib, bidx, mesh.n_boundary_edges)
 
 
-def eval_control_on_faces(mesh, z, face_idx, ref_pts):
-    """Evaluate z = sum z_e phi_e at reference points of boundary faces.
-
-    ref_pts (m, 2) are reference-triangle coordinates; returns physical
-    points (F, m, 3) and values (F, m, 3).
-    """
-    bidx, W, g = (a[face_idx] for a in _face_table(mesh))
-    lam = np.stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1],
-                    ref_pts[:, 0], ref_pts[:, 1]], axis=1)
-    verts = mesh.vertices[mesh.boundary_faces[face_idx]]
-    zW = np.einsum("fi,ficd->fcd", z[bidx], W)
-    return (np.einsum("mc,fcx->fmx", lam, verts),
-            np.einsum("mc,fcd,fdx->fmx", lam, zW, g))
-
-
 def lifting_matrix(space):
     """Sparse matrix L of the lifting of a control into the volume space.
 
@@ -183,9 +124,3 @@ def lift(space, z):
     if z.shape != (space.mesh.n_boundary_edges,):
         raise MeshError("control vector does not match the boundary")
     return space.lifting @ z
-
-
-def tangential_trace(space, u):
-    """Mean tangential moments on boundary edges (the j = 0 trace)."""
-    dofs = space.edge_dofs[space.mesh.boundary_edges, 0]
-    return np.asarray(u, dtype=complex)[dofs]

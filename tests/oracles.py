@@ -1,0 +1,105 @@
+"""Reference routines the tests compare the package against.
+
+No command, demo or bench job needs these; each is computed from its own
+formula, or from the expanded element basis, rather than by the code path
+it checks. Tests import them with `from oracles import ...`.
+"""
+
+import numpy as np
+
+from eddyopt.mesh import MeshError
+from eddyopt.nedelec import element_basis
+from eddyopt.quadrature import map_to_tets, tet_rule
+from eddyopt.trace import _face_table, face_lambda_gradients
+
+
+def boundary_edge_index(mesh, e):
+    """Position of global edge id e in the boundary-edge ordering."""
+    i = int(np.searchsorted(mesh.boundary_edges, e))
+    if i >= mesh.boundary_edges.size or mesh.boundary_edges[i] != e:
+        raise MeshError(f"edge {e} is not a boundary edge")
+    return i
+
+
+def _on_face(mesh, f, x, tol):
+    """Whether x lies on boundary face f, to within tol."""
+    verts = mesh.vertices[mesh.boundary_faces[f]]
+    if abs(mesh.boundary_normals[f] @ (x - verts[0])) > tol:
+        return False
+    lam = 1.0 / 3.0 + face_lambda_gradients(verts) @ (x - verts.mean(axis=0))
+    return lam.min() >= -tol
+
+
+def _psi(mesh, e, x, tol):
+    """(f, psi_e(x)) with f the face of e's pair that holds x, the plus
+    face tried first; (None, 0) if neither does. e runs counterclockwise
+    (from its lower to its higher vertex id) in the plus face."""
+    x = np.asarray(x, dtype=float)
+    faces, sides = np.nonzero(
+        mesh.boundary_face_edges == boundary_edge_index(mesh, e))
+    if mesh.boundary_faces[faces[0], sides[0]] != mesh.edges[e, 0]:
+        faces, sides = faces[::-1], sides[::-1]
+    for f, i, sign in zip(faces, sides, (1.0, -1.0)):
+        if _on_face(mesh, f, x, tol):
+            v = mesh.vertices[mesh.boundary_faces[f, (i + 2) % 3]]
+            return f, (sign * mesh.edge_lengths[e]
+                       / (2.0 * mesh.boundary_areas[f]) * (x - v))
+    return None, np.zeros(3)
+
+
+def eval_psi(mesh, e, x, tol=1e-10):
+    """Divergence-conforming edge function at x; zero off its face pair.
+
+    On the plus/minus face: +/- |e| / (2 |F|) (x - v), v the vertex
+    opposite e. Its normal component across e is 1 and its facewise
+    surface divergence is +/- |e| / |F|. MeshError if e is not a boundary
+    edge.
+    """
+    return _psi(mesh, e, x, tol)[1]
+
+
+def eval_phi(mesh, e, x, tol=1e-10):
+    """Tangentially continuous edge function at x: phi_e = n x psi_e."""
+    f, psi = _psi(mesh, e, x, tol)
+    return psi if f is None else np.cross(mesh.boundary_normals[f], psi)
+
+
+def eval_control_on_faces(mesh, z, face_idx, ref_pts):
+    """Evaluate z = sum z_e phi_e at reference points of boundary faces.
+
+    ref_pts (m, 2) are reference-triangle coordinates; returns physical
+    points (F, m, 3) and values (F, m, 3).
+    """
+    bidx, W, g = (a[face_idx] for a in _face_table(mesh))
+    lam = np.stack([1.0 - ref_pts[:, 0] - ref_pts[:, 1],
+                    ref_pts[:, 0], ref_pts[:, 1]], axis=1)
+    verts = mesh.vertices[mesh.boundary_faces[face_idx]]
+    zW = np.einsum("fi,ficd->fcd", z[bidx], W)
+    return (np.einsum("mc,fcx->fmx", lam, verts),
+            np.einsum("mc,fcd,fdx->fmx", lam, zW, g))
+
+
+def tangential_trace(space, u):
+    """Mean tangential moments on boundary edges (the j = 0 trace)."""
+    dofs = space.edge_dofs[space.mesh.boundary_edges, 0]
+    return np.asarray(u, dtype=complex)[dofs]
+
+
+def integrate(mesh, f, degree=6):
+    """Volume integral of a scalar function f(points (..., 3)) -> (...,)."""
+    rp, rw = tet_rule(degree)
+    phys, jac = map_to_tets(mesh.vertices[mesh.tets], rp)
+    return np.einsum("cq,q,c->", np.asarray(f(phys)), rw, jac)
+
+
+def hcurl_error_parts(space, u_h, exact, exact_curl, degree):
+    """(total, value, curl) of the H(curl) distance of `hcurl_error`, from
+    the element basis contracted with u_h at the degree's tet rule."""
+    pts, w = tet_rule(degree)
+    phys, jac, Phi, curlPhi = element_basis(space.mesh, space, pts)
+    coef = u_h[space.cell_dofs]
+    parts = []
+    for basis, f in ((Phi, exact), (curlPhi, exact_curl)):
+        d = np.einsum("cqmd,cm->cqd", basis, coef) - f(phys)
+        parts.append(np.einsum("q,c,cqd->", w, jac, (d * d.conj()).real))
+    return np.sqrt(sum(parts)), np.sqrt(parts[0]), np.sqrt(parts[1])

@@ -22,13 +22,13 @@ from eddyopt.nedelec import (
 from eddyopt.quadrature import triangle_rule
 from eddyopt.solver import StateOperator
 from eddyopt.trace import (
-    eval_control_on_faces, eval_phi, face_lambda_gradients,
-    surface_curl_matrix, surface_mass_matrix,
+    face_lambda_gradients, surface_curl_matrix, surface_mass_matrix,
 )
 from eddyopt.wirtinger import (
     ReducedProblem, bfgs_minimize, directional_derivative, fd_check,
     loglog_slope,
 )
+from oracles import eval_control_on_faces, eval_phi
 
 
 def _run(capsys, ident, fn):

@@ -11,10 +11,10 @@ from eddyopt import nedelec
 from eddyopt.mesh import generate_cube, generate_cylinder
 from eddyopt.nedelec import (
     AssemblyError, FESpace, ProblemConfig, assemble, assemble_curl_mass,
-    assemble_load, element_basis, evaluate_field, hcurl_error, integrate,
-    interpolate,
+    assemble_load, element_basis, evaluate_field, hcurl_error, interpolate,
 )
 from eddyopt.quadrature import gauss_01, tet_rule
+from oracles import hcurl_error_parts, integrate
 
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -177,7 +177,7 @@ def test_dof_counts():
     s0, s1 = FESpace(m, 0), FESpace(m, 1)
     assert s0.n_dofs == m.n_edges
     assert s1.n_dofs == 2 * m.n_edges + 2 * m.faces.shape[0]
-    assert s0.n_local == 6 and s1.n_local == 20
+    assert s0.cell_dofs.shape[1] == 6 and s1.cell_dofs.shape[1] == 20
     E, F = m.n_edges, m.faces.shape[0]
     for k, s in enumerate((s0, s1)):
         # boundary + interior partition the dofs
@@ -475,7 +475,7 @@ def test_evaluate_field_matches_interpolant():
             abs=1e-13)
 
 
-def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets():
+def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets(monkeypatch):
     m = generate_cylinder(0.5, 1.0, 2, 12, 4)
     assert m.n_tets > nedelec.CHUNK
     ref = np.array([[0.25, 0.25, 0.25], [0.1, 0.2, 0.3]])
@@ -484,12 +484,19 @@ def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets():
         space = FESpace(m, k)
         u = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(
             space.n_dofs)
-        phys, _, Phi, curlPhi = element_basis(m, space, ref)  # every tet
-        coef = u[space.cell_dofs]
-        whole = (phys, np.einsum("cqmd,cm->cqd", Phi, coef),
-                 np.einsum("cqmd,cm->cqd", curlPhi, coef))
-        for part, want in zip(evaluate_field(space, u, ref), whole):
+        chunked = evaluate_field(space, u, ref)
+        with monkeypatch.context() as patch:
+            patch.setattr(nedelec, "CHUNK", m.n_tets)
+            whole = evaluate_field(space, u, ref)  # every tet in one pass
+        for part, want in zip(chunked, whole):
             assert np.array_equal(part, want)
+        # and the element basis contracted with the same coefficients
+        phys, _, Phi, curlPhi = element_basis(m, space, ref)
+        coef = u[space.cell_dofs]
+        assert np.array_equal(chunked[0], phys)
+        for got, basis in zip(chunked[1:], (Phi, curlPhi)):
+            want = np.einsum("cqmd,cm->cqd", basis, coef)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -508,29 +515,25 @@ def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
     curl = lambda x: np.stack([2 * x[..., 2], -1j * np.ones(x.shape[:-1]),
                                -np.cos(x[..., 1])], axis=-1)
     degree = 2 * k + 4
-    pts, w = tet_rule(degree)
-    _, jac, Phi, curlPhi = element_basis(m, space, pts)
+    pts, _ = tet_rule(degree)
+    _, _, Phi, curlPhi = element_basis(m, space, pts)
 
     def field(sl, phys, w, local):  # span (D u) on each chunk
         coef = u[space.cell_dofs[sl]]
-        return [phys] + [np.einsum("cqds,cst,ct->cqd", *local(curls), coef)
-                         for curls in (False, True)]
-    phys, vals, curls = map(np.concatenate, zip(*nedelec._cells(
+        return [nedelec._field(local, curls, coef) for curls in (False, True)]
+    vals, curls = map(np.concatenate, zip(*nedelec._cells(
         m, space, degree, field)))
     coef = u[space.cell_dofs]
-    want_parts = []
-    for got, basis, f in ((vals, Phi, exact), (curls, curlPhi, curl)):
+    for got, basis in ((vals, Phi), (curls, curlPhi)):
         want = np.einsum("cqmd,cm->cqd", basis, coef)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        d = want - f(phys)
-        want_parts.append(np.einsum("q,c,cqd->", w, jac, (d * d.conj()).real))
+    want = hcurl_error_parts(space, u, exact, curl, degree)[0]
 
     def no_basis(*args):
         raise AssertionError("hcurl_error built the element basis")
     monkeypatch.setattr(nedelec, "element_basis", no_basis)
-    got = hcurl_error(space, u, exact, curl, return_parts=True)
-    want = np.sqrt([sum(want_parts), *want_parts])
-    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    got = hcurl_error(space, u, exact, curl)
+    assert np.isclose(got, want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("run", [
@@ -588,7 +591,8 @@ def test_hcurl_error_parts_and_interpolant_decay():
         m = generate_cube(n)
         space = FESpace(m, 0)
         u = interpolate(space, el_field)
-        e, fp, cp = hcurl_error(space, u, el_field, el_curl, return_parts=True)
+        e = hcurl_error(space, u, el_field, el_curl)
+        _, fp, cp = hcurl_error_parts(space, u, el_field, el_curl, 4)
         assert e == pytest.approx(np.sqrt(fp ** 2 + cp ** 2))
         errs.append(e)
     assert errs[0] > errs[1] > errs[2]

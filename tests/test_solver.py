@@ -17,7 +17,8 @@ from eddyopt.nedelec import (
 from eddyopt.solver import (
     LEAF, SolverError, StateOperator, _dof_points, _graph, _nested_dissection,
     _vertex_cover)
-from eddyopt.trace import lift, tangential_trace
+from eddyopt.trace import lift
+from oracles import tangential_trace
 
 
 def _meshes():
@@ -113,6 +114,22 @@ def test_adjoint_solves_the_conjugate_transposed_system():
     # cross-check against a dense solve of the conjugate transpose
     dense = np.linalg.solve(op.A_II.getH().toarray(), rho[I])
     assert np.abs(w[I] - dense).max() / np.abs(dense).max() <= 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_adjoint_is_the_conjugate_of_a_forward_solve(k):
+    # A_II is bitwise complex symmetric, so the adjoint solve is one
+    # forward solve of the conjugated data, conjugated back
+    mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    space = FESpace(mesh, k)
+    op = StateOperator(mesh, space, ProblemConfig(omega=2.0, kappa=3.0))
+    assert (op.A_II != op.A_II.T).nnz == 0
+    rng = np.random.default_rng(5)
+    rho = (rng.standard_normal(space.n_dofs)
+           + 1j * rng.standard_normal(space.n_dofs))
+    I = space.interior_dofs
+    forward = op.solve_dirichlet(np.zeros(space.n_dofs), f=np.conj(rho))
+    assert np.array_equal(op.solve_adjoint(rho)[I], np.conj(forward[I]))
 
 
 def test_solve_counters_track_factorization_reuse():

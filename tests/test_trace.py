@@ -10,9 +10,9 @@ from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
 from eddyopt.nedelec import FESpace, element_basis, interpolate
 from eddyopt.quadrature import gauss_01, triangle_rule
 from eddyopt.trace import (
-    eval_control_on_faces, eval_phi, eval_psi, face_lambda_gradients, lift,
-    surface_curl_matrix, surface_mass_matrix, tangential_trace,
+    face_lambda_gradients, lift, surface_curl_matrix, surface_mass_matrix,
 )
+from oracles import eval_control_on_faces, eval_phi, eval_psi, tangential_trace
 
 
 def _face_boundary_edges(m, tri):

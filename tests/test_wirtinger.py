@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from eddyopt import nedelec
 from eddyopt.analytic import ElectrodeParams, exact_H
+from eddyopt.cli import write_vtk_state
 from eddyopt.mesh import generate_cube, generate_cylinder, refine_uniform
 from eddyopt.nedelec import (
     FESpace, ProblemConfig, assemble_curl_mass, assemble_load, evaluate_field,
-    hcurl_error, integrate)
+    hcurl_error)
 from eddyopt.trace import lift, lifting_matrix
 from eddyopt.wirtinger import (
     RIESZ_MASS, CostReport, ReducedProblem, bfgs_minimize,
     directional_derivative, fd_check, loglog_slope,
 )
+from oracles import integrate
 
 
 def _abs_square(z):
@@ -368,9 +370,9 @@ def test_trivial_target_drives_control_to_zero():
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_run_paths_never_expand_the_element_basis(monkeypatch, k):
-    # assembly, loads, the tracking data and the H(curl) error work on the
-    # span and the coefficient table; only evaluate_field expands Phi
+def test_run_paths_never_expand_the_element_basis(monkeypatch, tmp_path, k):
+    # assembly, loads, the tracking data, the H(curl) error, field values
+    # and the VTK output work on the span and the coefficient table
     def no_basis(*args):
         raise AssertionError("a run path built the element basis")
     monkeypatch.setattr(nedelec, "element_basis", no_basis)
@@ -382,8 +384,10 @@ def test_run_paths_never_expand_the_element_basis(monkeypatch, k):
     report, G = prob.cost_and_gradient(np.zeros(prob.n_controls, complex))
     assert np.isfinite(report.J) and np.isfinite(G).all()
     assert np.isfinite(hcurl_error(space, prob.d, u_d, None))
-    with pytest.raises(AssertionError, match="built the element basis"):
-        evaluate_field(space, prob.d, np.full((1, 3), 0.25))
+    _, vals, curls = evaluate_field(space, prob.d, np.full((1, 3), 0.25))
+    assert np.isfinite(vals).all() and np.isfinite(curls).all()
+    write_vtk_state(tmp_path / "state.vtk", m, space, prob.d)
+    assert (tmp_path / "state.vtk").stat().st_size > 0
 
 
 @pytest.mark.parametrize("k, quad_order", [(0, None), (0, 4), (1, None),
