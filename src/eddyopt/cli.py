@@ -409,8 +409,9 @@ def _monotone(gaps, key):
 
 def cmd_optimize(cfg, summary):
     """Riesz-preconditioned limited-memory BFGS (20 pairs) control
-    optimization across levels; its evaluation count does not grow with
-    the level.
+    optimization across levels; from z = 0 at order 0 its evaluation count
+    rises slowly with the level, 20 / 24 / 24 / 27 on L0-L3 of the
+    [1, 8, 2] cylinder.
 
     The finest level's optimum is the reference; relative gaps of J and of
     the tracking term are reported per level.  It passes when every level

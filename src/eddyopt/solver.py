@@ -21,7 +21,16 @@ definite: every leading principal submatrix then has a definite imaginary
 part and is nonsingular, and Higham (Math. Comp. 67, 1998) bounds the
 growth factor of such an elimination. Every solve still checks its
 relative residual against solver_tol, and the largest one is kept.
+
+Set-up uses two threads. SuperLU releases the GIL while it factors, so
+one worker thread meanwhile builds what does not need the factor: the j_c
+load and what the caller hands over (`ReducedProblem`: its tracking data
+and Riesz factor). It is the only worker; nothing on it submits work or
+waits on the calling thread, and the element basis it reads is built by
+the assembly before it starts.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,9 +156,14 @@ class StateOperator:
     The interior block is factored once. Solve counts are instrumented:
     n_state_solves, n_adjoint_solves; max_residual is the largest relative
     residual of any solve so far.
+
+    While this thread factors, the worker (module docstring) computes `load`
+    and then calls `alongside()`, if given, which must not need the factor.
+    The worker is joined before `__init__` returns or raises; its error is
+    raised here unless the factor failed first (SolverError).
     """
 
-    def __init__(self, mesh, space, config):
+    def __init__(self, mesh, space, config, alongside=None):
         self.space = space
         self.config = config
         I, B = space.interior_dofs, space.boundary_dofs
@@ -157,17 +171,25 @@ class StateOperator:
         self.A_II = rows[:, I].tocsc()
         self.A_IB = rows[:, B].tocsr()
         p = self.perm = _nested_dissection(_dof_points(space)[I], self.A_II)
-        try:
-            self.lu = spla.splu(self.A_II[p][:, p], permc_spec="NATURAL",
-                                diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
-        except RuntimeError as err:
-            raise SolverError(f"singular interior block: {err}") from None
+
+        def rest_of_setup():
+            self.load = assemble_load(mesh, space, config.j_c,
+                                      config.quad_degree(space.k) + 2)
+            if alongside is not None:
+                alongside()
+        # leaving the block joins the worker, also when splu raises
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            done = worker.submit(rest_of_setup)
+            try:
+                self.lu = spla.splu(self.A_II[p][:, p], permc_spec="NATURAL",
+                                    diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+            except RuntimeError as err:
+                raise SolverError(f"singular interior block: {err}") from None
+            done.result()
         self.n_state_solves = 0
         self.n_adjoint_solves = 0
         self.max_residual = 0.0
-        self.load = assemble_load(mesh, space, config.j_c,
-                                  config.quad_degree(space.k) + 2)
 
     def _solve_interior(self, rhs):
         """A_II^-1 rhs by the permuted factor, its relative residual checked

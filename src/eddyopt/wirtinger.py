@@ -18,11 +18,12 @@ The controls are regularized by the surface curl, so the gradient's
 natural representative is its Riesz representative P^-1 G under the real
 surface matrix P = alpha K + (beta + RIESZ_MASS) M, factored once per
 problem. Each report carries the map v -> P^-1 v, and L-BFGS takes P^-1
-as its initial inverse Hessian, which makes its evaluation count
-independent of the mesh (Schwedes, Ham, Funke & Piggott 2017): from
-z = 0 at order 0, alpha = 1e-3, beta = 0, levels L0-L3 of the [1, 8, 2]
-cylinder take 20 / 24 / 24 / 27 evaluations against 24 / 31 / 69 / 159
-in the Euclidean metric.
+as its initial inverse Hessian, which keeps its evaluation count nearly
+level under refinement (Schwedes, Ham, Funke & Piggott 2017), though not
+constant: from z = 0 at order 0, alpha = 1e-3, beta = 0, levels L0-L3 of
+the [1, 8, 2] cylinder take 20 / 24 / 24 / 27 evaluations against
+24 / 31 / 69 / 159 in the Euclidean metric, and the benchmark's random
+starts on L2 (optimize-o0, seeds 1-10) take 26-29.
 """
 
 from collections import deque
@@ -70,25 +71,29 @@ class ReducedProblem:
     gradient is requested. The Riesz map P of the controls is a surface
     matrix with its own small factor; `riesz` solves with it, and that
     solve is not a volume solve.
+
+    The tracking data (K, M, M_c, d, c_d) and the factor of P do not need
+    A_II's factor, so `StateOperator`'s worker thread builds them while
+    A_II is factored.
     """
 
     def __init__(self, mesh, space, config):
         self.mesh = mesh
         self.config = config
-        self.op = StateOperator(mesh, space, config)
-        # surface-curl and surface mass Gram matrices of the control basis
-        self.K = surface_curl_matrix(mesh)
-        self.M = surface_mass_matrix(mesh)
-        q = config.quad_degree(space.k)
-        self.M_c = _mass_matrix(mesh, space, q)
-        self.d, self.c_d = _load(mesh, space, config.u_d, q + 2)
-        # P is symmetric positive definite, so diagonal pivots are safe.
-        # Factored last: its SuperLU workspace then adds to a smaller
-        # resident set than during the assembly above.
-        self.riesz_lu = splu((config.alpha * self.K + (
-            config.beta + RIESZ_MASS) * self.M).tocsc(),
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True})
+
+        def tracking_data():
+            # surface-curl and surface mass Gram matrices of the controls
+            self.K = surface_curl_matrix(mesh)
+            self.M = surface_mass_matrix(mesh)
+            q = config.quad_degree(space.k)
+            self.M_c = _mass_matrix(mesh, space, q)
+            self.d, self.c_d = _load(mesh, space, config.u_d, q + 2)
+            # P is symmetric positive definite: diagonal pivots are safe
+            self.riesz_lu = splu((config.alpha * self.K + (
+                config.beta + RIESZ_MASS) * self.M).tocsc(),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+        self.op = StateOperator(mesh, space, config, alongside=tracking_data)
         self.n_evaluations = 0
 
     @property

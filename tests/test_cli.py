@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from eddyopt import cli, nedelec
+from eddyopt import cli, nedelec, wirtinger
 from eddyopt.cli import main
 from eddyopt.mesh import generate_cube, parse_msh, write_msh
 
@@ -236,17 +236,28 @@ def test_optimize_trivial_target_returns_zero_control(tmp_path):
     assert [r[header.index("gap_J1")] for r in rows] == ["", ""]
 
 
-def test_optimize_failure_keeps_its_traceback(tmp_path):
+@pytest.mark.parametrize("error", ["SolverError", "AssemblyError"])
+def test_optimize_failure_keeps_its_traceback(tmp_path, monkeypatch, error):
+    problem = {"u_d": [0.1, 0.0, 0.2]}
+    if error == "SolverError":  # no solve reaches this tolerance
+        problem["solver_tol"] = 1e-20
+    else:  # raised on the worker thread that builds the tracking data
+        def _load(*args):
+            raise nedelec.AssemblyError("u_d is not finite")
+        monkeypatch.setattr(wirtinger, "_load", _load)
     cfg = _write(tmp_path, "cfg.json", {
         "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
-        "problem": {"u_d": [0.1, 0.0, 0.2], "solver_tol": 1e-20},
+        "problem": problem,
     })
     out = str(tmp_path / "out")
     assert main(["optimize", "--config", cfg, "--out", out]) == 1
     s = _summary(out)
     assert s["ok"] is False and s["levels_completed"] == 0
-    assert s["failure"].startswith("level L0:")
-    assert "Traceback" in s["traceback"] and "SolverError" in s["traceback"]
+    assert s["failure"].startswith(f"level L0: {error}: ")
+    assert "Traceback" in s["traceback"] and error in s["traceback"]
+    if error == "AssemblyError":  # the worker's frames are kept
+        assert "in tracking_data" in s["traceback"]
+        assert "in _load" in s["traceback"]
     for name in ("history.csv", "study.csv"):  # written, with no rows
         assert _read_csv(os.path.join(out, name))[1] == []
 

@@ -1,6 +1,8 @@
 """Factorized state/adjoint solver: exactness, duality, instrumentation."""
 
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from eddyopt.mesh import (
     MeshError, generate_cube, generate_cylinder, parse_msh, write_msh)
 from eddyopt.analytic import ElectrodeParams, exact_J
+from eddyopt import nedelec
 from eddyopt.nedelec import (
     FESpace, ProblemConfig, assemble, assemble_load, interpolate)
 from eddyopt.solver import (
@@ -382,3 +385,76 @@ def test_zero_control_zero_load_gives_zero_state():
     op = StateOperator(mesh, space, ProblemConfig())
     u = op.solve_state(np.zeros(mesh.n_boundary_edges, dtype=complex))
     assert np.abs(u).max() == 0.0
+
+
+# StateOperator builds its j_c load on one worker thread while it factors
+# A_II; the tests below wait on that worker with a timeout, never forever.
+OVERLAP_TIMEOUT_S = 30.0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_worker_load_and_factor_equal_direct_calls(k):
+    mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    space = FESpace(mesh, k)
+    cfg = ProblemConfig(j_c=np.array([0.1, 0.0, 1.0 + 0.5j]), quad_order=3)
+    start = threading.active_count()
+    op = StateOperator(mesh, space, cfg)
+    assert threading.active_count() == start
+    I = space.interior_dofs
+    assert np.array_equal(op.load, assemble_load(mesh, space, cfg.j_c, 5))
+    p = _nested_dissection(_dof_points(space)[I], op.A_II)
+    assert np.array_equal(op.perm, p)
+    lu = spla.splu(op.A_II[p][:, p], permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert op.lu.nnz == lu.nnz
+
+
+def test_load_is_built_while_the_block_is_factored(monkeypatch):
+    # the factor waits for the worker's load to start: if the two ran one
+    # after the other, the wait would time out and the test fail
+    started, waited, built = threading.Event(), [], []
+    load, splu = nedelec._load, spla.splu
+
+    def signalling_load(mesh, space, *args):
+        # the worker only reads the element basis (a cached_property): it
+        # must exist before the worker starts
+        built.append("basis" in vars(space))
+        started.set()
+        return load(mesh, space, *args)
+
+    def waiting_splu(*args, **kwargs):
+        waited.append(started.wait(OVERLAP_TIMEOUT_S))
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(nedelec, "_load", signalling_load)
+    monkeypatch.setattr(spla, "splu", waiting_splu)
+    mesh = generate_cube(2)
+    start = threading.active_count()
+    op = StateOperator(mesh, FESpace(mesh, 0),
+                       ProblemConfig(j_c=np.array([0.0, 0.0, 1.0])))
+    assert waited == [True] and built == [True]
+    assert threading.active_count() == start
+    assert op.load.any()
+
+
+def test_a_failed_factor_raises_solver_error_after_joining_the_worker(
+        monkeypatch):
+    finished = []
+    load = nedelec._load
+
+    def slow_load(*args):
+        time.sleep(0.2)  # still running when the factor fails
+        out = load(*args)
+        finished.append(True)
+        return out
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(nedelec, "_load", slow_load)
+    monkeypatch.setattr(spla, "splu", singular)
+    mesh = generate_cube(1)
+    start = threading.active_count()
+    with pytest.raises(SolverError, match="singular interior block: Factor"):
+        StateOperator(mesh, FESpace(mesh, 0), ProblemConfig())
+    assert finished == [True]
+    assert threading.active_count() == start
+

@@ -1,20 +1,23 @@
 """Reduced cost/gradient calculus, finite-difference checks, and BFGS."""
 
+import threading
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from eddyopt import nedelec
+from eddyopt import nedelec, wirtinger
 from eddyopt.analytic import ElectrodeParams, exact_H
 from eddyopt.cli import write_vtk_state
 from eddyopt.mesh import generate_cube, generate_cylinder, refine_uniform
 from eddyopt.nedelec import (
-    FESpace, ProblemConfig, assemble_curl_mass, assemble_load, evaluate_field,
-    hcurl_error)
-from eddyopt.trace import lift, lifting_matrix
+    AssemblyError, FESpace, ProblemConfig, _load, _mass_matrix,
+    assemble_curl_mass, assemble_load, evaluate_field, hcurl_error)
+from eddyopt.trace import (
+    lift, lifting_matrix, surface_curl_matrix, surface_mass_matrix)
 from eddyopt.wirtinger import (
     RIESZ_MASS, CostReport, ReducedProblem, bfgs_minimize,
     directional_derivative, fd_check, loglog_slope,
@@ -422,3 +425,67 @@ def test_tracking_data_in_one_pass_without_curls(monkeypatch, k, quad_order):
     c_d = integrate(m, lambda p: np.einsum("...d,...d->...", u_d(p),
                                            u_d(p).conj()).real, q + 2)
     assert prob.c_d == pytest.approx(c_d, rel=1e-14)
+
+
+def _same_sparse(A, B):
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_tracking_data_built_alongside_the_factor_equals_direct_calls(k):
+    # StateOperator's worker builds the tracking data while A_II is
+    # factored; every array is the one a direct call gives, bit for bit
+    mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    space = FESpace(mesh, k)
+    u_d = partial(exact_H, params=ElectrodeParams())
+    cfg = ProblemConfig(j_c=np.array([0.0, 0.0, 1.0 + 0.5j]), u_d=u_d)
+    start = threading.active_count()
+    prob = ReducedProblem(mesh, space, cfg)
+    assert threading.active_count() == start
+    q = cfg.quad_degree(k)
+    assert _same_sparse(prob.K, surface_curl_matrix(mesh))
+    assert _same_sparse(prob.M, surface_mass_matrix(mesh))
+    assert _same_sparse(prob.M_c, _mass_matrix(mesh, space, q))
+    d, c_d = _load(mesh, space, u_d, q + 2)
+    assert np.array_equal(prob.d, d) and prob.c_d == c_d
+    assert np.array_equal(prob.op.load,
+                          assemble_load(mesh, space, cfg.j_c, q + 2))
+    P = cfg.alpha * prob.K + (cfg.beta + RIESZ_MASS) * prob.M
+    lu = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    v = np.arange(2.0 * prob.n_controls).reshape(-1, 2)
+    assert prob.riesz_lu.nnz == lu.nnz
+    assert np.array_equal(prob.riesz_lu.solve(v), lu.solve(v))
+
+
+def test_tracking_data_is_built_while_the_state_block_is_factored(
+        monkeypatch):
+    # the state factor waits for the u_d load to start, with a timeout: a
+    # serial set-up would fail here, not hang
+    started, waited = threading.Event(), []
+    load, state_splu = wirtinger._load, spla.splu
+
+    def signalling_load(*args):
+        started.set()
+        return load(*args)
+
+    def waiting_splu(*args, **kwargs):
+        waited.append(started.wait(30.0))
+        return state_splu(*args, **kwargs)
+    monkeypatch.setattr(wirtinger, "_load", signalling_load)
+    monkeypatch.setattr(spla, "splu", waiting_splu)
+    prob = _small_problem()
+    assert waited == [True]
+    assert prob.d.any()
+
+
+def test_an_error_building_the_tracking_data_is_raised(monkeypatch):
+    def failing_load(*args):
+        raise AssemblyError("u_d is not finite")
+    monkeypatch.setattr(wirtinger, "_load", failing_load)
+    start = threading.active_count()
+    with pytest.raises(AssemblyError, match="u_d is not finite"):
+        _small_problem()
+    assert threading.active_count() == start
