@@ -11,10 +11,11 @@ a ``summary.json`` into an output directory:
                  optimization across a refinement family with relative
                  cost gaps against the finest level
 
-Every command is deterministic for a fixed seed.  ``main`` writes every
-``summary.json``: ``ok`` only if all checks (rate/slope/plateau/termination)
-pass, and a raised error as ``failure`` with its ``traceback``.  It exits 0
-when ok, 1 if not, and 2 on a bad config, ``--out`` or degenerate mesh.
+Only ``grad-check`` draws random numbers, from ``seed`` (or ``--seed``).
+``main`` writes every ``summary.json``: ``ok`` only if all checks
+(rate/slope/plateau/termination) pass, and a raised error as ``failure``
+with its ``traceback``.  It exits 0 when ok, 1 if not, and 2 on a bad
+config, ``--out`` or degenerate mesh.
 """
 
 import argparse
@@ -36,7 +37,8 @@ from .mesh import (MeshError, cube_size, cylinder_size, generate_cube,
                    whole, write_msh, mesh_to_json)
 from .nedelec import FESpace, ProblemConfig, evaluate_field, hcurl_error, interpolate
 from .solver import StateOperator
-from .wirtinger import ReducedProblem, bfgs_minimize, fd_check, loglog_slope
+from .wirtinger import (MAX_ITER, TOL, ReducedProblem, bfgs_minimize,
+                        check_stopping, fd_check, loglog_slope)
 
 
 class ConfigError(ValueError):
@@ -75,8 +77,22 @@ class RunConfig:
     fit_floor: float
 
 
-def _as_complex_vec(spec, name):
-    """Accept [a, b, c] (real) or {"re": [...], "im": [...]}, all finite."""
+def resolve_field(spec, electrode, name):
+    """Turn a config field spec into a constant vector or callable.
+
+    Strings name the analytic cylinder fields ("exact_H", "exact_E",
+    "exact_J", "zero"); otherwise a constant complex 3-vector is expected,
+    [a, b, c] (real) or {"re": [...], "im": [...]}, all finite.
+    """
+    if spec is None or spec == "zero":
+        return None
+    if isinstance(spec, str):
+        fns = {"exact_H": analytic.exact_H, "exact_E": analytic.exact_E,
+               "exact_J": analytic.exact_J}
+        if spec not in fns:
+            raise ConfigError(f"{name}: unknown field name {spec!r}")
+        fn = fns[spec]
+        return lambda x: fn(x, electrode)
     if isinstance(spec, dict):
         re = np.asarray(spec.get("re", [0, 0, 0]), dtype=float)
         im = np.asarray(spec.get("im", [0, 0, 0]), dtype=float)
@@ -88,24 +104,6 @@ def _as_complex_vec(spec, name):
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ConfigError(f"{name}: entries must be finite")
     return re + 1j * im
-
-
-def resolve_field(spec, electrode, name):
-    """Turn a config field spec into a constant vector or callable.
-
-    Strings name the analytic cylinder fields ("exact_H", "exact_E",
-    "exact_J", "zero"); otherwise a constant complex 3-vector is expected.
-    """
-    if spec is None or spec == "zero":
-        return None
-    if isinstance(spec, str):
-        fns = {"exact_H": analytic.exact_H, "exact_E": analytic.exact_E,
-               "exact_J": analytic.exact_J}
-        if spec not in fns:
-            raise ConfigError(f"{name}: unknown field name {spec!r}")
-        fn = fns[spec]
-        return lambda x: fn(x, electrode)
-    return _as_complex_vec(spec, name)
 
 
 def load_config(path, command, out=None, order=None, seed=None):
@@ -127,19 +125,18 @@ def load_config(path, command, out=None, order=None, seed=None):
         if order not in (0, 1):
             raise ConfigError(f"order must be 0 or 1, got {order}")
 
+        # ProblemConfig holds the defaults of the keys that are absent
         p = raw.get("problem", {})
-        quad_order = p.get("quad_order")
-        problem = ProblemConfig(
-            mu=float(p.get("mu", 1.0)),
-            kappa=float(p.get("kappa", 1.0)),
-            omega=float(p.get("omega", 1.0)),
-            j_c=resolve_field(p.get("j_c"), electrode, "j_c"),
-            u_d=resolve_field(p.get("u_d"), electrode, "u_d"),
-            alpha=float(p.get("alpha", 1e-3)),
-            beta=float(p.get("beta", 0.0)),
-            solver_tol=float(p.get("solver_tol", 1e-10)),
-            quad_order=None if quad_order is None else whole(quad_order),
-        )
+        parse = {"j_c": lambda v: resolve_field(v, electrode, "j_c"),
+                 "u_d": lambda v: resolve_field(v, electrode, "u_d"),
+                 "quad_order": lambda v: None if v is None else whole(v)}
+        problem = ProblemConfig(**{f.name: parse.get(f.name, float)(p[f.name])
+                                   for f in fields(ProblemConfig)
+                                   if f.name in p})
+        if command == "validate":  # the rod's physics, no source, no target
+            problem = replace(problem, mu=1.0 / electrode.sigma,
+                              kappa=electrode.mu, omega=electrode.omega,
+                              j_c=None, u_d=None)
         if command == "grad-check" and problem.u_d is None and problem.j_c is None:
             problem = replace(problem, j_c=np.array([0, 0, 1.0 + 0.5j]),
                               u_d=np.array([0.1, 0, 0.2j]))
@@ -147,13 +144,9 @@ def load_config(path, command, out=None, order=None, seed=None):
             raise ConfigError("optimize requires problem.u_d")
 
         opt = raw.get("optimize", {})
-        tol = float(opt.get("tol", 1e-9))
-        if not 0.0 < tol < np.inf:
-            raise ConfigError(f"optimize.tol must be finite and positive, "
-                              f"got {tol}")
-        max_iter = whole(opt.get("max_iter", 500))
-        if max_iter < 0:
-            raise ConfigError(f"optimize.max_iter must be >= 0, got {max_iter}")
+        tol = float(opt.get("tol", TOL))
+        max_iter = whole(opt.get("max_iter", MAX_ITER))
+        check_stopping(tol, max_iter)
         gc = raw.get("gradcheck", {})
         n_probes = whole(gc.get("n_probes", 3))
         t_list = np.geomspace(float(gc.get("t_max", 1e-1)),
@@ -209,10 +202,8 @@ def load_config(path, command, out=None, order=None, seed=None):
             command=command, order=order, electrode=electrode,
             problem=problem, family=family,
             out=out if out is not None else raw.get("out", "out"),
-            seed=seed, vtk=vtk,
-            tol=tol, max_iter=max_iter,
-            n_probes=n_probes, t_list=t_list, fit_floor=fit_floor,
-        )
+            seed=seed, vtk=vtk, tol=tol, max_iter=max_iter,
+            n_probes=n_probes, t_list=t_list, fit_floor=fit_floor)
     except (ValueError, TypeError, AttributeError,
             OverflowError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -236,9 +227,7 @@ def _write_summary(outdir, payload):
 
 def write_vtk_state(path, mesh, space, u, title="state"):
     """Legacy-ASCII VTK dump of a field, cell-averaged at tet centroids."""
-    centroid = np.full((1, 3), 0.25)
-    _, vals, _ = evaluate_field(space, u, centroid)
-    vals = vals[:, 0, :]
+    vals = evaluate_field(space, u, np.full((1, 3), 0.25))[1][:, 0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
@@ -327,16 +316,17 @@ def cmd_validate(cfg, summary):
     Each level solves the homogeneous-source problem whose boundary data is
     the interpolated analytic magnetic field, then measures the H(curl)
     error.  It passes when the fitted rate reaches the order's target.
+    ``cfg.problem`` (`load_config`): the electrode's mu = 1/sigma, kappa =
+    mu and omega, no j_c or u_d, and the config's solver_tol and quad_order.
     """
     target = 0.9 if cfg.order == 0 else 1.8
     summary.update(order=cfg.order, rate=None, rate_target=target)
     el = cfg.electrode
     exact = lambda x: analytic.exact_H(x, el)
     exact_curl = lambda x: analytic.exact_curl_H(x, el)
-    pc = ProblemConfig(mu=1.0 / el.sigma, kappa=el.mu, omega=el.omega)
 
     def solve(tag, m, space):
-        op = StateOperator(m, space, pc)
+        op = StateOperator(m, space, cfg.problem)
         u = op.solve_dirichlet(interpolate(space, exact))
         return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
 
@@ -409,9 +399,7 @@ def _monotone(gaps, key):
 
 def cmd_optimize(cfg, summary):
     """Riesz-preconditioned limited-memory BFGS (20 pairs) control
-    optimization across levels; from z = 0 at order 0 its evaluation count
-    rises slowly with the level, 20 / 24 / 24 / 27 on L0-L3 of the
-    [1, 8, 2] cylinder.
+    optimization across levels (its evaluation counts: `wirtinger`).
 
     The finest level's optimum is the reference; relative gaps of J and of
     the tracking term are reported per level.  It passes when every level
@@ -493,12 +481,13 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--order", type=int, default=None,
                        help="FE order (0 or 1)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for probe directions")
+        if name == "grad-check":  # the one command that draws from the seed
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for probe directions")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, out=args.out,
-                          order=args.order, seed=args.seed)
+                          order=args.order, seed=getattr(args, "seed", None))
         os.makedirs(cfg.out, exist_ok=True)
         summary = {"command": cfg.command, "failure": None, "traceback": None}
         try:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .quadrature import gauss_01, triangle_rule, tet_rule, map_to_triangles, map_to_tets
 from .trace import lifting_matrix, symmetric_csr
@@ -356,21 +355,15 @@ def _gram(w, coeff, span, D):
 
 
 def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
-    """Real stiffness and mass matrices.
+    """Real stiffness and mass matrices, the real and imaginary parts of
+    `assemble` at omega = 1.
 
     K_ij = int (1/mu) curl Phi_j . curl Phi_i, M_ij = int kappa Phi_j . Phi_i.
     Both come out symmetric (bitwise) and positive semidefinite.
     """
-    if degree is None:
-        degree = 2 * space.k + 2
-
-    def chunk(sl, phys, w, local):
-        mu_at = _coeff_at(mu, phys, "mu")
-        mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        return (_gram(w, mu_inv, *local(True)),
-                _gram(w, _coeff_at(kappa, phys, "kappa"), *local(False)))
-    return tuple(symmetric_csr(np.concatenate(X), space.cell_dofs, space.n_dofs)
-                 for X in zip(*_cells(mesh, space, degree, chunk)))
+    A = assemble(mesh, space, ProblemConfig(mu=mu, kappa=kappa,
+                                            quad_order=degree))
+    return A.real, A.imag
 
 
 def _mass_matrix(mesh, space, degree):
@@ -381,12 +374,16 @@ def _mass_matrix(mesh, space, degree):
 
 
 def assemble(mesh, space, config):
-    """Complex system matrix A = K(1/mu) + i omega M(kappa)."""
-    K, M = assemble_curl_mass(mesh, space, config.mu, config.kappa,
-                              config.quad_degree(space.k))
-    # K and M share one stored pattern; summing the data keeps all of it
-    return sp.csr_matrix((K.data + 1j * config.omega * M.data, K.indices,
-                          K.indptr), K.shape)
+    """Complex system matrix A = K(1/mu) + i omega M(kappa), summed element
+    by element as K_e + i omega M_e and stored once."""
+    def chunk(sl, phys, w, local):
+        mu_at = _coeff_at(config.mu, phys, "mu")
+        mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
+        return _gram(w, mu_inv, *local(True)) + 1j * config.omega * _gram(
+            w, _coeff_at(config.kappa, phys, "kappa"), *local(False))
+    Ael = np.concatenate(_cells(mesh, space, config.quad_degree(space.k),
+                                chunk))  # frees the chunks before the sparse build
+    return symmetric_csr(Ael, space.cell_dofs, space.n_dofs)
 
 
 def _load(mesh, space, f, degree):

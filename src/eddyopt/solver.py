@@ -221,8 +221,8 @@ class StateOperator:
     def solve_adjoint(self, rho):
         """Solve the conjugate-transposed interior system against rho.
 
-        A_II is bitwise complex symmetric (assemble_curl_mass symmetrizes K
-        and M), so A_II^H w = rho_I is the conjugate of the forward solve
+        A_II is bitwise complex symmetric (`assemble` averages A with A^T),
+        so A_II^H w = rho_I is the conjugate of the forward solve
         A_II conj(w) = conj(rho_I), residual check included.
         """
         I = self.space.interior_dofs

@@ -26,6 +26,7 @@ the [1, 8, 2] cylinder take 20 / 24 / 24 / 27 evaluations against
 starts on L2 (optimize-o0, seeds 1-10) take 26-29.
 """
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
@@ -44,6 +45,7 @@ SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the line search
 # bench's seed-1 start, 0.01 / 0.1 / 1 take 48 / 27 / 51 evaluations on
 # optimize-o0 and 50 / 24 / 42 on optimize-o1.
 RIESZ_MASS = 0.1
+TOL, MAX_ITER = 1e-9, 500  # default stopping rule of bfgs_minimize
 
 
 @dataclass
@@ -200,7 +202,16 @@ def _two_loop(pairs, g, P_inv):
     return r
 
 
-def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500):
+def check_stopping(tol, max_iter):
+    """The one rule for bfgs_minimize's settings: ValueError unless tol is
+    finite and positive and max_iter an integer >= 0."""
+    if not (0.0 < tol < np.inf and isinstance(max_iter, numbers.Integral)
+            and not isinstance(max_iter, bool) and max_iter >= 0):
+        raise ValueError("need a finite tol > 0 and an integer max_iter >= 0, "
+                         f"got tol={tol!r}, max_iter={max_iter!r}")
+
+
+def bfgs_minimize(fun, z0, tol=TOL, max_iter=MAX_ITER):
     """Minimize a real cost of complex z by limited-memory BFGS (20 pairs)
     preconditioned by the Riesz map P of the controls.
 
@@ -217,8 +228,11 @@ def bfgs_minimize(fun, z0, tol=1e-9, max_iter=500):
     try is the exact minimizer along the line. Terminates when ||G||
     drops to tol, or early when MAX_TRIES steps bring no sufficient
     decrease (a wrong gradient), leaving ||G|| > tol in the last history
-    entry. Returns (z, history of CostReports).
+    entry. tol must be finite and positive and max_iter an integer >= 0
+    (`check_stopping`, before the first evaluation): ValueError otherwise.
+    Returns (z, history of CostReports).
     """
+    check_stopping(tol, max_iter)
     vg = _as_value_grad(fun)
     z = np.asarray(z0, dtype=complex)
     rep, G = vg(z)

@@ -166,6 +166,58 @@ def test_grad_check_seed_override_changes_probes(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("command", ["gen-mesh", "validate", "optimize"])
+def test_seed_flag_exists_only_on_grad_check(tmp_path, capsys, command):
+    # only grad-check draws random numbers, so only it takes --seed
+    cfg = _write(tmp_path, "cfg.json", {"mesh": {"kind": "cube", "n": 1},
+                                        "problem": {"u_d": [1, 0, 0]}})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ROD_LEVELS = {"kind": "cylinder", "levels": [[1, 6, 2], [2, 12, 4]]}
+
+
+def test_validate_runs_with_the_config_solver_tol(tmp_path):
+    # no solve meets 1e-30, so the first level raises and is recorded
+    cfg = _write(tmp_path, "cfg.json", {"mesh": _ROD_LEVELS,
+                                        "problem": {"solver_tol": 1e-30}})
+    out = str(tmp_path / "out")
+    assert main(["validate", "--config", cfg, "--out", out]) == 1
+    s = _summary(out)
+    assert s["failure"].startswith("level 1x6x2: SolverError: relative "
+                                   "residual")
+    assert "SolverError" in s["traceback"] and s["levels_completed"] == 0
+
+
+def test_validate_runs_with_the_config_quad_order(tmp_path):
+    # degree 1 does not integrate the order-0 products exactly (degree 2)
+    errs = []
+    for name, problem in (("default", {}), ("q1", {"quad_order": 1})):
+        cfg = _write(tmp_path, f"{name}.json",
+                     {"mesh": _ROD_LEVELS, "problem": problem})
+        out = str(tmp_path / name)
+        main(["validate", "--config", cfg, "--out", out])
+        _, rows = _read_csv(os.path.join(out, "convergence.csv"))
+        errs.append(np.array([float(r[3]) for r in rows]))
+    assert np.all(np.abs(errs[1] / errs[0] - 1.0) > 1e-5)
+
+
+def test_validate_takes_its_physics_from_the_electrode(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {
+        "electrode": {"sigma": 4.0, "mu": 2.0, "omega": 3.0},
+        "problem": {"mu": 5.0, "omega": 7.0, "u_d": "exact_H",
+                    "j_c": [1, 0, 0], "solver_tol": 1e-9, "quad_order": 5}})
+    p = cli.load_config(cfg, "validate").problem
+    assert (p.mu, p.kappa, p.omega) == (0.25, 2.0, 3.0)
+    assert p.j_c is None and p.u_d is None
+    assert (p.solver_tol, p.quad_order) == (1e-9, 5)
+
+
 def test_optimize_two_level_study(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "mesh": {"kind": "cylinder", "base": [1, 8, 2], "refine": 2},

@@ -266,6 +266,31 @@ def test_assembled_matrix_invariants():
         assert np.vdot(v, A2 @ v).imag <= 0
 
 
+def test_system_matrix_is_one_sparse_pass_equal_to_K_plus_iM(monkeypatch):
+    # A sums K_e + i omega M_e per element and builds one CSR matrix; at
+    # omega = 1 it is bitwise K + i M, on the same stored pattern
+    m = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    mu = 2.0 * np.eye(3) + 0.25
+    kappa = lambda x: 1.0 + x[..., 0] ** 2
+    calls = []
+    build = nedelec.symmetric_csr
+
+    def counting(local, dofs, n):
+        calls.append(local.dtype)
+        return build(local, dofs, n)
+    for k in (0, 1):
+        space = FESpace(m, k)
+        K, M = assemble_curl_mass(m, space, mu, kappa, 2 * k + 2)
+        monkeypatch.setattr(nedelec, "symmetric_csr", counting)
+        calls.clear()
+        A = assemble(m, space, ProblemConfig(mu=mu, kappa=kappa))
+        monkeypatch.setattr(nedelec, "symmetric_csr", build)
+        assert calls == [np.complex128]
+        assert np.array_equal(A.indptr, K.indptr)
+        assert np.array_equal(A.indices, K.indices)
+        assert (K.data + 1j * M.data).tobytes() == A.data.tobytes()
+
+
 def test_stored_pattern_is_every_dof_pair_sharing_a_tet():
     # entries whose element sums cancel to 0.0 stay stored, so the pattern
     # of K, M and A is the mesh's, not round-off's

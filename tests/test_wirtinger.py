@@ -19,8 +19,8 @@ from eddyopt.nedelec import (
 from eddyopt.trace import (
     lift, lifting_matrix, surface_curl_matrix, surface_mass_matrix)
 from eddyopt.wirtinger import (
-    RIESZ_MASS, CostReport, ReducedProblem, bfgs_minimize,
-    directional_derivative, fd_check, loglog_slope,
+    MAX_ITER, RIESZ_MASS, TOL, CostReport, ReducedProblem, bfgs_minimize,
+    check_stopping, directional_derivative, fd_check, loglog_slope,
 )
 from oracles import integrate
 
@@ -112,6 +112,31 @@ def test_bfgs_stops_when_the_line_search_finds_no_decrease():
     assert len(calls) <= 30
     assert all(h.step != 0.0 for h in history)
     assert history[-1].grad_norm > 1e-9
+
+
+@pytest.mark.parametrize("tol, max_iter", [
+    (float("nan"), 10), (0.0, 10), (-1.0, 10), (float("inf"), 10),
+    (1e-9, -1), (1e-9, 2.0), (1e-9, True)])
+def test_bfgs_rejects_bad_settings_before_evaluating(tol, max_iter):
+    # checked before the first evaluation: a NaN or negative tol would run
+    # on at the minimum into a 0/0 parabola step
+    calls = []
+
+    def fun(z):
+        calls.append(z)
+        return np.vdot(z, z).real, np.asarray(z, dtype=complex)
+
+    with pytest.raises(ValueError, match="tol"):
+        bfgs_minimize(fun, np.ones(3, complex), tol=tol, max_iter=max_iter)
+    assert calls == []
+
+
+def test_stopping_rule_accepts_its_defaults_and_zero_iterations():
+    check_stopping(TOL, MAX_ITER)
+    check_stopping(1e-300, np.int64(0))
+    z, history = bfgs_minimize(lambda z: (np.vdot(z, z).real, z),
+                               np.ones(2, complex), max_iter=0)
+    assert len(history) == 1 and np.array_equal(z, np.ones(2))
 
 
 def test_bfgs_memory_stays_linear_in_the_controls():
