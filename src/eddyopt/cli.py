@@ -106,6 +106,19 @@ def resolve_field(spec, electrode, name):
     return re + 1j * im
 
 
+# The keys each config block may hold, the root first: one config file
+# serves every command, so any other key is a misspelling and exits 2.
+_KEYS = {
+    "": ("order", "seed", "vtk", "out", "electrode", "mesh", "problem",
+         "optimize", "gradcheck"),
+    "electrode.": [f.name for f in fields(ElectrodeParams)],
+    "problem.": [f.name for f in fields(ProblemConfig)],
+    "mesh.": ("kind", "file", "n", "levels", "R", "L", "base", "refine"),
+    "optimize.": ("tol", "max_iter"),
+    "gradcheck.": ("n_probes", "n_t", "t_max", "t_min", "fit_floor"),
+}
+
+
 def load_config(path, command, out=None, order=None, seed=None):
     """Read the JSON config file, apply command-line overrides and resolve
     every value to its type.  Any bad value raises ConfigError, before a
@@ -115,24 +128,27 @@ def load_config(path, command, out=None, order=None, seed=None):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    for prefix, known in _KEYS.items():
+        block = raw.get(prefix[:-1], {}) if prefix else raw
+        if not isinstance(block, dict):
+            raise ConfigError(f"{prefix[:-1] or 'config root'} must be a "
+                              "JSON object")
+        for key in block:
+            if key not in known:
+                raise ConfigError(f"unknown config key {prefix}{key}")
     try:
-        el = raw.get("electrode", {})
-        electrode = ElectrodeParams(**{f.name: float(el.get(f.name, f.default))
-                                       for f in fields(ElectrodeParams)})
+        electrode = ElectrodeParams(**{k: float(v) for k, v in
+                                       raw.get("electrode", {}).items()})
         order = whole(raw.get("order", 0)) if order is None else order
         if order not in (0, 1):
             raise ConfigError(f"order must be 0 or 1, got {order}")
 
         # ProblemConfig holds the defaults of the keys that are absent
-        p = raw.get("problem", {})
         parse = {"j_c": lambda v: resolve_field(v, electrode, "j_c"),
                  "u_d": lambda v: resolve_field(v, electrode, "u_d"),
                  "quad_order": lambda v: None if v is None else whole(v)}
-        problem = ProblemConfig(**{f.name: parse.get(f.name, float)(p[f.name])
-                                   for f in fields(ProblemConfig)
-                                   if f.name in p})
+        problem = ProblemConfig(**{k: parse.get(k, float)(v) for k, v in
+                                   raw.get("problem", {}).items()})
         if command == "validate":  # the rod's physics, no source, no target
             problem = replace(problem, mu=1.0 / electrode.sigma,
                               kappa=electrode.mu, omega=electrode.omega,
@@ -197,6 +213,8 @@ def load_config(path, command, out=None, order=None, seed=None):
         vtk = raw.get("vtk", False)
         if not isinstance(vtk, bool):
             raise ConfigError(f"vtk must be true or false, got {vtk!r}")
+        if vtk and command in ("gen-mesh", "grad-check"):
+            raise ConfigError(f"vtk: {command} writes no VTK file")
 
         return RunConfig(
             command=command, order=order, electrode=electrode,

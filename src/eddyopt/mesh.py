@@ -154,9 +154,7 @@ def build_mesh(vertices, tets):
     inward = np.einsum("fi,fi->f", nrm, vertices[opp] - a) > 0.0
     bfaces[inward, 1], bfaces[inward, 2] = \
         bfaces[inward, 2], bfaces[inward, 1].copy()
-
-    a, b, c = (vertices[bfaces[:, k]] for k in range(3))
-    nrm = np.cross(b - a, c - a)
+    nrm[inward] *= -1.0  # cross(c - a, b - a) = -cross(b - a, c - a)
     areas2 = np.linalg.norm(nrm, axis=1)
     if np.any(areas2 <= 0.0):
         raise MeshError("degenerate boundary face")

@@ -11,8 +11,9 @@ and G (the conjugate Wirtinger derivative) is assembled from one adjoint
 solve plus surface-matrix products: G = (T + alpha K z + beta M z) / 2
 with T the adjoint pairing against each basis function. The optimizer
 runs on z itself with the real inner product Re(a^H b), under which the
-gradient of j is 2G. The state map is complex linear, so j is a quadratic
-and its line search interpolates a parabola.
+gradient of j is 2G. The state map is complex linear, so j is a quadratic:
+along a search line it is the parabola through j(0), j'(0) and j(1), and
+the line search takes the unit step or that parabola's minimizer.
 
 The controls are regularized by the surface curl, so the gradient's
 natural representative is its Riesz representative P^-1 G under the real
@@ -39,8 +40,6 @@ from .solver import StateOperator
 from .trace import surface_curl_matrix, surface_mass_matrix
 
 LBFGS_PAIRS = 20  # stored (s, y) pairs of the limited-memory BFGS
-MAX_TRIES = 25  # line-search evaluations before the optimizer gives up
-SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the line search
 # Mass shift of the Riesz map P = alpha K + (beta + RIESZ_MASS) M. At the
 # bench's seed-1 start, 0.01 / 0.1 / 1 take 48 / 27 / 51 evaluations on
 # optimize-o0 and 50 / 24 / 42 on optimize-o1.
@@ -221,16 +220,16 @@ def bfgs_minimize(fun, z0, tol=TOL, max_iter=MAX_ITER):
     Riesz map v -> P^-1 v (`ReducedProblem` sets one) is read once: the
     initial inverse Hessian is gamma P^-1, and the first step and the
     steepest-descent fallback go along -P^-1 (2G). A plain float cost, or
-    a report without a map, is the case P = I. The line search tries the
-    unit step, then backtracks to the minimizer of the parabola through
-    f(0), f'(0) and the last rejected try, clamped to [0.1, 0.5] of that
-    try (Nocedal & Wright 2006, sec. 3.5); on a quadratic cost the second
-    try is the exact minimizer along the line. Terminates when ||G||
-    drops to tol, or early when MAX_TRIES steps bring no sufficient
-    decrease (a wrong gradient), leaving ||G|| > tol in the last history
-    entry. tol must be finite and positive and max_iter an integer >= 0
-    (`check_stopping`, before the first evaluation): ValueError otherwise.
-    Returns (z, history of CostReports).
+    a report without a map, is the case P = I. The cost must be quadratic,
+    as `ReducedProblem`'s is: then phi(a) = f(z + a p) is the parabola
+    through phi(0), phi'(0) < 0 and phi(1). Each iteration takes the unit
+    step if it decreases f, else phi's minimizer a* = -phi'(0) / (2 (phi(1)
+    - phi(0) - phi'(0))) in (0, 1/2], so it evaluates at most twice. Stops
+    when ||G|| <= tol, or when a* brings no decrease either (a wrong
+    gradient), leaving ||G|| > tol in the last history entry. tol must be
+    finite and positive and max_iter an integer >= 0 (`check_stopping`,
+    before the first evaluation): ValueError otherwise. Returns (z,
+    history of CostReports).
     """
     check_stopping(tol, max_iter)
     vg = _as_value_grad(fun)
@@ -252,21 +251,19 @@ def bfgs_minimize(fun, z0, tol=TOL, max_iter=MAX_ITER):
             pairs.clear()
             p = -P_inv(g)
             dphi0 = np.vdot(g, p).real
-        a = 1.0
-        for _ in range(MAX_TRIES):
+        # the unit step, else the parabola's minimizer, else stop
+        a, z_new = 1.0, z + p
+        rep_new, G_new = vg(z_new)
+        if not rep_new.J < f:
+            a = -dphi0 / (2.0 * (rep_new.J - f - dphi0))
             z_new = z + a * p
             rep_new, G_new = vg(z_new)
-            f_new = rep_new.J
-            if f_new < f and f_new <= f + SUFFICIENT_DECREASE * a * dphi0:
+            if not rep_new.J < f:
                 break
-            a_min = -dphi0 * a * a / (2.0 * (f_new - f - a * dphi0))
-            a = min(0.5 * a, max(0.1 * a, a_min))
-        else:
-            break
         s, y = z_new - z, 2.0 * (G_new - G)
         sy = np.vdot(s, y).real
         if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-        z, f, G, rep = z_new, f_new, G_new, rep_new
+        z, f, G, rep = z_new, rep_new.J, G_new, rep_new
         rep.step = a
     return z, history

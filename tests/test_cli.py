@@ -463,6 +463,12 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  id="count-boolean"),
     pytest.param("grad-check", {"seed": -1}, id="seed-negative"),
     pytest.param("validate", {"vtk": "false"}, id="vtk-not-bool"),
+    # only a level study writes VTK files
+    pytest.param("gen-mesh", {"vtk": True, "mesh": {"kind": "cube", "n": 1}},
+                 id="vtk-on-gen-mesh"),
+    pytest.param("grad-check", {"vtk": True,
+                                "mesh": {"kind": "cube", "n": 1}},
+                 id="vtk-on-grad-check"),
     # non-finite or non-positive physics, which would fail in a solve or
     # the assembly after the output directory was written
     pytest.param("grad-check", {"problem": {"j_c": [NAN, 0, 0]}},
@@ -617,3 +623,32 @@ def test_a_summary_json_cannot_hold_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
         cli._write_summary(str(tmp_path), {"ok": False, "rate": NAN})
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("validate", {"problem": {"solvr_tol": 1e-30}}, "problem.solvr_tol"),
+    ("validate", {"optimise": {"tol": -1}}, "optimise"),
+    ("gen-mesh", {"electrode": {"radius": 0.5}}, "electrode.radius"),
+    ("gen-mesh", {"mesh": {"kind": "cube", "size": 1}}, "mesh.size"),
+    ("optimize", {"problem": {"u_d": [1, 0, 0]},
+                  "optimize": {"maxiter": 3}}, "optimize.maxiter"),
+    ("grad-check", {"gradcheck": {"n_probe": 1}}, "gradcheck.n_probe"),
+])
+def test_a_misspelled_config_key_exits_two(tmp_path, capsys, command,
+                                           payload, key):
+    # a misspelled key would otherwise run as if it were absent
+    cfg = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"eddyctl: unknown config key {key}\n"
+    assert not out.exists()
+
+
+def test_keys_a_command_does_not_read_are_accepted(tmp_path):
+    # one config file serves every command
+    cfg = _write(tmp_path, "cfg.json", {
+        "seed": 3, "vtk": False, "mesh": {"kind": "cube", "n": 1},
+        "optimize": {"tol": 1e-8, "max_iter": 10},
+        "gradcheck": {"n_probes": 2}})
+    assert main(["gen-mesh", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 0

@@ -123,6 +123,22 @@ def test_each_boundary_edge_runs_once_each_way(m):
     assert np.all(np.bincount(m.boundary_face_edges[~ccw], minlength=n) == 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_cylinder(0.5, 1.0, 5, 30, 10),
+    lambda: generate_cube(3),
+    lambda: refine_uniform(generate_cylinder(0.5, 1.0, 1, 8, 2)),
+], ids=["cylinder", "cube", "refined"])
+def test_boundary_normals_are_those_of_the_oriented_faces(make):
+    # the normals of flipped faces are negated, not recomputed; the
+    # values must equal a fresh cross product of the stored faces
+    m = make()
+    a, b, c = (m.vertices[m.boundary_faces[:, k]] for k in range(3))
+    nrm = np.cross(b - a, c - a)
+    areas2 = np.linalg.norm(nrm, axis=1)
+    assert np.array_equal(m.boundary_normals, nrm / areas2[:, None])
+    assert np.array_equal(m.boundary_areas, 0.5 * areas2)
+
+
 def test_boundary_edge_frames():
     # t runs from the lower to the higher vertex id; nu = t x n lies in the
     # face plane, out of the face where t runs counterclockwise (plus) and

@@ -114,6 +114,37 @@ def test_bfgs_stops_when_the_line_search_finds_no_decrease():
     assert history[-1].grad_norm > 1e-9
 
 
+def test_a_sign_flipped_gradient_stops_after_the_parabola_step():
+    # the start, the unit step and the parabola's minimizer; a try budget
+    # spent 25 evaluations on the line search before it gave up
+    calls = []
+
+    def fun(z):
+        calls.append(z)
+        return np.vdot(z, z).real, -np.asarray(z, dtype=complex)
+
+    _, history = bfgs_minimize(fun, np.ones(3, complex), tol=1e-9)
+    assert len(calls) == 3
+    assert len(history) == 1 and history[0].grad_norm > 1e-9
+
+
+def test_the_parabola_step_is_not_clamped():
+    # j = 50 ||z - c||^2: the unit step along -2G overshoots to 100 c and
+    # the minimizer along the line is a* = 0.01, below a clamp at 0.1
+    c = np.array([1.0 - 2.0j, 0.5j, -3.0])
+    calls = []
+
+    def fun(z):
+        calls.append(z)
+        r = z - c
+        return 50.0 * np.vdot(r, r).real, 50.0 * r
+
+    z, history = bfgs_minimize(fun, np.zeros(3, complex), tol=1e-9)
+    assert len(calls) == 3
+    assert history[-1].step == pytest.approx(0.01, rel=1e-14)
+    assert np.linalg.norm(z - c) <= 1e-14 * np.linalg.norm(c)
+
+
 @pytest.mark.parametrize("tol, max_iter", [
     (float("nan"), 10), (0.0, 10), (-1.0, 10), (float("inf"), 10),
     (1e-9, -1), (1e-9, 2.0), (1e-9, True)])
