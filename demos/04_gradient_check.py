@@ -24,7 +24,7 @@ problem = ReducedProblem(mesh, space, ProblemConfig(
 
 # a reproducible random control and the gradient there
 rng = np.random.default_rng(0)
-n = problem.n_controls
+n = mesh.n_boundary_edges
 z = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 report, G = problem.cost_and_gradient(z)
 print(f"j(z) = {report.J:.8f}   ||G|| = {report.grad_norm:.3e}")

@@ -50,7 +50,7 @@ for level, r in enumerate(results[:-1]):
 small = generate_cylinder(el.R, el.L, 1, 6, 2)
 trivial = ReducedProblem(small, FESpace(small, 0),
                          ProblemConfig(alpha=1e-3, beta=1e-3))
-z0 = 0.5 * np.ones(trivial.n_controls, dtype=complex)
+z0 = 0.5 * np.ones(small.n_boundary_edges, dtype=complex)
 z, history = bfgs_minimize(trivial.cost_and_gradient, z0, tol=1e-11)
 print(f"\ntrivial target: J* = {history[-1].J:.1e}, "
       f"max |z*| = {np.abs(z).max():.1e} (both ~ 0)")

@@ -101,18 +101,19 @@ class ElectrodeParams:
         return np.sqrt(1j * self.omega * self.mu * self.sigma)
 
 
-def _cylinder_coords(points, params, tol=1e-9):
-    """Validate points against the rod geometry; any leading shape allowed."""
+def _cylinder_coords(points, params):
+    """Validate points against the rod geometry, with a relative slack of
+    1e-9 for points on its surface; any leading shape allowed."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     if pts.shape[-1] != 3:
         raise ValueError("points must have a trailing dimension of 3")
     pts = pts.reshape(-1, 3)
     r = np.hypot(pts[:, 0], pts[:, 1])
-    if np.any(r > params.R * (1.0 + tol)):
+    if np.any(r > params.R * (1.0 + 1e-9)):
         raise DomainError("point outside the cylinder radius")
-    if np.any(pts[:, 2] < -tol * params.L) or np.any(
-            pts[:, 2] > params.L * (1.0 + tol)):
+    if np.any(pts[:, 2] < -1e-9 * params.L) or np.any(
+            pts[:, 2] > params.L * (1.0 + 1e-9)):
         raise DomainError("point outside the cylinder height")
     return pts, r, single
 

@@ -106,6 +106,12 @@ def resolve_field(spec, electrode, name):
     return re + 1j * im
 
 
+# The mesh keys each layout reads; `levels` excludes `n` and `base`, and
+# `base` is read only with `refine`.
+_MESH_KEYS = {"file": ("file", "refine"),
+              "cube": ("kind", "n", "levels", "refine"),
+              "cylinder": ("kind", "R", "L", "levels", "base", "refine")}
+
 # The keys each config block may hold, the root first: one config file
 # serves every command, so any other key is a misspelling and exits 2.
 _KEYS = {
@@ -113,7 +119,7 @@ _KEYS = {
          "optimize", "gradcheck"),
     "electrode.": [f.name for f in fields(ElectrodeParams)],
     "problem.": [f.name for f in fields(ProblemConfig)],
-    "mesh.": ("kind", "file", "n", "levels", "R", "L", "base", "refine"),
+    "mesh.": set().union(*_MESH_KEYS.values()),
     "optimize.": ("tol", "max_iter"),
     "gradcheck.": ("n_probes", "n_t", "t_max", "t_min", "fit_floor"),
 }
@@ -174,13 +180,23 @@ def load_config(path, command, out=None, order=None, seed=None):
                               "step sizes t >= fit_floor to fit a slope")
 
         # Two layouts: generator levels (each level its own mesh, the lateral
-        # polygon refines with n_theta), or ``refine`` applied to the first
-        # of them (cylinder: ``base``), which keeps the polyhedral domain
-        # fixed: the right family when comparing cost values across levels,
-        # and the optimize default.
+        # polygon refines with n_theta), or ``refine`` applied to one level
+        # (cylinder: ``base``), which keeps the polyhedral domain fixed: the
+        # right family when comparing cost values across levels, and the
+        # optimize default.  A key the layout does not read exits 2.
         default = {"base": [1, 8, 2], "refine": 3} if command == "optimize" else {}
         spec = raw.get("mesh", default)
         kind = spec.get("kind", "cylinder")
+        layout = "file" if "file" in spec else kind
+        unread = set(spec) - set(_MESH_KEYS.get(layout, spec))
+        if "levels" in spec:
+            unread |= {"n", "base"} & set(spec)
+        if "refine" not in spec:
+            unread |= {"base"} & set(spec)
+        if unread:
+            raise ConfigError(f"mesh: a {layout} mesh with keys "
+                              f"{', '.join(sorted(spec))} does not read "
+                              f"{', '.join(sorted(unread))}")
         if "file" in spec:
             with open(spec["file"], encoding="utf-8") as fh:
                 mesh = parse_msh(fh)
@@ -191,16 +207,18 @@ def load_config(path, command, out=None, order=None, seed=None):
         elif kind == "cylinder":
             R = float(spec.get("R", electrode.R))
             L = float(spec.get("L", electrode.L))
-            levels = spec.get("levels", _DEFAULT_LEVELS[order])
-            if "refine" in spec and "base" in spec:
-                levels = [spec["base"]]
+            levels = ([spec["base"]] if "base" in spec
+                      else spec.get("levels", _DEFAULT_LEVELS[order]))
             levels = [cylinder_size(R, L, *lv) for lv in levels]
             family = [("x".join(map(str, lv)),
                        lambda _, lv=lv: generate_cylinder(R, L, *lv))
                       for lv in levels]
         else:
             raise ConfigError(f"unknown mesh kind {kind!r}")
-        if "refine" in spec and family:
+        if "refine" in spec:
+            if len(family) != 1:
+                raise ConfigError("mesh: refine takes a family of one level, "
+                                  f"got {len(family)}")
             base = family[0][1]
             family = [(f"L{i}", refine_uniform if i else base)
                       for i in range(whole(spec["refine"]))]
@@ -243,12 +261,12 @@ def _write_summary(outdir, payload):
         fh.write(text + "\n")
 
 
-def write_vtk_state(path, mesh, space, u, title="state"):
+def write_vtk_state(path, mesh, space, u):
     """Legacy-ASCII VTK dump of a field, cell-averaged at tet centroids."""
     vals = evaluate_field(space, u, np.full((1, 3), 0.25))[1][:, 0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write("state\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_vertices} double\n")
         for p in mesh.vertices:
             fh.write(f"{p[0]!r} {p[1]!r} {p[2]!r}\n")
@@ -259,7 +277,7 @@ def write_vtk_state(path, mesh, space, u, title="state"):
         fh.write("\n".join(["10"] * mesh.n_tets) + "\n")
         fh.write(f"CELL_DATA {mesh.n_tets}\n")
         for part, arr in (("re", vals.real), ("im", vals.imag)):
-            fh.write(f"VECTORS {title}_{part} double\n")
+            fh.write(f"VECTORS state_{part} double\n")
             for v in arr:
                 fh.write(f"{v[0]!r} {v[1]!r} {v[2]!r}\n")
 

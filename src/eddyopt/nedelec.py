@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import gauss_01, triangle_rule, tet_rule, map_to_triangles, map_to_tets
+from .quadrature import gauss_01, map_to_tets, simplex_rule
 from .trace import lifting_matrix, symmetric_csr
 
 CHUNK = 256  # tets per pass: no slower than 2048, an eighth of the memory
@@ -254,9 +254,10 @@ def _moments(mesh, f, edges, faces, k, n_gauss, face_degree):
     if k == 0:
         return rows
     verts = mesh.vertices[faces]
-    rp, rw = triangle_rule(face_degree)
-    pts, _ = map_to_triangles(verts, rp)
-    q = verts[..., 1:, :] - verts[..., :1, :]
+    rp, rw = simplex_rule(2, face_degree)
+    q = verts[..., 1:, :] - verts[..., :1, :]  # rows x1 - x0, x2 - x0
+    pts = (verts[..., :1, :] + rp[:, :1] * q[..., :1, :]
+           + rp[:, 1:] * q[..., 1:, :])
     face = 2.0 * np.einsum("...nds,...ed,n->...es", f(pts), q, rw)
     face = face.reshape(face.shape[:-3] + (-1, face.shape[-1]))
     return np.concatenate([rows, face], axis=-2)
@@ -329,7 +330,7 @@ def _cells(mesh, space, degree, fn):
     list of fn(sl, phys, w, local), w = weights * jac and local(curls) the
     (span, D) of `_local_points`, each chunk released before the next is
     built."""
-    rp, rw = tet_rule(degree)
+    rp, rw = simplex_rule(3, degree)
 
     def chunk(sl):
         phys, jac, local = _local_points(mesh, space, rp, sl)
@@ -440,11 +441,9 @@ def evaluate_field(space, u, ref_pts):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def hcurl_error(space, u_h, exact, exact_curl, degree=None):
-    """H(curl) distance (||u - u_h||_0^2 + ||curl u - curl u_h||_0^2)^(1/2)."""
-    if degree is None:
-        degree = 2 * space.k + 4
-
+def hcurl_error(space, u_h, exact, exact_curl):
+    """H(curl) distance (||u - u_h||_0^2 + ||curl u - curl u_h||_0^2)^(1/2),
+    by the rule of degree 2k + 4."""
     def chunk(sl, phys, w, local):
         coef = u_h[space.cell_dofs[sl]]
 
@@ -452,4 +451,4 @@ def hcurl_error(space, u_h, exact, exact_curl, degree=None):
             d = _field(local, curls, coef) - _vector_field_at(f, phys)
             return np.einsum("cq,cqd->", w, (d * d.conj()).real)
         return part(False, exact) + part(True, exact_curl)
-    return np.sqrt(sum(_cells(space.mesh, space, degree, chunk)))
+    return np.sqrt(sum(_cells(space.mesh, space, 2 * space.k + 4, chunk)))

@@ -79,7 +79,6 @@ class ReducedProblem:
     """
 
     def __init__(self, mesh, space, config):
-        self.mesh = mesh
         self.config = config
 
         def tracking_data():
@@ -96,10 +95,6 @@ class ReducedProblem:
                 options={"SymmetricMode": True})
         self.op = StateOperator(mesh, space, config, alongside=tracking_data)
         self.n_evaluations = 0
-
-    @property
-    def n_controls(self):
-        return self.mesh.n_boundary_edges
 
     def _evaluate(self, z):
         """CostReport at z, and the products M_c u, K z and M z of the
@@ -151,16 +146,14 @@ def _as_value_grad(fun):
     return wrapped
 
 
-def fd_check(fun, z, xi, t_list=None, cost_fn=None):
+def fd_check(fun, z, xi, t_list, cost_fn=None):
     """Forward-difference consistency table for the derivative at z.
 
-    fun(z) -> (cost, gradient); returns rows (t, |d - quotient|) with
-    d = 2 Re(conj(xi)^T G). Perturbed points only need cost values, so a
-    cheaper cost_fn(z) -> float may be supplied for them.
+    fun(z) -> (cost, gradient); returns rows (t, |d - quotient|) for t in
+    t_list, d = 2 Re(conj(xi)^T G). Perturbed points only need cost values,
+    so a cheaper cost_fn(z) -> float may be supplied for them.
     """
     vg = _as_value_grad(fun)
-    if t_list is None:
-        t_list = np.logspace(-1, -9, 17)
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
     report, G = vg(z)

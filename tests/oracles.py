@@ -9,7 +9,7 @@ import numpy as np
 
 from eddyopt.mesh import MeshError
 from eddyopt.nedelec import element_basis
-from eddyopt.quadrature import map_to_tets, tet_rule
+from eddyopt.quadrature import map_to_tets, simplex_rule
 from eddyopt.trace import _face_table, face_lambda_gradients
 
 
@@ -87,7 +87,7 @@ def tangential_trace(space, u):
 
 def integrate(mesh, f, degree=6):
     """Volume integral of a scalar function f(points (..., 3)) -> (...,)."""
-    rp, rw = tet_rule(degree)
+    rp, rw = simplex_rule(3, degree)
     phys, jac = map_to_tets(mesh.vertices[mesh.tets], rp)
     return np.einsum("cq,q,c->", np.asarray(f(phys)), rw, jac)
 
@@ -95,7 +95,7 @@ def integrate(mesh, f, degree=6):
 def hcurl_error_parts(space, u_h, exact, exact_curl, degree):
     """(total, value, curl) of the H(curl) distance of `hcurl_error`, from
     the element basis contracted with u_h at the degree's tet rule."""
-    pts, w = tet_rule(degree)
+    pts, w = simplex_rule(3, degree)
     phys, jac, Phi, curlPhi = element_basis(space.mesh, space, pts)
     coef = u_h[space.cell_dofs]
     parts = []

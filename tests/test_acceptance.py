@@ -19,7 +19,7 @@ from eddyopt.mesh import generate_cube, generate_cylinder, mesh_size, refine_uni
 from eddyopt.nedelec import (
     FESpace, ProblemConfig, hcurl_error, interpolate,
 )
-from eddyopt.quadrature import triangle_rule
+from eddyopt.quadrature import simplex_rule
 from eddyopt.solver import StateOperator
 from eddyopt.trace import (
     face_lambda_gradients, surface_curl_matrix, surface_mass_matrix,
@@ -189,7 +189,7 @@ def _face_boundary_edges(m, tri):
 def _quadrature_surface_matrices(m, degree=6):
     nb = m.boundary_edges.size
     Mq, Kq = np.zeros((nb, nb)), np.zeros((nb, nb))
-    pts_ref, w_ref = triangle_rule(degree)
+    pts_ref, w_ref = simplex_rule(2, degree)
     for tri in m.boundary_faces:
         fv = m.vertices[tri]
         nvec = np.cross(fv[1] - fv[0], fv[2] - fv[0])

@@ -502,8 +502,36 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  id="quad-order-zero"),
     pytest.param("grad-check", {"problem": {"quad_order": -1}},
                  id="quad-order-negative"),
+    # mesh keys the chosen layout does not read; cube.msh is a valid mesh
+    # file in the working directory
+    pytest.param("gen-mesh", {"mesh": {"levels": [[1, 6, 2], [2, 12, 4]],
+                                       "base": [1, 8, 2]}},
+                 id="base-without-refine"),
+    pytest.param("gen-mesh", {"mesh": {"levels": [[1, 6, 2], [2, 12, 4]],
+                                       "refine": 2}},
+                 id="refine-on-two-levels"),
+    pytest.param("gen-mesh", {"mesh": {"refine": 2}},
+                 id="refine-on-the-default-levels"),
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "R": 0.5,
+                                       "base": [1, 6, 2]}},
+                 id="cube-given-r-and-base"),
+    pytest.param("gen-mesh", {"mesh": {"kind": "cylinder", "n": 3}},
+                 id="cylinder-given-n"),
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": 1,
+                                       "levels": [1, 2]}},
+                 id="n-next-to-levels"),
+    pytest.param("gen-mesh", {"mesh": {"levels": [[2, 12, 4]],
+                                       "base": [1, 6, 2], "refine": 2}},
+                 id="levels-next-to-base"),
+    pytest.param("gen-mesh", {"mesh": {"file": "cube.msh", "kind": "sphere"}},
+                 id="kind-next-to-file"),
+    pytest.param("gen-mesh", {"mesh": {"file": "cube.msh", "levels": [2]}},
+                 id="levels-next-to-file"),
 ])
-def test_bad_config_values_exit_two(tmp_path, capsys, command, payload):
+def test_bad_config_values_exit_two(tmp_path, monkeypatch, capsys, command,
+                                    payload):
+    monkeypatch.chdir(tmp_path)
+    write_msh(generate_cube(1), "cube.msh")
     cfg = _write(tmp_path, "cfg.json", payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2

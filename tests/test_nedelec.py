@@ -13,7 +13,7 @@ from eddyopt.nedelec import (
     AssemblyError, FESpace, ProblemConfig, assemble, assemble_curl_mass,
     assemble_load, element_basis, evaluate_field, hcurl_error, interpolate,
 )
-from eddyopt.quadrature import gauss_01, tet_rule
+from eddyopt.quadrature import gauss_01, simplex_rule
 from oracles import hcurl_error_parts, integrate
 
 
@@ -93,8 +93,7 @@ def test_first_order_basis_has_unit_moments():
     verts = m.vertices[m.tets[t]]
     dofs = space.cell_dofs[t]
     u6, w6 = gauss_01(6)
-    from eddyopt.quadrature import triangle_rule
-    tri_pts, tri_w = triangle_rule(4)
+    tri_pts, tri_w = simplex_rule(2, 4)
 
     def field_of(j):
         coeffs = np.zeros(space.n_dofs)
@@ -223,7 +222,7 @@ def test_basis_is_inverted_once_per_space(monkeypatch):
     inner = nedelec._basis_coeffs
     monkeypatch.setattr(nedelec, "_basis_coeffs",
                         lambda space, sl: calls.append(sl) or inner(space, sl))
-    pts, _ = tet_rule(4)
+    pts, _ = simplex_rule(3, 4)
     m = generate_cylinder(0.5, 1.0, 3, 18, 8)
     assert m.n_tets > nedelec.CHUNK
     space = FESpace(m, 0)
@@ -357,7 +356,7 @@ def test_span_first_gram_matches_the_element_basis(k, coeff):
     assert m.n_tets > nedelec.CHUNK
     space = FESpace(m, k)
     degree = 2 * k + 2
-    pts, rw = tet_rule(degree)
+    pts, rw = simplex_rule(3, degree)
     phys, jac, Phi, curlPhi = element_basis(m, space, pts)
     c = nedelec._coeff_at(coeff, phys, "c")
     got = nedelec._cells(m, space, degree, lambda sl, phys, w, local: [
@@ -448,7 +447,7 @@ def test_load_vector_against_direct_quadrature():
     jvec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     b = assemble_load(m, space, jvec)
     # independent route: quadrature of j . Phi_i over each tet
-    pts, w = tet_rule(4)
+    pts, w = simplex_rule(3, 4)
     ref = np.zeros(space.n_dofs, dtype=complex)
     phys, jac, Phi, _ = element_basis(m, space, pts)
     for t in range(m.n_tets):
@@ -465,7 +464,7 @@ def test_energy_identity():
     A = assemble(m, space, ProblemConfig(mu=2.0, kappa=3.0, omega=1.5))
     v = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
     q = np.vdot(v, A @ v)
-    pts, w = tet_rule(2)
+    pts, w = simplex_rule(3, 2)
     phys, jac, Phi, curlPhi = element_basis(m, space, pts)
     curl_sq = mass_sq = 0.0
     for t in range(m.n_tets):
@@ -540,7 +539,7 @@ def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
     curl = lambda x: np.stack([2 * x[..., 2], -1j * np.ones(x.shape[:-1]),
                                -np.cos(x[..., 1])], axis=-1)
     degree = 2 * k + 4
-    pts, _ = tet_rule(degree)
+    pts, _ = simplex_rule(3, degree)
     _, _, Phi, curlPhi = element_basis(m, space, pts)
 
     def field(sl, phys, w, local):  # span (D u) on each chunk

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eddyopt.quadrature import (
-    gauss_01, map_to_tets, map_to_triangles, tet_rule, triangle_rule,
-)
+from eddyopt.quadrature import gauss_01, map_to_tets, simplex_rule
 
 
 def tri_monomial(a, b):
@@ -34,17 +32,21 @@ def test_gauss_01_integrates_polynomials():
             assert abs((w * x**d).sum() - exact) < 1e-14 * (d + 1)
 
 
-def test_triangle_rule_weights_and_support():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_simplex_rule_weights_and_support(dim):
+    # weights sum to the simplex's measure 1/dim!, and every point lies in it
     for deg in range(0, 11):
-        pts, w = triangle_rule(deg)
-        assert abs(w.sum() - 0.5) < 1e-14
+        pts, w = simplex_rule(dim, deg)
+        assert pts.shape == (len(w), dim)
+        assert abs(w.sum() - 1.0 / math.factorial(dim)) < 1e-14
+        assert np.all(w > 0.0)
         assert np.all(pts >= -1e-14)
         assert np.all(pts.sum(axis=1) <= 1 + 1e-14)
 
 
 def test_triangle_rule_monomial_exactness():
     for deg in range(0, 11):
-        pts, w = triangle_rule(deg)
+        pts, w = simplex_rule(2, deg)
         for a in range(deg + 1):
             for b in range(deg + 1 - a):
                 got = (w * pts[:, 0]**a * pts[:, 1]**b).sum()
@@ -53,7 +55,7 @@ def test_triangle_rule_monomial_exactness():
 
 def test_tet_rule_monomial_exactness():
     for deg in range(0, 9):
-        pts, w = tet_rule(deg)
+        pts, w = simplex_rule(3, deg)
         assert abs(w.sum() - 1.0 / 6.0) < 1e-14
         for a in range(deg + 1):
             for b in range(deg + 1 - a):
@@ -67,30 +69,14 @@ def test_tet_rule_monomial_exactness():
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_triangle_rule_random_monomials(a, b):
     deg = a + b
-    pts, w = triangle_rule(deg)
+    pts, w = simplex_rule(2, deg)
     got = (w * pts[:, 0]**a * pts[:, 1]**b).sum()
     assert got == pytest.approx(tri_monomial(a, b), rel=1e-13, abs=1e-16)
 
 
-def test_map_to_triangles_area_jacobian():
-    verts = np.array([[[0.0, 0, 0], [2, 0, 0], [0, 3, 0]],
-                      [[1.0, 1, 1], [2, 1, 1], [1, 1, 3]]])
-    pts_ref, w = triangle_rule(2)
-    phys, jac = map_to_triangles(verts, pts_ref)
-    # plane triangle areas: 3 and 1
-    assert jac[0] == pytest.approx(2 * 3.0)
-    assert jac[1] == pytest.approx(2 * 1.0)
-    # constants integrate to the area
-    assert (w * jac[0]).sum() == pytest.approx(3.0)
-    # vertices map back: barycentric reproduction of an affine function
-    f = phys[..., 0] + 2 * phys[..., 1]
-    exact0 = 3.0 * (np.array([0, 2, 0]).mean() + 2 * np.array([0, 0, 3]).mean())
-    assert (w * f[0] * jac[0]).sum() == pytest.approx(exact0)
-
-
 def test_map_to_tets_volume_jacobian():
     verts = np.array([[[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-    pts_ref, w = tet_rule(2)
+    pts_ref, w = simplex_rule(3, 2)
     phys, jac = map_to_tets(verts, pts_ref)
     assert jac[0] == pytest.approx(1.0)  # 6 * volume of unit simplex
     assert (w * jac[0]).sum() == pytest.approx(1.0 / 6.0)
@@ -103,7 +89,7 @@ def test_map_to_tets_one_product_matches_the_edge_sum():
     # is the triple product of the same edges, bit for bit
     rng = np.random.default_rng(3)
     verts = rng.uniform(-5.0, 5.0, (300, 4, 3))
-    pts_ref, _ = tet_rule(4)
+    pts_ref, _ = simplex_rule(3, 4)
     phys, jac = map_to_tets(verts, pts_ref)
     p0 = verts[:, 0]
     e1, e2, e3 = (verts[:, i] - p0 for i in (1, 2, 3))

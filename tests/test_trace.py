@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
 from eddyopt.nedelec import FESpace, element_basis, interpolate
-from eddyopt.quadrature import gauss_01, triangle_rule
+from eddyopt.quadrature import gauss_01, simplex_rule
 from eddyopt.trace import (
     face_lambda_gradients, lift, surface_curl_matrix, surface_mass_matrix,
 )
@@ -45,7 +45,7 @@ def quadrature_surface_matrices(m, degree=6):
     nb = m.boundary_edges.size
     Mq = np.zeros((nb, nb))
     Kq = np.zeros((nb, nb))
-    pts_ref, w_ref = triangle_rule(degree)
+    pts_ref, w_ref = simplex_rule(2, degree)
     for tri in m.boundary_faces:
         fv = m.vertices[tri]
         nvec = np.cross(fv[1] - fv[0], fv[2] - fv[0])
@@ -123,7 +123,7 @@ def test_face_lambda_gradients_meet_their_definition():
 def test_surface_curl_integral_vanishes_per_edge():
     # int_Gamma curl_G phi_e = |e| on the plus face and -|e| on the minus
     m = generate_cube(1)
-    pts_ref, w_ref = triangle_rule(2)
+    pts_ref, w_ref = simplex_rule(2, 2)
     nb = m.boundary_edges.size
     totals = np.zeros(nb)
     for tri in m.boundary_faces:

@@ -284,8 +284,8 @@ def test_lifting_matrix_matches_lift():
 def test_reduced_cost_parts_sum_and_count_evaluations():
     prob = _small_problem()
     rng = np.random.default_rng(23)
-    z = rng.standard_normal(prob.n_controls) \
-        + 1j * rng.standard_normal(prob.n_controls)
+    z = rng.standard_normal(prob.M.shape[0]) \
+        + 1j * rng.standard_normal(prob.M.shape[0])
     rep = prob.cost(z)
     assert isinstance(rep, CostReport)
     assert rep.J == pytest.approx(rep.J1 + rep.J2 + rep.J3, rel=1e-14)
@@ -303,8 +303,8 @@ def test_tracking_misfit_matches_direct_integration_of_error():
     # computed from the expanded quadratic
     prob = _small_problem()
     rng = np.random.default_rng(29)
-    z = rng.standard_normal(prob.n_controls) \
-        + 1j * rng.standard_normal(prob.n_controls)
+    z = rng.standard_normal(prob.M.shape[0]) \
+        + 1j * rng.standard_normal(prob.M.shape[0])
     u = prob.op.solve_state(z)
     direct = 0.5 * (np.vdot(u, prob.M_c @ u).real
                     - 2 * np.vdot(prob.d, u).real + prob.c_d)
@@ -326,8 +326,8 @@ def test_tracking_mass_at_the_state_degree_is_exact():
 def test_reduced_gradient_passes_fd_check():
     prob = _small_problem()
     rng = np.random.default_rng(31)
-    z = 0.3 * (rng.standard_normal(prob.n_controls)
-               + 1j * rng.standard_normal(prob.n_controls))
+    z = 0.3 * (rng.standard_normal(prob.M.shape[0])
+               + 1j * rng.standard_normal(prob.M.shape[0]))
     _, G = prob.cost_and_gradient(z)
     xi = G / np.linalg.norm(G)
     t_list = np.geomspace(1e-1, 1e-9, 17)
@@ -343,8 +343,8 @@ def test_reduced_gradient_passes_fd_check():
 
 def test_fd_check_uses_the_cheap_cost_for_perturbed_points():
     prob = _small_problem()
-    z = np.zeros(prob.n_controls, complex)
-    xi = np.ones(prob.n_controls, dtype=complex)
+    z = np.zeros(prob.M.shape[0], complex)
+    xi = np.ones(prob.M.shape[0], dtype=complex)
     fd_check(prob.cost_and_gradient, z, xi, t_list=[1e-2, 1e-3],
              cost_fn=prob.cost)
     # one gradient evaluation (state + adjoint) plus two cost-only solves
@@ -355,7 +355,7 @@ def test_fd_check_uses_the_cheap_cost_for_perturbed_points():
 def test_bfgs_minimizes_the_reduced_cost():
     prob = _small_problem(alpha=1e-3, beta=0.0)
     z, history = bfgs_minimize(prob.cost_and_gradient,
-                               np.zeros(prob.n_controls, complex), tol=1e-9)
+                               np.zeros(prob.M.shape[0], complex), tol=1e-9)
     assert history[-1].grad_norm <= 1e-9
     J = [h.J for h in history]
     assert all(b < a for a, b in zip(J, J[1:]))
@@ -392,7 +392,7 @@ def test_riesz_lbfgs_evaluations_do_not_grow_with_the_mesh():
 
         prob.riesz = counted
         z, history = bfgs_minimize(prob.cost_and_gradient,
-                                   np.zeros(prob.n_controls, complex),
+                                   np.zeros(m.n_boundary_edges, complex),
                                    tol=1e-9, max_iter=600)
         assert history[-1].grad_norm <= 1e-9
         assert prob.n_evaluations <= 30, (level, prob.n_evaluations)
@@ -418,14 +418,14 @@ def test_trivial_target_drives_control_to_zero():
     space = FESpace(mesh, 0)
     prob = ReducedProblem(mesh, space, ProblemConfig(alpha=1e-3, beta=1e-3))
     rng = np.random.default_rng(41)
-    z0 = rng.standard_normal(prob.n_controls) \
-        + 1j * rng.standard_normal(prob.n_controls)
+    z0 = rng.standard_normal(mesh.n_boundary_edges) \
+        + 1j * rng.standard_normal(mesh.n_boundary_edges)
     z, history = bfgs_minimize(prob.cost_and_gradient, z0, tol=1e-12)
     assert history[-1].J <= 1e-15
     assert np.abs(z).max() <= 1e-5
-    _, G = prob.cost_and_gradient(np.zeros(prob.n_controls, complex))
+    _, G = prob.cost_and_gradient(np.zeros(mesh.n_boundary_edges, complex))
     assert G == pytest.approx(
-        np.zeros(prob.n_controls), abs=1e-16)
+        np.zeros(mesh.n_boundary_edges), abs=1e-16)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -440,7 +440,7 @@ def test_run_paths_never_expand_the_element_basis(monkeypatch, tmp_path, k):
     u_d = partial(exact_H, params=ElectrodeParams())
     prob = ReducedProblem(m, space, ProblemConfig(
         u_d=u_d, j_c=np.array([0.0, 0.0, 1.0 + 0.5j])))
-    report, G = prob.cost_and_gradient(np.zeros(prob.n_controls, complex))
+    report, G = prob.cost_and_gradient(np.zeros(m.n_boundary_edges, complex))
     assert np.isfinite(report.J) and np.isfinite(G).all()
     assert np.isfinite(hcurl_error(space, prob.d, u_d, None))
     _, vals, curls = evaluate_field(space, prob.d, np.full((1, 3), 0.25))
@@ -511,7 +511,7 @@ def test_tracking_data_built_alongside_the_factor_equals_direct_calls(k):
     P = cfg.alpha * prob.K + (cfg.beta + RIESZ_MASS) * prob.M
     lu = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    v = np.arange(2.0 * prob.n_controls).reshape(-1, 2)
+    v = np.arange(2.0 * mesh.n_boundary_edges).reshape(-1, 2)
     assert prob.riesz_lu.nnz == lu.nnz
     assert np.array_equal(prob.riesz_lu.solve(v), lu.solve(v))
 
