@@ -87,12 +87,9 @@ class Mesh:
     def tet_volumes(self):
         return _signed_volumes(self.vertices, self.tets)
 
-    def boundary_vertices(self):
-        return np.unique(self.boundary_faces)
-
     def euler_characteristic(self):
         """V - E + F of the boundary surface (2 for a sphere-like boundary)."""
-        return (self.boundary_vertices().size - self.boundary_edges.size
+        return (np.unique(self.boundary_faces).size - self.boundary_edges.size
                 + self.boundary_faces.shape[0])
 
 

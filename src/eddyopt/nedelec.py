@@ -10,26 +10,34 @@ with t_e the unit tangent from the lower to the higher vertex id and
 (x0, x1, x2) the face vertices in ascending id order. Because every
 functional is a pure function of global vertex ids, matching moments across
 shared entities gives tangential continuity without any per-element sign
-bookkeeping. The element basis dual to these moments is built per element
-by inverting a moment matrix over a spanning set of the local polynomial
-space, stored as a table of monomial coefficients.
+bookkeeping.
 
-Every element integral works on the span and the tet's coefficient table
-C (Phi = span C): matrices are C^T (int span^T coeff span) C, loads
-(int f . span) C and fields span (C u). Each loop visits CHUNK tets at a
-time, which bounds its working set to one span or span of curls, CHUNK x
-points x 3 x S doubles: 1.0 MB at k = 0 (S = 6, 27 points) and 7.9 MB at
-k = 1 (S = 20, 64 points) at the default load degree 2k + 4, curls only
-where used. No loop builds Phi; only `element_basis` expands it, for tests.
+One reference element per order serves every tet. Taken with its vertices
+in ascending id order (`FESpace.tets`), a tet orients its edges and faces as
+the unit tet does, and x = x0 + J x^ maps the unit tet onto it. Under the
+covariant map v = J^-T v^ an edge moment scales by |e^|/|e| and a face
+moment is unchanged (Monk 2003; Rognes, Kirby & Logg 2009), so the tet's
+dual basis is Phi = s J^-T Phi^, curl Phi = s J curl Phi^ / det J, with
+Phi^ = span C the unit tet's (one moment inversion per order) and s the
+per-dof scale |e|/|e^| (1 for face dofs).
+
+Element loops work on Phi^ (or curl Phi^) at the rule's points and, per
+tet, on the 3 x 3 map A (J^-T or J / det J) and s: element matrices are one
+(tets, 9 points) x (9 points, S^2) product of the metrics w A^T coeff A with
+outer products of Phi^, loads and fields one product with Phi^ and one
+3 x 3 product per tet. A loop visits CHUNK tets at a time, so its largest
+array, a load's field values at k = 1, is 0.8 MB (64 points, complex); it
+never builds Phi, which only `element_basis` expands, for tests.
 """
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .quadrature import gauss_01, map_to_tets, simplex_rule
+from .mesh import LOCAL_EDGES, LOCAL_FACES, _edge_key
+from .quadrature import gauss_01, simplex_rule
 from .trace import lifting_matrix, symmetric_csr
 
 CHUNK = 256  # tets per pass: no slower than 2048, an eighth of the memory
@@ -95,6 +103,21 @@ def _span(k, pts, curls):
     return (mono @ T.reshape(len(T), -1)).reshape(pts.shape + (T.shape[-1],))
 
 
+_UNIT_TET = np.vstack([np.zeros(3), _EYE])
+_EDGES, _FACES = np.array(LOCAL_EDGES), np.array(LOCAL_FACES)
+
+
+@cache
+def _reference_coeffs(k):
+    """C (S, S) of the unit tet's basis Phi^ = span C dual to its moments:
+    the one moment inversion of order k, read-only as every caller shares
+    it."""
+    C = np.linalg.inv(_moments(_UNIT_TET, lambda p: _span(k, p, False),
+                               _EDGES, _FACES, k, k + 2, 2))
+    C.flags.writeable = False
+    return C
+
+
 class FESpace:
     """H(curl)-conforming space of order k on a tetrahedral mesh.
 
@@ -102,9 +125,13 @@ class FESpace:
     is the global dof of moment m of edge e, and `face_dofs[f, d]` (F, 2k)
     that of moment d of face f; the edge dofs come first, so
     edge_dofs[e, m] = (k+1) e + m and face_dofs[f, d] = (k+1) E + 2 f + d.
-    `cell_dofs` (tets, S) lists a tet's edge dofs, then its face dofs,
-    in `tet_edges` and `tet_faces` order. `boundary_dofs` collects the dofs
-    of boundary edges and boundary faces; `interior_dofs` is the complement.
+    `tets` (tets, 4) holds each tet's vertices in ascending id order, the
+    frame of its element: `cell_dofs` (tets, S) lists the dofs of its edges
+    (tets[a], tets[b]) in `LOCAL_EDGES` order, then those of the faces
+    opposite its vertices 0..3, and `scale` (tets, S) the factor s of each
+    dof, |e| / |e^| for an edge's and 1 for a face's. `boundary_dofs`
+    collects the dofs of boundary edges and boundary faces; `interior_dofs`
+    is the complement.
     """
 
     def __init__(self, mesh, k):
@@ -116,9 +143,20 @@ class FESpace:
         self.n_dofs = (k + 1) * ne + 2 * k * nf
         self.edge_dofs = np.arange((k + 1) * ne).reshape(ne, k + 1)
         self.face_dofs = np.arange((k + 1) * ne, self.n_dofs).reshape(nf, 2 * k)
+        # sorted vertex j is vertex order[:, j] of mesh.tets; the edges are
+        # found by their keys among mesh.edges, which are sorted
+        order = np.argsort(mesh.tets, axis=1)
+        self.tets = np.take_along_axis(mesh.tets, order, axis=1)
+        n = mesh.n_vertices
+        edges = np.searchsorted(_edge_key(mesh.edges, n),
+                                _edge_key(self.tets[:, _EDGES], n))
+        faces = np.take_along_axis(mesh.tet_faces, order, axis=1)
         per_tet = lambda table, ids: table[ids].reshape(mesh.n_tets, -1)
-        self.cell_dofs = np.hstack([per_tet(self.edge_dofs, mesh.tet_edges),
-                                    per_tet(self.face_dofs, mesh.tet_faces)])
+        self.cell_dofs = np.hstack([per_tet(self.edge_dofs, edges),
+                                    per_tet(self.face_dofs, faces)])
+        self.scale = np.hstack([  # |e^| is 1, 1, 1, sqrt 2, sqrt 2, sqrt 2
+            np.repeat(mesh.edge_lengths[edges] / np.sqrt([1, 1, 1, 2, 2, 2]),
+                      k + 1, axis=1), np.ones((mesh.n_tets, 8 * k))])
         self.boundary_dofs = np.unique(np.concatenate([
             self.edge_dofs[mesh.boundary_edges].ravel(),
             self.face_dofs[mesh.boundary_face_ids].ravel()]))
@@ -129,13 +167,6 @@ class FESpace:
     def lifting(self):
         """Sparse lifting matrix of the boundary controls (built once)."""
         return lifting_matrix(self)
-
-    @cached_property
-    def basis(self):
-        """Element basis data (C, centers, scales) of every tet, see
-        `_basis_coeffs` (built once, chunk by chunk)."""
-        parts = [_basis_coeffs(self, sl) for sl in _chunks(self.mesh.n_tets)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 @dataclass
@@ -235,14 +266,14 @@ def _vector_field_at(f, pts):
     return np.broadcast_to(v, pts.shape)
 
 
-def _moments(mesh, f, edges, faces, k, n_gauss, face_degree):
+def _moments(vertices, f, edges, faces, k, n_gauss, face_degree):
     """The dof functionals of f on edges (..., 2) and, for k = 1, faces
-    (..., 3), vertex ids ascending in each row.
+    (..., 3), ids into vertices ascending in each row.
 
     f maps points (..., n, 3) to fields (..., n, 3, S). Returns (..., m, S)
     in dof order: k + 1 moments per edge, then two per face.
     """
-    lo, hi = mesh.vertices[edges[..., 0]], mesh.vertices[edges[..., 1]]
+    lo, hi = vertices[edges[..., 0]], vertices[edges[..., 1]]
     u, w = gauss_01(n_gauss)
     t = hi - lo
     vals = f(lo[..., None, :] + u[:, None] * t[..., None, :])
@@ -253,7 +284,7 @@ def _moments(mesh, f, edges, faces, k, n_gauss, face_degree):
     rows = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
     if k == 0:
         return rows
-    verts = mesh.vertices[faces]
+    verts = vertices[faces]
     rp, rw = simplex_rule(2, face_degree)
     q = verts[..., 1:, :] - verts[..., :1, :]  # rows x1 - x0, x2 - x0
     pts = (verts[..., :1, :] + rp[:, :1] * q[..., :1, :]
@@ -263,60 +294,40 @@ def _moments(mesh, f, edges, faces, k, n_gauss, face_degree):
     return np.concatenate([rows, face], axis=-2)
 
 
-def _basis_coeffs(space, sl):
-    """Moment-matrix inversion for tets in slice sl.
-
-    Returns (C (cells, S, S), centers (cells, 3), scales (cells,)): the
-    element basis dual to the global moments is Phi_m = sum_s C[s, m] *
-    span_s((x - center)/scale), with curls scaled by 1/scale.
-    """
-    mesh, k = space.mesh, space.k
-    centers = mesh.vertices[mesh.tets[sl]].mean(axis=1)
-    scales = mesh.edge_lengths[mesh.tet_edges[sl]].max(axis=1)
-
-    def span(pts):  # pts (cells, entities, n, 3)
-        loc = (pts - centers[:, None, None, :]) / scales[:, None, None, None]
-        return _span(k, loc, False)
-
-    V = _moments(mesh, span, mesh.edges[mesh.tet_edges[sl]],
-                 mesh.faces[mesh.tet_faces[sl]], k, k + 2, 2)
-    try:
-        C = np.linalg.inv(V)
-    except np.linalg.LinAlgError as err:
-        raise AssemblyError(f"degenerate element moment matrix: {err}") from None
-    return C, centers, scales
-
-
 def _local_points(mesh, space, ref_pts, sl):
-    """(phys, jac, local) for tets in sl: the mapped points, the Jacobians
-    and local(curls), which returns (span, D): the spanning fields
-    (cells, q, 3, S) of `_span` in each tet's frame (x - center)/scale, or
-    their curls, and the table D (cells, S, S) of `FESpace.basis` that maps
-    them to the basis, Phi = span D; D = C for values and C / scale for
-    curls."""
-    C, centers, scales = (a[sl] for a in space.basis)
-    phys, jac = map_to_tets(mesh.vertices[mesh.tets[sl]], ref_pts)
-    loc = (phys - centers[:, None, :]) / scales[:, None, None]
-    return phys, jac, lambda curls: (
-        _span(space.k, loc, curls), C / scales[:, None, None] if curls else C)
+    """(phys, jac, local) for tets in sl: the points x0 + J ref_pts of each
+    tet's ascending frame, |det J| = 6 * volume and local(curls), which
+    returns (ref, A, s) with Phi = s A Phi^: Phi^ (curls False) or curl
+    Phi^ (curls True) at ref_pts, (S, 3, m); the maps A (cells, 3, 3),
+    J^-T or J / det J; and the scales s (cells, S)."""
+    x = mesh.vertices[space.tets[sl]]
+    E = x[:, 1:] - x[:, :1]  # rows e_i = x_i - x_0: J = E^T
+    cof = np.cross(E[:, [1, 2, 0]], E[:, [2, 0, 1]])  # rows of det J J^-1
+    det = np.einsum("ci,ci->c", E[:, 0], cof[:, 0])
+    maps = (cof, E)  # A^T det J for values and for curls
+    C = _reference_coeffs(space.k)
+
+    def local(curls):
+        return (np.transpose(_span(space.k, ref_pts, curls) @ C, (2, 1, 0)),
+                np.swapaxes(maps[curls], 1, 2) / det[:, None, None],
+                space.scale[sl])
+    return x[:, :1] + ref_pts @ E, np.abs(det), local
 
 
 def element_basis(mesh, space, ref_pts, sl=slice(None)):
     """Basis values/curls at mapped reference points for tets in sl, the
-    one place the basis Phi = span D is expanded: the reference the tests
+    one place the basis Phi = s A Phi^ is expanded: the reference the tests
     compare against (no run path calls it; the element loops below work on
-    the span and D).
+    Phi^, A and s).
 
     Returns (phys (C, m, 3), jac (C,), Phi (C, m, S, 3),
     curlPhi (C, m, S, 3)); jac = 6 * volume.
     """
     phys, jac, local = _local_points(mesh, space, ref_pts, sl)
 
-    def expand(curls):  # one (3 m, S) x (S, S) product per cell
-        span, D = local(curls)
-        n, q, _, S = span.shape
-        rows = span.reshape(n, 3 * q, S) @ D
-        return np.swapaxes(rows.reshape(n, q, 3, -1), -1, -2)
+    def expand(curls):
+        ref, A, s = local(curls)
+        return np.einsum("cda,maq,cm->cqmd", A, ref, s)
     return phys, jac, expand(False), expand(True)
 
 
@@ -328,7 +339,7 @@ def _chunks(n):
 def _cells(mesh, space, degree, fn):
     """The element loop at the degree's points, CHUNK tets at a time: the
     list of fn(sl, phys, w, local), w = weights * jac and local(curls) the
-    (span, D) of `_local_points`, each chunk released before the next is
+    (ref, A, s) of `_local_points`, each chunk released before the next is
     built."""
     rp, rw = simplex_rule(3, degree)
 
@@ -338,21 +349,20 @@ def _cells(mesh, space, degree, fn):
     return [chunk(sl) for sl in _chunks(mesh.n_tets)]
 
 
-def _gram(w, coeff, span, D):
-    """Element matrices D^T (sum_q w_q span^T coeff span) D, each a batched
-    product over the span, then two (S, S) products.
-
-    w (C, q) are weights times Jacobians, (span, D) from `_cells`' local
-    and coeff a per-point coefficient from `_coeff_at`.
+def _gram(w, coeff, ref, A, s):
+    """Element matrices s_m s_n sum_q w_q (A Phi^_m) . coeff (A Phi^_n):
+    the metrics w A^T coeff A (C, 9 q) times the outer products of Phi^
+    (9 q, S^2), then the scales. w (C, q) are weights times Jacobians,
+    coeff is per point from `_coeff_at`, (ref, A, s) from `_cells`' local.
     """
-    if coeff.ndim > w.ndim:  # matrix-valued: columns coeff span_t
-        right = coeff @ span
+    At = np.swapaxes(A, 1, 2)
+    if coeff.ndim > w.ndim:  # matrix-valued: A^T coeff A at every point
+        metric = w[..., None, None] * (At[:, None] @ coeff @ A[:, None])
     else:
-        right, w = span, w * coeff
-    n, q, _, S = span.shape
-    right = (w[..., None, None] * right).reshape(n, 3 * q, S)
-    G = np.swapaxes(span.reshape(n, 3 * q, S), -1, -2) @ right
-    return np.swapaxes(D, -1, -2) @ G @ D
+        metric = (w * coeff)[..., None, None] * (At @ A)[:, None]
+    table = np.einsum("maq,nbq->qabmn", ref, ref).reshape(-1, len(ref) ** 2)
+    G = (metric.reshape(len(w), -1) @ table).reshape(len(w), len(ref), -1)
+    return s[:, :, None] * G * s[:, None, :]
 
 
 def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
@@ -395,10 +405,14 @@ def _load(mesh, space, f, degree):
         return b, 0.0
 
     def chunk(sl, phys, w, local):
-        span, C = local(False)  # before v, which would add to its peak
+        ref, A, s = local(False)
         v = _vector_field_at(f, phys)
-        np.add.at(b, space.cell_dofs[sl], np.einsum(
-            "cs,csm->cm", np.einsum("cq,cqd,cqds->cs", w, v, span), C))
+        # A^T (w v) on the real and imaginary parts, then Phi^
+        wv = np.swapaxes(w[..., None] * v, 1, 2)
+        h = np.swapaxes(A, 1, 2) @ np.stack([wv.real, wv.imag])
+        bl = (h.reshape(2 * len(w), -1) @ ref.reshape(len(ref), -1).T
+              ).reshape(2, len(w), -1)
+        np.add.at(b, space.cell_dofs[sl], s * (bl[0] + 1j * bl[1]))
         return np.einsum("cq,cqd->", w, (v * v.conj()).real)
     return b, float(sum(_cells(mesh, space, degree, chunk)))
 
@@ -413,19 +427,20 @@ def interpolate(space, v):
     """Moment interpolant of a smooth field v (callable or constant)."""
     mesh = space.mesh
     f = lambda pts: _vector_field_at(v, pts)[..., None]
-    return _moments(mesh, f, mesh.edges, mesh.faces, space.k, INTERP_GAUSS,
-                    INTERP_FACE_DEGREE)[:, 0]
+    return _moments(mesh.vertices, f, mesh.edges, mesh.faces, space.k,
+                    INTERP_GAUSS, INTERP_FACE_DEGREE)[:, 0]
 
 
 def _field(local, curls, coef):
-    """The field span (D coef) (cells, q, 3), or its curl, from the (span,
-    D) of `_local_points`' local and the cell coefficients coef (cells, S):
-    one (3 q, S) x (S, 2) product per cell on the real and imaginary
-    columns, and no element basis."""
-    span, D = local(curls)
-    n, q, _, S = span.shape
-    a = D @ np.stack([coef.real, coef.imag], axis=-1)
-    return (span.reshape(n, 3 * q, S) @ a).view(complex).reshape(n, q, 3)
+    """The field s A Phi^ coef (cells, q, 3), or its curl, from the (ref,
+    A, s) of `_local_points`' local and the cell coefficients coef
+    (cells, S): one product of the scaled coefficients' real and imaginary
+    parts with Phi^, then one 3 x 3 product per tet."""
+    ref, A, s = local(curls)
+    a = s * coef
+    v = A @ (np.concatenate([a.real, a.imag]) @ ref.reshape(len(ref), -1)
+             ).reshape(2, len(a), 3, -1)
+    return np.swapaxes(v[0] + 1j * v[1], 1, 2)
 
 
 def evaluate_field(space, u, ref_pts):

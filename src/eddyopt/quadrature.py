@@ -50,17 +50,3 @@ def simplex_rule(dim, degree):
     w = reduce(np.multiply.outer, (w for _, w in rules))
     return np.stack(coords, axis=1), w.ravel()
 
-
-def map_to_tets(verts, pts):
-    """Push reference-tet points onto physical tets.
-
-    verts: (..., 4, 3); pts: (m, 3). Returns points (..., m, 3) and the
-    absolute Jacobian determinant (...,) = 6 * volume.
-    """
-    verts = np.asarray(verts, dtype=float)
-    p0 = verts[..., :1, :]
-    edges = verts[..., 1:, :] - p0  # rows e1, e2, e3
-    x = p0 + pts @ edges
-    e1, e2, e3 = np.moveaxis(edges, -2, 0)
-    jac = np.abs(np.einsum("...i,...i->...", e1, np.cross(e2, e3)))
-    return x, jac

@@ -26,8 +26,7 @@ Set-up uses two threads. SuperLU releases the GIL while it factors, so
 one worker thread meanwhile builds what does not need the factor: the j_c
 load and what the caller hands over (`ReducedProblem`: its tracking data
 and Riesz factor). It is the only worker; nothing on it submits work or
-waits on the calling thread, and the element basis it reads is built by
-the assembly before it starts.
+waits on the calling thread.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -7,10 +7,54 @@ it checks. Tests import them with `from oracles import ...`.
 
 import numpy as np
 
-from eddyopt.mesh import MeshError
-from eddyopt.nedelec import element_basis
-from eddyopt.quadrature import map_to_tets, simplex_rule
+from eddyopt.mesh import LOCAL_EDGES, LOCAL_FACES, MeshError
+from eddyopt.nedelec import _moments, _span, element_basis
+from eddyopt.quadrature import simplex_rule
 from eddyopt.trace import _face_table, face_lambda_gradients
+
+
+def map_to_tets(verts, pts):
+    """Push reference-tet points onto physical tets.
+
+    verts: (..., 4, 3); pts: (m, 3). Returns points (..., m, 3) and the
+    absolute Jacobian determinant (...,) = 6 * volume.
+    """
+    verts = np.asarray(verts, dtype=float)
+    p0 = verts[..., :1, :]
+    edges = verts[..., 1:, :] - p0  # rows e1, e2, e3
+    x = p0 + pts @ edges
+    e1, e2, e3 = np.moveaxis(edges, -2, 0)
+    jac = np.abs(np.einsum("...i,...i->...", e1, np.cross(e2, e3)))
+    return x, jac
+
+
+def inverted_element_basis(space, ref_pts, sl=slice(None)):
+    """What `element_basis` returns, from each tet's own moment matrix.
+
+    For every tet in sl, the moments (in `space.cell_dofs` order) of the
+    local span in the frame (x - center) / scale are inverted to the
+    coefficients C of the dual basis Phi = span C, with curls scaled by
+    1 / scale; the reference points are mapped through `space.tets`.
+    """
+    mesh, k = space.mesh, space.k
+    tets = space.tets[sl]
+    verts = mesh.vertices[tets]
+    centers = verts.mean(axis=1)
+    ends = verts[:, np.array(LOCAL_EDGES)]
+    scales = np.linalg.norm(ends[:, :, 1] - ends[:, :, 0], axis=-1).max(axis=1)
+
+    def span(pts, curls=False):  # pts (cells, ..., 3)
+        shape = (len(pts),) + (1,) * (pts.ndim - 2) + (3,)
+        loc = (pts - centers.reshape(shape)) / scales.reshape(shape[:-1] + (1,))
+        return _span(k, loc, curls)
+
+    V = _moments(mesh.vertices, span, tets[:, LOCAL_EDGES],
+                 tets[:, LOCAL_FACES], k, k + 2, 2)
+    C = np.linalg.inv(V)
+    phys, jac = map_to_tets(verts, ref_pts)
+    Phi = np.swapaxes(span(phys) @ C[:, None], -1, -2)
+    curlPhi = np.swapaxes(span(phys, True) @ C[:, None], -1, -2)
+    return phys, jac, Phi, curlPhi / scales[:, None, None, None]
 
 
 def boundary_edge_index(mesh, e):
@@ -86,9 +130,11 @@ def tangential_trace(space, u):
 
 
 def integrate(mesh, f, degree=6):
-    """Volume integral of a scalar function f(points (..., 3)) -> (...,)."""
+    """Volume integral of a scalar function f(points (..., 3)) -> (...,),
+    by the degree's rule mapped through each tet's vertices in ascending id
+    order, the frame of the element loops."""
     rp, rw = simplex_rule(3, degree)
-    phys, jac = map_to_tets(mesh.vertices[mesh.tets], rp)
+    phys, jac = map_to_tets(mesh.vertices[np.sort(mesh.tets, axis=1)], rp)
     return np.einsum("cq,q,c->", np.asarray(f(phys)), rw, jac)
 
 

@@ -5,16 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eddyopt import nedelec
-from eddyopt.mesh import generate_cube, generate_cylinder
+from eddyopt.mesh import build_mesh, generate_cube, generate_cylinder
 from eddyopt.nedelec import (
     AssemblyError, FESpace, ProblemConfig, assemble, assemble_curl_mass,
     assemble_load, element_basis, evaluate_field, hcurl_error, interpolate,
 )
 from eddyopt.quadrature import gauss_01, simplex_rule
-from oracles import hcurl_error_parts, integrate
+from oracles import hcurl_error_parts, integrate, inverted_element_basis
 
 
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -58,11 +58,11 @@ def test_lowest_order_basis_matches_whitney_form():
     ref /= ref.sum(axis=1, keepdims=True) * rng.uniform(1.0, 3.0, (7, 1))
     phys, jac, Phi, curlPhi = element_basis(m, space, ref)
     for t in range(m.n_tets):
-        verts = m.vertices[m.tets[t]]
+        verts = m.vertices[space.tets[t]]
         vals, curls = whitney_edge_basis(verts, ref)
         # global edge direction may flip the local one
         for i, (a, b) in enumerate(LOCAL_EDGES):
-            ga, gb = m.tets[t, a], m.tets[t, b]
+            ga, gb = space.tets[t, a], space.tets[t, b]
             s = 1.0 if ga < gb else -1.0
             assert Phi[t][:, i, :] == pytest.approx(s * vals[:, i, :],
                                                     abs=1e-12)
@@ -85,12 +85,31 @@ def _edge_moments(verts, loc_edges, f, order, n=8):
     return np.array(out)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+       st.permutations(range(4)))
+def test_reference_element_matches_a_per_tet_inversion(coords, ids):
+    # one tet with any shape and any labelling of its vertex ids: the unit
+    # tet's basis mapped through the ascending frame equals the basis from
+    # the tet's own moment matrix
+    verts = np.reshape(coords, (4, 3))
+    longest = max(np.linalg.norm(verts[b] - verts[a]) for a, b in LOCAL_EDGES)
+    assume(abs(np.linalg.det(verts[1:] - verts[0])) > 0.05 * longest ** 3)
+    m = build_mesh(verts, [ids])
+    pts, _ = simplex_rule(3, 4)
+    for k in (0, 1):
+        space = FESpace(m, k)
+        got = element_basis(m, space, pts)
+        for part, want in zip(got, inverted_element_basis(space, pts)):
+            assert np.abs(part - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_first_order_basis_has_unit_moments():
     # sigma_i(phi_j) = delta_ij checked by independent quadrature
     m = generate_cube(1)
     space = FESpace(m, 1)
     t = 2
-    verts = m.vertices[m.tets[t]]
+    verts = m.vertices[space.tets[t]]
     dofs = space.cell_dofs[t]
     u6, w6 = gauss_01(6)
     tri_pts, tri_w = simplex_rule(2, 4)
@@ -111,14 +130,14 @@ def test_first_order_basis_has_unit_moments():
     for j in range(n_loc):
         f = field_of(j)
         # 12 edge moments in local order
-        loc_edges = [(a, b) if m.tets[t, a] < m.tets[t, b] else (b, a)
+        loc_edges = [(a, b) if space.tets[t, a] < space.tets[t, b] else (b, a)
                      for a, b in LOCAL_EDGES]
         got[:12, j] = _edge_moments(verts, loc_edges, f, order=1)
         # 8 face moments: ascending-vertex triples of the local faces
         row = 12
         for fl in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
-            tri = sorted(m.tets[t, list(fl)])
-            inv = {v: i for i, v in enumerate(m.tets[t])}
+            tri = sorted(space.tets[t, list(fl)])
+            inv = {v: i for i, v in enumerate(space.tets[t])}
             fv = m.vertices[tri]
             area2 = np.linalg.norm(np.cross(fv[1] - fv[0], fv[2] - fv[0]))
             pts = fv[0] + tri_pts[:, :1] * (fv[1] - fv[0]) \
@@ -188,9 +207,22 @@ def test_dof_counts():
         assert s.face_dofs.shape == (F, 2 * k)
         f, d = np.indices((F, 2 * k))
         assert np.array_equal(s.face_dofs, (k + 1) * E + 2 * f + d)
-        assert np.array_equal(s.cell_dofs, np.hstack([
-            s.edge_dofs[m.tet_edges].reshape(m.n_tets, -1),
-            s.face_dofs[m.tet_faces].reshape(m.n_tets, -1)]))
+        # each tet's frame: its vertices in ascending id order, its edges
+        # (tets[a], tets[b]) in LOCAL_EDGES order, then the faces opposite
+        # sorted vertex 0..3; an edge dof scales by |e| / |e^|
+        assert (np.diff(s.tets, axis=1) > 0).all()
+        assert np.array_equal(s.tets, np.sort(m.tets, axis=1))
+        edge_id = {tuple(e): i for i, e in enumerate(m.edges)}
+        face_id = {tuple(f): i for i, f in enumerate(m.faces)}
+        ref_len = np.array([1.0, 1.0, 1.0] + [np.sqrt(2.0)] * 3)
+        for t, v in enumerate(s.tets):
+            edges = [edge_id[v[a], v[b]] for a, b in LOCAL_EDGES]
+            faces = [face_id[tuple(np.delete(v, j))] for j in range(4)]
+            assert np.array_equal(s.cell_dofs[t], np.concatenate([
+                s.edge_dofs[edges].ravel(), s.face_dofs[faces].ravel()]))
+            assert s.scale[t] == pytest.approx(np.concatenate([
+                np.repeat(m.edge_lengths[edges] / ref_len, k + 1),
+                np.ones(8 * k)]), rel=1e-15)
 
 
 def test_fespace_rejects_unsupported_order():
@@ -218,22 +250,27 @@ def test_span_curls_match_finite_differences(k, n_fields):
 
 
 def test_basis_is_inverted_once_per_space(monkeypatch):
-    calls = []
-    inner = nedelec._basis_coeffs
-    monkeypatch.setattr(nedelec, "_basis_coeffs",
-                        lambda space, sl: calls.append(sl) or inner(space, sl))
+    # one moment inversion per order and process, on the unit tet, serves
+    # every element loop of every space
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: calls.append(a.shape) or inv(a))
+    nedelec._reference_coeffs.cache_clear()
     pts, _ = simplex_rule(3, 4)
     m = generate_cylinder(0.5, 1.0, 3, 18, 8)
     assert m.n_tets > nedelec.CHUNK
-    space = FESpace(m, 0)
-    assert space.basis is space.basis
-    assemble(m, space, ProblemConfig())
-    u = assemble_load(m, space, np.array([1.0, 0.0, 0.0]))
-    hcurl_error(space, u, None, None)
-    full = element_basis(m, space, pts)
-    # chunk by chunk, on first use only
-    assert len(calls) == -(-m.n_tets // nedelec.CHUNK)
+    for mesh in (m, generate_cube(2)):
+        for k in (0, 1):
+            space = FESpace(mesh, k)
+            assemble(mesh, space, ProblemConfig())
+            nedelec._mass_matrix(mesh, space, 2 * k + 2)
+            u = assemble_load(mesh, space, np.array([1.0, 0.0, 0.0]))
+            hcurl_error(space, u, None, None)
+            evaluate_field(space, u, pts)
+    assert calls == [(6, 6), (20, 20)]
     # a slice across the chunk boundary equals the rows of the full call
+    space = FESpace(m, 0)
+    full = element_basis(m, space, pts)
     sl = slice(nedelec.CHUNK - 5, nedelec.CHUNK + 7)
     for part, whole in zip(element_basis(m, space, pts, sl), full):
         assert np.array_equal(part, whole[sl])
@@ -350,14 +387,15 @@ def test_spatially_varying_matrix_coefficient():
     lambda x: np.eye(3) + np.einsum("...a,...b->...ab", x, x),
 ], ids=["scalar", "spd", "callable", "callable-spd"])
 def test_span_first_gram_matches_the_element_basis(k, coeff):
-    # D^T (sum_q w_q span^T c span) D on every chunk equals the quadrature
-    # of Phi_m . c Phi_n, and of the curls, over the expanded basis
+    # the metrics w A^T c A times the reference table, on every chunk,
+    # equal the quadrature of Phi_m . c Phi_n, and of the curls, over the
+    # basis each tet gets from its own moment matrix
     m = generate_cylinder(0.5, 1.0, 2, 12, 4)
     assert m.n_tets > nedelec.CHUNK
     space = FESpace(m, k)
     degree = 2 * k + 2
     pts, rw = simplex_rule(3, degree)
-    phys, jac, Phi, curlPhi = element_basis(m, space, pts)
+    phys, jac, Phi, curlPhi = inverted_element_basis(space, pts)
     c = nedelec._coeff_at(coeff, phys, "c")
     got = nedelec._cells(m, space, degree, lambda sl, phys, w, local: [
         nedelec._gram(w, nedelec._coeff_at(coeff, phys, "c"), *local(curls))
@@ -565,20 +603,20 @@ def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
     lambda space, f: hcurl_error(space, np.zeros(space.n_dofs), f, f),
 ], ids=["assemble_load", "hcurl_error"])
 def test_element_loop_holds_two_basis_sized_arrays(run):
-    # at order 1 and the default load degree one chunk's basis values are
-    # CHUNK x 64 points x 3 x 20 doubles = 7.9 MB; the span and Phi of one
-    # chunk are two such arrays, and a loop that still holds the previous
-    # chunk's Phi, or Phi while it builds curlPhi, peaks at three (26.3 MB)
+    # at order 1 and the default load degree one chunk's basis values
+    # would be CHUNK x 64 points x 3 x 20 doubles = 7.9 MB; the loop builds
+    # none, only the reference table, the per-tet maps and arrays of
+    # CHUNK x 64 x 3 values (0.8 MB complex), so its peak (4.1 MB) stays
+    # below one such array
     m = generate_cylinder(0.5, 1.0, 3, 18, 6)
     space = FESpace(m, 1)
-    space.basis  # built once per space, not part of the loop
     tracemalloc.start()
     try:
         run(space, lambda x: np.ones(x.shape, complex))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20e6
+    assert peak <= 7.9e6
 
 
 def _symmetric_csr_int64(local, dofs, n):

@@ -20,3 +20,18 @@ def test_imported_public_names_are_all():
                 for alias in node.names}
     assert {n for n in imported if not n.startswith("_")} == \
         set(eddyopt.__all__)
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a module-level function or class that nothing in the package names
+    # and `__all__` does not export is dead code; `element_basis` is the
+    # one exception, the expansion of the element basis the tests use
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(eddyopt.__file__).parent.glob("*.py"))]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = {node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used | set(eddyopt.__all__)}
+    assert unused == {"element_basis"}

@@ -412,15 +412,17 @@ def test_worker_load_and_factor_equal_direct_calls(k):
 def test_load_is_built_while_the_block_is_factored(monkeypatch):
     # the factor waits for the worker's load to start: if the two ran one
     # after the other, the wait would time out and the test fail
-    started, waited, built = threading.Event(), [], []
+    started, waited, unchanged = threading.Event(), [], []
     load, splu = nedelec._load, spla.splu
 
     def signalling_load(mesh, space, *args):
-        # the worker only reads the element basis (a cached_property): it
-        # must exist before the worker starts
-        built.append("basis" in vars(space))
+        # the worker reads no lazily built state of the space: it adds no
+        # attribute to it
+        before = set(vars(space))
         started.set()
-        return load(mesh, space, *args)
+        out = load(mesh, space, *args)
+        unchanged.append(set(vars(space)) == before)
+        return out
 
     def waiting_splu(*args, **kwargs):
         waited.append(started.wait(OVERLAP_TIMEOUT_S))
@@ -431,7 +433,7 @@ def test_load_is_built_while_the_block_is_factored(monkeypatch):
     start = threading.active_count()
     op = StateOperator(mesh, FESpace(mesh, 0),
                        ProblemConfig(j_c=np.array([0.0, 0.0, 1.0])))
-    assert waited == [True] and built == [True]
+    assert waited == [True] and unchanged == [True]
     assert threading.active_count() == start
     assert op.load.any()
 

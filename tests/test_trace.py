@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
-from eddyopt.nedelec import FESpace, element_basis, interpolate
+from eddyopt.nedelec import FESpace, element_basis, evaluate_field, interpolate
 from eddyopt.quadrature import gauss_01, simplex_rule
 from eddyopt.trace import (
     face_lambda_gradients, lift, surface_curl_matrix, surface_mass_matrix,
@@ -298,7 +298,7 @@ def test_lift_matches_surface_field_tangentially():
             (t,) = owners[fid]
             bc = np.array([[0.4, 0.35, 0.25], [0.2, 0.2, 0.6]])
             pts3 = bc @ fv
-            tv = m.vertices[m.tets[t]]
+            tv = m.vertices[space.tets[t]]
             T = np.column_stack([tv[1] - tv[0], tv[2] - tv[0], tv[3] - tv[0]])
             refp = np.linalg.solve(T, (pts3 - tv[0]).T).T
             _, _, Phi, _ = element_basis(m, space, refp, slice(t, t + 1))
@@ -314,6 +314,36 @@ def test_lift_matches_surface_field_tangentially():
                 else:
                     # lowest order can only match edge means, not pointwise
                     assert abs(vt - surf).max() < tol
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_boundary_curl_of_the_lifted_control_is_the_surface_curl_gram(k):
+    # the control space keeps the structure of its regularization: on
+    # every boundary face n . curl(L z) is constant, and
+    # sum_F |F| |n . curl(L z)|^2 = z^H K z
+    m = generate_cylinder(0.5, 1.0, 2, 12, 4)
+    space = FESpace(m, k)
+    rng = np.random.default_rng(43)
+    nb = m.n_boundary_edges
+    z = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+    # three points on each face of the unit tet, face j opposite vertex j
+    bary = np.array([[1.0, 1.0, 1.0], [4.0, 1.0, 1.0], [1.0, 2.0, 5.0]])
+    bary /= bary.sum(axis=1, keepdims=True)
+    unit = np.vstack([np.zeros(3), np.eye(3)])
+    pts = np.concatenate([bary @ np.delete(unit, j, axis=0) for j in range(4)])
+    curls = evaluate_field(space, lift(space, z), pts)[2]
+    owner = {f: t for t, faces in enumerate(m.tet_faces) for f in faces}
+    n_curl = []
+    for fb, f in enumerate(m.boundary_face_ids):
+        t = owner[f]
+        (j,) = np.flatnonzero(~np.isin(space.tets[t], m.faces[f]))
+        n_curl.append(curls[t, 3 * j:3 * j + 3] @ m.boundary_normals[fb])
+    n_curl = np.array(n_curl)
+    scale = np.abs(n_curl).max()
+    assert np.abs(n_curl - n_curl[:, :1]).max() <= 1e-12 * scale
+    gram = np.vdot(z, surface_curl_matrix(m) @ z)
+    got = np.sum(m.boundary_areas * np.abs(n_curl[:, 0]) ** 2)
+    assert abs(got - gram) <= 1e-13 * abs(gram)
 
 
 def test_edge_functions_reject_an_interior_edge():
