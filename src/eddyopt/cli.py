@@ -81,8 +81,8 @@ def resolve_field(spec, electrode, name):
     """Turn a config field spec into a constant vector or callable.
 
     Strings name the analytic cylinder fields ("exact_H", "exact_E",
-    "exact_J", "zero"); otherwise a constant complex 3-vector is expected,
-    [a, b, c] (real) or {"re": [...], "im": [...]}, all finite.
+    "exact_J", "zero"); otherwise a constant complex 3-vector, [a, b, c]
+    (real) or {"re": [...], "im": [...]} (no other key), all finite.
     """
     if spec is None or spec == "zero":
         return None
@@ -94,6 +94,8 @@ def resolve_field(spec, electrode, name):
         fn = fns[spec]
         return lambda x: fn(x, electrode)
     if isinstance(spec, dict):
+        if extra := sorted(spec.keys() - {"re", "im"}):
+            raise ConfigError(f"{name}: unknown key {extra[0]!r} (re, im)")
         re = np.asarray(spec.get("re", [0, 0, 0]), dtype=float)
         im = np.asarray(spec.get("im", [0, 0, 0]), dtype=float)
     else:
@@ -261,8 +263,9 @@ def _write_summary(outdir, payload):
         fh.write(text + "\n")
 
 
-def write_vtk_state(path, mesh, space, u):
+def write_vtk_state(path, space, u):
     """Legacy-ASCII VTK dump of a field, cell-averaged at tet centroids."""
+    mesh = space.mesh
     vals = evaluate_field(space, u, np.full((1, 3), 0.25))[1][:, 0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -287,7 +290,7 @@ def _failure(exc):
 
 
 def _level_study(cfg, solve, summary):
-    """Run ``solve(tag, mesh, space)`` on every level of the family.
+    """Run ``solve(tag, space)`` on every level of the family.
 
     ``solve`` returns the level's table entries (a dict), its StateOperator
     and a callable giving the state for the VTK dump.  Each row starts with
@@ -306,7 +309,7 @@ def _level_study(cfg, solve, summary):
         t0 = time.perf_counter()
         try:
             space = FESpace(m, cfg.order)
-            entries, op, state = solve(tag, m, space)
+            entries, op, state = solve(tag, space)
             rows.append({"level": tag, "h": mesh_size(m),
                          "n_dofs": space.n_dofs, **entries,
                          "seconds": time.perf_counter() - t0,
@@ -316,7 +319,7 @@ def _level_study(cfg, solve, summary):
                             "max_residual": op.max_residual})
             if cfg.vtk:
                 write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
-                                m, space, state())
+                                space, state())
         except Exception as exc:
             summary.update(failure=f"level {tag}: {_failure(exc)}",
                            traceback=traceback.format_exc())
@@ -361,8 +364,8 @@ def cmd_validate(cfg, summary):
     exact = lambda x: analytic.exact_H(x, el)
     exact_curl = lambda x: analytic.exact_curl_H(x, el)
 
-    def solve(tag, m, space):
-        op = StateOperator(m, space, cfg.problem)
+    def solve(tag, space):
+        op = StateOperator(space.mesh, space, cfg.problem)
         u = op.solve_dirichlet(interpolate(space, exact))
         return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
 
@@ -444,7 +447,8 @@ def cmd_optimize(cfg, summary):
     summary.update(order=cfg.order, tol=cfg.tol)
     hist_rows = []
 
-    def solve(tag, m, space):
+    def solve(tag, space):
+        m = space.mesh
         rp = ReducedProblem(m, space, cfg.problem)
         nb = m.boundary_edges.size
         z, hist = bfgs_minimize(rp.cost_and_gradient,

@@ -21,13 +21,13 @@ dual basis is Phi = s J^-T Phi^, curl Phi = s J curl Phi^ / det J, with
 Phi^ = span C the unit tet's (one moment inversion per order) and s the
 per-dof scale |e|/|e^| (1 for face dofs).
 
-Element loops work on Phi^ (or curl Phi^) at the rule's points and, per
-tet, on the 3 x 3 map A (J^-T or J / det J) and s: element matrices are one
-(tets, 9 points) x (9 points, S^2) product of the metrics w A^T coeff A with
-outer products of Phi^, loads and fields one product with Phi^ and one
-3 x 3 product per tet. A loop visits CHUNK tets at a time, so its largest
-array, a load's field values at k = 1, is 0.8 MB (64 points, complex); it
-never builds Phi, which only `element_basis` expands, for tests.
+`_cells` is the one loop over tets. It evaluates Phi^ (or curl Phi^) at
+the rule's points once per pass and, per tet, the 3 x 3 map A (J^-T or
+J / det J) and s: element matrices are one (tets, 9 points) x (9 points,
+S^2) product of the metrics w A^T coeff A with outer products of Phi^,
+loads and fields one product with Phi^ and one 3 x 3 product per tet. It
+visits CHUNK tets at a time, so its largest array, a load's field values
+at k = 1, is 0.8 MB (64 points, complex); no loop builds Phi.
 """
 
 import numbers
@@ -294,59 +294,39 @@ def _moments(vertices, f, edges, faces, k, n_gauss, face_degree):
     return np.concatenate([rows, face], axis=-2)
 
 
-def _local_points(mesh, space, ref_pts, sl):
-    """(phys, jac, local) for tets in sl: the points x0 + J ref_pts of each
-    tet's ascending frame, |det J| = 6 * volume and local(curls), which
-    returns (ref, A, s) with Phi = s A Phi^: Phi^ (curls False) or curl
-    Phi^ (curls True) at ref_pts, (S, 3, m); the maps A (cells, 3, 3),
-    J^-T or J / det J; and the scales s (cells, S)."""
-    x = mesh.vertices[space.tets[sl]]
-    E = x[:, 1:] - x[:, :1]  # rows e_i = x_i - x_0: J = E^T
-    cof = np.cross(E[:, [1, 2, 0]], E[:, [2, 0, 1]])  # rows of det J J^-1
-    det = np.einsum("ci,ci->c", E[:, 0], cof[:, 0])
-    maps = (cof, E)  # A^T det J for values and for curls
+def _cells(space, rule, fn):
+    """The element loop, CHUNK tets of space at a time: the list of
+    fn(sl, phys, w, local), each chunk released before the next is built.
+
+    rule is (points (m, 3), weights) on the unit tet; phys (cells, m, 3)
+    are the points x0 + J x^ of each tet's ascending frame, w the weights
+    times |det J| = 6 * volume, and local(curls) returns (ref, A, s) with
+    Phi = s A Phi^: Phi^ (curls False) or curl Phi^ (curls True) at the
+    points, (S, 3, m), evaluated once per pass when first asked for; the
+    maps A (cells, 3, 3), J^-T or J / det J; and the scales s (cells, S).
+    """
+    mesh, (ref_pts, weights) = space.mesh, rule
     C = _reference_coeffs(space.k)
 
-    def local(curls):
-        return (np.transpose(_span(space.k, ref_pts, curls) @ C, (2, 1, 0)),
-                np.swapaxes(maps[curls], 1, 2) / det[:, None, None],
-                space.scale[sl])
-    return x[:, :1] + ref_pts @ E, np.abs(det), local
-
-
-def element_basis(mesh, space, ref_pts, sl=slice(None)):
-    """Basis values/curls at mapped reference points for tets in sl, the
-    one place the basis Phi = s A Phi^ is expanded: the reference the tests
-    compare against (no run path calls it; the element loops below work on
-    Phi^, A and s).
-
-    Returns (phys (C, m, 3), jac (C,), Phi (C, m, S, 3),
-    curlPhi (C, m, S, 3)); jac = 6 * volume.
-    """
-    phys, jac, local = _local_points(mesh, space, ref_pts, sl)
-
-    def expand(curls):
-        ref, A, s = local(curls)
-        return np.einsum("cda,maq,cm->cqmd", A, ref, s)
-    return phys, jac, expand(False), expand(True)
-
-
-def _chunks(n):
-    for lo in range(0, n, CHUNK):
-        yield slice(lo, min(lo + CHUNK, n))
-
-
-def _cells(mesh, space, degree, fn):
-    """The element loop at the degree's points, CHUNK tets at a time: the
-    list of fn(sl, phys, w, local), w = weights * jac and local(curls) the
-    (ref, A, s) of `_local_points`, each chunk released before the next is
-    built."""
-    rp, rw = simplex_rule(3, degree)
+    @cache
+    def reference(curls):
+        return np.transpose(_span(space.k, ref_pts, curls) @ C, (2, 1, 0))
 
     def chunk(sl):
-        phys, jac, local = _local_points(mesh, space, rp, sl)
-        return fn(sl, phys, rw * jac[:, None], local)
-    return [chunk(sl) for sl in _chunks(mesh.n_tets)]
+        x = mesh.vertices[space.tets[sl]]
+        E = x[:, 1:] - x[:, :1]  # rows e_i = x_i - x_0: J = E^T
+        cof = np.cross(E[:, [1, 2, 0]], E[:, [2, 0, 1]])  # rows of det J J^-1
+        det = np.einsum("ci,ci->c", E[:, 0], cof[:, 0])
+        maps = (cof, E)  # A^T det J for values and for curls
+
+        def local(curls):
+            return (reference(curls),
+                    np.swapaxes(maps[curls], 1, 2) / det[:, None, None],
+                    space.scale[sl])
+        return fn(sl, x[:, :1] + ref_pts @ E, weights * np.abs(det)[:, None],
+                  local)
+    n = mesh.n_tets
+    return [chunk(slice(lo, min(lo + CHUNK, n))) for lo in range(0, n, CHUNK)]
 
 
 def _gram(w, coeff, ref, A, s):
@@ -365,6 +345,13 @@ def _gram(w, coeff, ref, A, s):
     return s[:, :, None] * G * s[:, None, :]
 
 
+def _check_pair(mesh, space):
+    """Raise unless space was built on mesh: the entry points that take
+    both read every array from space."""
+    if mesh is not space.mesh:
+        raise AssemblyError("the space was built on another mesh")
+
+
 def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     """Real stiffness and mass matrices, the real and imaginary parts of
     `assemble` at omega = 1.
@@ -377,27 +364,29 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
     return A.real, A.imag
 
 
-def _mass_matrix(mesh, space, degree):
+def _mass_matrix(space, degree):
     """M of `assemble_curl_mass` for kappa = 1, without the curls."""
-    Mel = _cells(mesh, space, degree, lambda sl, phys, w, local: _gram(
-        w, np.ones(()), *local(False)))
+    Mel = _cells(space, simplex_rule(3, degree), lambda sl, phys, w, local:
+                 _gram(w, np.ones(()), *local(False)))
     return symmetric_csr(np.concatenate(Mel), space.cell_dofs, space.n_dofs)
 
 
 def assemble(mesh, space, config):
     """Complex system matrix A = K(1/mu) + i omega M(kappa), summed element
     by element as K_e + i omega M_e and stored once."""
+    _check_pair(mesh, space)
+
     def chunk(sl, phys, w, local):
         mu_at = _coeff_at(config.mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
         return _gram(w, mu_inv, *local(True)) + 1j * config.omega * _gram(
             w, _coeff_at(config.kappa, phys, "kappa"), *local(False))
-    Ael = np.concatenate(_cells(mesh, space, config.quad_degree(space.k),
-                                chunk))  # frees the chunks before the sparse build
+    Ael = np.concatenate(_cells(space, simplex_rule(
+        3, config.quad_degree(space.k)), chunk))  # frees the chunks first
     return symmetric_csr(Ael, space.cell_dofs, space.n_dofs)
 
 
-def _load(mesh, space, f, degree):
+def _load(space, f, degree):
     """(b, c) with b_i = int f . Phi_i and c = int |f|^2, from one
     evaluation of f (None = zero) and no curls."""
     b = np.zeros(space.n_dofs, dtype=complex)
@@ -414,13 +403,13 @@ def _load(mesh, space, f, degree):
               ).reshape(2, len(w), -1)
         np.add.at(b, space.cell_dofs[sl], s * (bl[0] + 1j * bl[1]))
         return np.einsum("cq,cqd->", w, (v * v.conj()).real)
-    return b, float(sum(_cells(mesh, space, degree, chunk)))
+    return b, float(sum(_cells(space, simplex_rule(3, degree), chunk)))
 
 
 def assemble_load(mesh, space, j_c, degree=None):
     """Load vector b_i = int j_c . Phi_i (real basis, so no conjugation)."""
-    return _load(mesh, space, j_c,
-                 2 * space.k + 4 if degree is None else degree)[0]
+    _check_pair(mesh, space)
+    return _load(space, j_c, 2 * space.k + 4 if degree is None else degree)[0]
 
 
 def interpolate(space, v):
@@ -433,9 +422,9 @@ def interpolate(space, v):
 
 def _field(local, curls, coef):
     """The field s A Phi^ coef (cells, q, 3), or its curl, from the (ref,
-    A, s) of `_local_points`' local and the cell coefficients coef
-    (cells, S): one product of the scaled coefficients' real and imaginary
-    parts with Phi^, then one 3 x 3 product per tet."""
+    A, s) of `_cells`' local and the cell coefficients coef (cells, S):
+    one product of the scaled coefficients' real and imaginary parts with
+    Phi^, then one 3 x 3 product per tet."""
     ref, A, s = local(curls)
     a = s * coef
     v = A @ (np.concatenate([a.real, a.imag]) @ ref.reshape(len(ref), -1)
@@ -448,11 +437,10 @@ def evaluate_field(space, u, ref_pts):
 
     Returns (phys (C, m, 3), vals (C, m, 3), curls (C, m, 3)).
     """
-    def chunk(sl):
-        phys, _, local = _local_points(space.mesh, space, ref_pts, sl)
+    def chunk(sl, phys, w, local):
         coef = u[space.cell_dofs[sl]]
         return phys, _field(local, False, coef), _field(local, True, coef)
-    parts = [chunk(sl) for sl in _chunks(space.mesh.n_tets)]
+    parts = _cells(space, (ref_pts, 1.0), chunk)  # unweighted points
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -466,4 +454,5 @@ def hcurl_error(space, u_h, exact, exact_curl):
             d = _field(local, curls, coef) - _vector_field_at(f, phys)
             return np.einsum("cq,cqd->", w, (d * d.conj()).real)
         return part(False, exact) + part(True, exact_curl)
-    return np.sqrt(sum(_cells(space.mesh, space, 2 * space.k + 4, chunk)))
+    return np.sqrt(sum(_cells(space, simplex_rule(3, 2 * space.k + 4),
+                              chunk)))

@@ -150,7 +150,7 @@ def _nested_dissection(x, A):
 
 
 class StateOperator:
-    """Factorized solver for one mesh/space/config triple.
+    """Factorized solver for one space/config pair (mesh is space.mesh).
 
     The interior block is factored once. Solve counts are instrumented:
     n_state_solves, n_adjoint_solves; max_residual is the largest relative

@@ -83,11 +83,11 @@ class ReducedProblem:
 
         def tracking_data():
             # surface-curl and surface mass Gram matrices of the controls
-            self.K = surface_curl_matrix(mesh)
-            self.M = surface_mass_matrix(mesh)
+            self.K = surface_curl_matrix(space.mesh)
+            self.M = surface_mass_matrix(space.mesh)
             q = config.quad_degree(space.k)
-            self.M_c = _mass_matrix(mesh, space, q)
-            self.d, self.c_d = _load(mesh, space, config.u_d, q + 2)
+            self.M_c = _mass_matrix(space, q)
+            self.d, self.c_d = _load(space, config.u_d, q + 2)
             # P is symmetric positive definite: diagonal pivots are safe
             self.riesz_lu = splu((config.alpha * self.K + (
                 config.beta + RIESZ_MASS) * self.M).tocsc(),

@@ -8,7 +8,7 @@ it checks. Tests import them with `from oracles import ...`.
 import numpy as np
 
 from eddyopt.mesh import LOCAL_EDGES, LOCAL_FACES, MeshError
-from eddyopt.nedelec import _moments, _span, element_basis
+from eddyopt.nedelec import _moments, _span
 from eddyopt.quadrature import simplex_rule
 from eddyopt.trace import _face_table, face_lambda_gradients
 
@@ -29,7 +29,9 @@ def map_to_tets(verts, pts):
 
 
 def inverted_element_basis(space, ref_pts, sl=slice(None)):
-    """What `element_basis` returns, from each tet's own moment matrix.
+    """(phys (C, m, 3), jac (C,), Phi (C, m, S, 3), curlPhi (C, m, S, 3)),
+    the element basis at the reference points mapped onto every tet in sl,
+    from each tet's own moment matrix; jac = 6 * volume.
 
     For every tet in sl, the moments (in `space.cell_dofs` order) of the
     local span in the frame (x - center) / scale are inverted to the
@@ -140,9 +142,10 @@ def integrate(mesh, f, degree=6):
 
 def hcurl_error_parts(space, u_h, exact, exact_curl, degree):
     """(total, value, curl) of the H(curl) distance of `hcurl_error`, from
-    the element basis contracted with u_h at the degree's tet rule."""
+    the inverted element basis contracted with u_h at the degree's tet
+    rule."""
     pts, w = simplex_rule(3, degree)
-    phys, jac, Phi, curlPhi = element_basis(space.mesh, space, pts)
+    phys, jac, Phi, curlPhi = inverted_element_basis(space, pts)
     coef = u_h[space.cell_dofs]
     parts = []
     for basis, f in ((Phi, exact), (curlPhi, exact_curl)):

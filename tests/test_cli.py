@@ -476,6 +476,12 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("grad-check", {"problem": {"u_d": {"re": [1, 0, 0],
                                                     "im": [INF, 0, 0]}}},
                  id="u-d-im-inf"),
+    # a field object reads only re and im; a misspelt key is not zero
+    pytest.param("grad-check", {"problem": {"u_d": {"re": [1, 0, 0],
+                                                    "imag": [0, 1, 0]}}},
+                 id="u-d-unknown-key"),
+    pytest.param("grad-check", {"problem": {"j_c": {"real": [0, 0, 1]}}},
+                 id="j-c-unknown-key"),
     pytest.param("grad-check", {"problem": {"mu": NAN}}, id="mu-nan"),
     pytest.param("grad-check", {"problem": {"kappa": INF}}, id="kappa-inf"),
     pytest.param("grad-check", {"problem": {"mu": -1.0}}, id="mu-negative"),

@@ -11,7 +11,7 @@ from eddyopt import nedelec
 from eddyopt.mesh import build_mesh, generate_cube, generate_cylinder
 from eddyopt.nedelec import (
     AssemblyError, FESpace, ProblemConfig, assemble, assemble_curl_mass,
-    assemble_load, element_basis, evaluate_field, hcurl_error, interpolate,
+    assemble_load, evaluate_field, hcurl_error, interpolate,
 )
 from eddyopt.quadrature import gauss_01, simplex_rule
 from oracles import hcurl_error_parts, integrate, inverted_element_basis
@@ -56,7 +56,7 @@ def test_lowest_order_basis_matches_whitney_form():
     space = FESpace(m, 0)
     ref = rng.random((7, 3))
     ref /= ref.sum(axis=1, keepdims=True) * rng.uniform(1.0, 3.0, (7, 1))
-    phys, jac, Phi, curlPhi = element_basis(m, space, ref)
+    phys, jac, Phi, curlPhi = inverted_element_basis(space, ref)
     for t in range(m.n_tets):
         verts = m.vertices[space.tets[t]]
         vals, curls = whitney_edge_basis(verts, ref)
@@ -85,6 +85,16 @@ def _edge_moments(verts, loc_edges, f, order, n=8):
     return np.array(out)
 
 
+def cells_basis(space, pts):
+    """(phys, jac, Phi, curlPhi) as `inverted_element_basis` returns them,
+    expanded from the (Phi^, A, s) of `_cells`: Phi = s A Phi^."""
+    def expand(sl, phys, w, local):
+        return [phys, w[:, 0]] + [np.einsum("maq,cda,cm->cqmd", *local(curls))
+                                  for curls in (False, True)]
+    return [np.concatenate(part) for part in
+            zip(*nedelec._cells(space, (pts, 1.0), expand))]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
        st.permutations(range(4)))
@@ -99,7 +109,7 @@ def test_reference_element_matches_a_per_tet_inversion(coords, ids):
     pts, _ = simplex_rule(3, 4)
     for k in (0, 1):
         space = FESpace(m, k)
-        got = element_basis(m, space, pts)
+        got = cells_basis(space, pts)
         for part, want in zip(got, inverted_element_basis(space, pts)):
             assert np.abs(part - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -121,7 +131,7 @@ def test_first_order_basis_has_unit_moments():
             T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0],
                                  verts[3] - verts[0]])
             ref = np.linalg.solve(T, (pts - verts[0]).T).T
-            _, _, Phi, _ = element_basis(m, space, ref, slice(t, t + 1))
+            _, _, Phi, _ = inverted_element_basis(space, ref, slice(t, t + 1))
             return np.einsum("d,pdc->pc", coeffs[dofs], Phi[0])
         return f
 
@@ -259,26 +269,31 @@ def test_basis_is_inverted_once_per_space(monkeypatch):
     pts, _ = simplex_rule(3, 4)
     m = generate_cylinder(0.5, 1.0, 3, 18, 8)
     assert m.n_tets > nedelec.CHUNK
+    passes = [
+        lambda space: assemble(space.mesh, space, ProblemConfig()),
+        lambda space: nedelec._mass_matrix(space, 2 * space.k + 2),
+        lambda space: assemble_load(space.mesh, space,
+                                    np.array([1.0, 0.0, 0.0])),
+        lambda space: hcurl_error(space, np.ones(space.n_dofs), None, None),
+        lambda space: evaluate_field(space, np.ones(space.n_dofs), pts),
+    ]
     for mesh in (m, generate_cube(2)):
         for k in (0, 1):
             space = FESpace(mesh, k)
-            assemble(mesh, space, ProblemConfig())
-            nedelec._mass_matrix(mesh, space, 2 * k + 2)
-            u = assemble_load(mesh, space, np.array([1.0, 0.0, 0.0]))
-            hcurl_error(space, u, None, None)
-            evaluate_field(space, u, pts)
+            for run in passes:
+                run(space)
     assert calls == [(6, 6), (20, 20)]
-    # a slice across the chunk boundary equals the rows of the full call
-    space = FESpace(m, 0)
-    full = element_basis(m, space, pts)
-    sl = slice(nedelec.CHUNK - 5, nedelec.CHUNK + 7)
-    for part, whole in zip(element_basis(m, space, pts, sl), full):
-        assert np.array_equal(part, whole[sl])
-    space = FESpace(generate_cube(2), 1)
-    full = element_basis(space.mesh, space, pts)
-    for part, whole in zip(element_basis(space.mesh, space, pts,
-                                         slice(9, 30)), full):
-        assert np.array_equal(part, whole[9:30])
+    # and each pass over the chunks evaluates Phi^ and curl Phi^ at the
+    # rule's points at most once each
+    spans, span = [], nedelec._span
+    monkeypatch.setattr(nedelec, "_span", lambda k, pts, curls: (
+        spans.append(curls) or span(k, pts, curls)))
+    for k in (0, 1):
+        space = FESpace(m, k)
+        for run in passes:
+            spans.clear()
+            run(space)
+            assert spans.count(False) <= 1 and spans.count(True) <= 1
 
 
 def test_assembled_matrix_invariants():
@@ -397,7 +412,7 @@ def test_span_first_gram_matches_the_element_basis(k, coeff):
     pts, rw = simplex_rule(3, degree)
     phys, jac, Phi, curlPhi = inverted_element_basis(space, pts)
     c = nedelec._coeff_at(coeff, phys, "c")
-    got = nedelec._cells(m, space, degree, lambda sl, phys, w, local: [
+    got = nedelec._cells(space, (pts, rw), lambda sl, phys, w, local: [
         nedelec._gram(w, nedelec._coeff_at(coeff, phys, "c"), *local(curls))
         for curls in (False, True)])
     for curls, basis in ((False, Phi), (True, curlPhi)):
@@ -487,7 +502,7 @@ def test_load_vector_against_direct_quadrature():
     # independent route: quadrature of j . Phi_i over each tet
     pts, w = simplex_rule(3, 4)
     ref = np.zeros(space.n_dofs, dtype=complex)
-    phys, jac, Phi, _ = element_basis(m, space, pts)
+    phys, jac, Phi, _ = inverted_element_basis(space, pts)
     for t in range(m.n_tets):
         vals = np.einsum("q,qdc,c->d", w * jac[t], Phi[t], jvec)
         np.add.at(ref, space.cell_dofs[t], vals)
@@ -503,7 +518,7 @@ def test_energy_identity():
     v = rng.standard_normal(space.n_dofs) + 1j * rng.standard_normal(space.n_dofs)
     q = np.vdot(v, A @ v)
     pts, w = simplex_rule(3, 2)
-    phys, jac, Phi, curlPhi = element_basis(m, space, pts)
+    phys, jac, Phi, curlPhi = inverted_element_basis(space, pts)
     curl_sq = mass_sq = 0.0
     for t in range(m.n_tets):
         vt = v[space.cell_dofs[t]]
@@ -553,7 +568,7 @@ def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets(monkeypatch):
         for part, want in zip(chunked, whole):
             assert np.array_equal(part, want)
         # and the element basis contracted with the same coefficients
-        phys, _, Phi, curlPhi = element_basis(m, space, ref)
+        phys, _, Phi, curlPhi = inverted_element_basis(space, ref)
         coef = u[space.cell_dofs]
         assert np.array_equal(chunked[0], phys)
         for got, basis in zip(chunked[1:], (Phi, curlPhi)):
@@ -562,10 +577,9 @@ def test_evaluate_field_in_chunks_equals_one_pass_over_all_tets(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
+def test_hcurl_error_contracts_coefficients_first(k):
     # the field and its curl at the points, and the error built on them,
-    # agree with the element basis contracted with the same coefficients;
-    # the error never builds that basis
+    # agree with the element basis contracted with the same coefficients
     m = generate_cylinder(0.5, 1.0, 2, 12, 4)
     assert m.n_tets > nedelec.CHUNK
     space = FESpace(m, k)
@@ -577,23 +591,19 @@ def test_hcurl_error_contracts_coefficients_first(monkeypatch, k):
     curl = lambda x: np.stack([2 * x[..., 2], -1j * np.ones(x.shape[:-1]),
                                -np.cos(x[..., 1])], axis=-1)
     degree = 2 * k + 4
-    pts, _ = simplex_rule(3, degree)
-    _, _, Phi, curlPhi = element_basis(m, space, pts)
+    rule = simplex_rule(3, degree)
+    _, _, Phi, curlPhi = inverted_element_basis(space, rule[0])
 
     def field(sl, phys, w, local):  # span (D u) on each chunk
         coef = u[space.cell_dofs[sl]]
         return [nedelec._field(local, curls, coef) for curls in (False, True)]
     vals, curls = map(np.concatenate, zip(*nedelec._cells(
-        m, space, degree, field)))
+        space, rule, field)))
     coef = u[space.cell_dofs]
     for got, basis in ((vals, Phi), (curls, curlPhi)):
         want = np.einsum("cqmd,cm->cqd", basis, coef)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     want = hcurl_error_parts(space, u, exact, curl, degree)[0]
-
-    def no_basis(*args):
-        raise AssertionError("hcurl_error built the element basis")
-    monkeypatch.setattr(nedelec, "element_basis", no_basis)
     got = hcurl_error(space, u, exact, curl)
     assert np.isclose(got, want, rtol=1e-14, atol=0)
 

@@ -24,8 +24,7 @@ def test_imported_public_names_are_all():
 
 def test_every_top_level_definition_is_used_or_exported():
     # a module-level function or class that nothing in the package names
-    # and `__all__` does not export is dead code; `element_basis` is the
-    # one exception, the expansion of the element basis the tests use
+    # and `__all__` does not export is dead code
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(eddyopt.__file__).parent.glob("*.py"))]
     used = {node.id if isinstance(node, ast.Name) else node.attr
@@ -34,4 +33,4 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = {node.name for tree in trees for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in used | set(eddyopt.__all__)}
-    assert unused == {"element_basis"}
+    assert unused == set()

@@ -415,12 +415,12 @@ def test_load_is_built_while_the_block_is_factored(monkeypatch):
     started, waited, unchanged = threading.Event(), [], []
     load, splu = nedelec._load, spla.splu
 
-    def signalling_load(mesh, space, *args):
+    def signalling_load(space, *args):
         # the worker reads no lazily built state of the space: it adds no
         # attribute to it
         before = set(vars(space))
         started.set()
-        out = load(mesh, space, *args)
+        out = load(space, *args)
         unchanged.append(set(vars(space)) == before)
         return out
 

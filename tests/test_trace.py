@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eddyopt.mesh import MeshError, generate_cube, generate_cylinder
-from eddyopt.nedelec import FESpace, element_basis, evaluate_field, interpolate
+from eddyopt.nedelec import FESpace, evaluate_field, interpolate
 from eddyopt.quadrature import gauss_01, simplex_rule
 from eddyopt.trace import (
     face_lambda_gradients, lift, surface_curl_matrix, surface_mass_matrix,
 )
-from oracles import eval_control_on_faces, eval_phi, eval_psi, tangential_trace
+from oracles import (
+    eval_control_on_faces, eval_phi, eval_psi, inverted_element_basis,
+    tangential_trace)
 
 
 def _face_boundary_edges(m, tri):
@@ -301,7 +303,7 @@ def test_lift_matches_surface_field_tangentially():
             tv = m.vertices[space.tets[t]]
             T = np.column_stack([tv[1] - tv[0], tv[2] - tv[0], tv[3] - tv[0]])
             refp = np.linalg.solve(T, (pts3 - tv[0]).T).T
-            _, _, Phi, _ = element_basis(m, space, refp, slice(t, t + 1))
+            _, _, Phi, _ = inverted_element_basis(space, refp, slice(t, t + 1))
             vol_vals = np.einsum("d,pdc->pc", u[space.cell_dofs[t]], Phi[0])
             for p, vv in zip(pts3, vol_vals):
                 surf = np.zeros(3, dtype=complex)

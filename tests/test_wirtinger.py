@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from eddyopt import nedelec, wirtinger
 from eddyopt.analytic import ElectrodeParams, exact_H
 from eddyopt.cli import write_vtk_state
-from eddyopt.mesh import generate_cube, generate_cylinder, refine_uniform
+from eddyopt.mesh import (
+    build_mesh, generate_cube, generate_cylinder, refine_uniform)
 from eddyopt.nedelec import (
-    AssemblyError, FESpace, ProblemConfig, _load, _mass_matrix,
+    AssemblyError, FESpace, ProblemConfig, _load, _mass_matrix, assemble,
     assemble_curl_mass, assemble_load, evaluate_field, hcurl_error)
+from eddyopt.solver import StateOperator
 from eddyopt.trace import (
     lift, lifting_matrix, surface_curl_matrix, surface_mass_matrix)
 from eddyopt.wirtinger import (
@@ -429,12 +431,9 @@ def test_trivial_target_drives_control_to_zero():
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_run_paths_never_expand_the_element_basis(monkeypatch, tmp_path, k):
+def test_run_paths_never_expand_the_element_basis(tmp_path, k):
     # assembly, loads, the tracking data, the H(curl) error, field values
     # and the VTK output work on the span and the coefficient table
-    def no_basis(*args):
-        raise AssertionError("a run path built the element basis")
-    monkeypatch.setattr(nedelec, "element_basis", no_basis)
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
     space = FESpace(m, k)
     u_d = partial(exact_H, params=ElectrodeParams())
@@ -445,7 +444,7 @@ def test_run_paths_never_expand_the_element_basis(monkeypatch, tmp_path, k):
     assert np.isfinite(hcurl_error(space, prob.d, u_d, None))
     _, vals, curls = evaluate_field(space, prob.d, np.full((1, 3), 0.25))
     assert np.isfinite(vals).all() and np.isfinite(curls).all()
-    write_vtk_state(tmp_path / "state.vtk", m, space, prob.d)
+    write_vtk_state(tmp_path / "state.vtk", space, prob.d)
     assert (tmp_path / "state.vtk").stat().st_size > 0
 
 
@@ -457,15 +456,16 @@ def test_tracking_data_in_one_pass_without_curls(monkeypatch, k, quad_order):
     space = FESpace(m, k)
     u_d = partial(exact_H, params=ElectrodeParams())
     cells, curls = [], []
-    values, span = nedelec._local_points, nedelec._span
-    monkeypatch.setattr(nedelec, "_local_points", lambda mesh, s, pts, sl: (
-        cells.append(len(range(mesh.n_tets)[sl])) or values(mesh, s, pts, sl)))
+    loop, span = nedelec._cells, nedelec._span
+    monkeypatch.setattr(nedelec, "_cells", lambda s, rule, fn: loop(
+        s, rule, lambda sl, phys, *rest: (
+            cells.append(len(phys)) or fn(sl, phys, *rest))))
     monkeypatch.setattr(nedelec, "_span", lambda k, pts, c: (
         curls.append(c) or span(k, pts, c)))
     prob = ReducedProblem(m, space, ProblemConfig(u_d=u_d,
                                                   quad_order=quad_order))
-    # curls only for the stiffness of the state operator, once per chunk
-    assert sum(curls) == -(-m.n_tets // nedelec.CHUNK)
+    # curls only for the stiffness of the state operator, once in its pass
+    assert sum(curls) == 1
     hcurl_error(space, prob.d, u_d, None)
     evaluate_field(space, prob.d, np.full((1, 3), 0.25))
     assert cells and max(cells) <= nedelec.CHUNK
@@ -490,6 +490,25 @@ def _same_sparse(A, B):
 
 
 @pytest.mark.parametrize("k", [0, 1])
+def test_a_space_built_on_another_mesh_is_refused(k):
+    # the entry points that take (mesh, space) read every array from the
+    # space; a mesh that is not the space's own raises before any work, so
+    # ReducedProblem starts no worker thread
+    m = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    other, space = build_mesh(2 * m.vertices, m.tets), FESpace(m, k)
+    cfg = ProblemConfig(u_d=np.array([1.0, 0.0, 0.0]))
+    start = threading.active_count()
+    for run in (lambda: assemble(other, space, cfg),
+                lambda: assemble_curl_mass(other, space),
+                lambda: assemble_load(other, space, cfg.u_d),
+                lambda: StateOperator(other, space, cfg),
+                lambda: ReducedProblem(other, space, cfg)):
+        with pytest.raises(AssemblyError, match="another mesh"):
+            run()
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("k", [0, 1])
 def test_tracking_data_built_alongside_the_factor_equals_direct_calls(k):
     # StateOperator's worker builds the tracking data while A_II is
     # factored; every array is the one a direct call gives, bit for bit
@@ -503,8 +522,8 @@ def test_tracking_data_built_alongside_the_factor_equals_direct_calls(k):
     q = cfg.quad_degree(k)
     assert _same_sparse(prob.K, surface_curl_matrix(mesh))
     assert _same_sparse(prob.M, surface_mass_matrix(mesh))
-    assert _same_sparse(prob.M_c, _mass_matrix(mesh, space, q))
-    d, c_d = _load(mesh, space, u_d, q + 2)
+    assert _same_sparse(prob.M_c, _mass_matrix(space, q))
+    d, c_d = _load(space, u_d, q + 2)
     assert np.array_equal(prob.d, d) and prob.c_d == c_d
     assert np.array_equal(prob.op.load,
                           assemble_load(mesh, space, cfg.j_c, q + 2))
