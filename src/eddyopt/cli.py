@@ -300,8 +300,9 @@ def _level_study(cfg, solve, summary):
     raises and records it in ``summary`` as ``failure`` with its
     ``traceback``; the tables keep the levels before it.  ``summary`` also
     gets ``levels``, one solver record per completed level (nonzeros of the
-    interior block and its factor, largest solve residual), and
-    ``levels_completed``.  Returns the rows.
+    interior block and its factor, largest solve residual, the factor's
+    dtype, and the refinement steps in all and in the one solve that took
+    the most), and ``levels_completed``.  Returns the rows.
     """
     rows, records, m = [], [], None
     for tag, step in cfg.family:
@@ -316,7 +317,10 @@ def _level_study(cfg, solve, summary):
                          "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024})
             records.append({"level": tag, "nnz_A_II": op.A_II.nnz,
                             "nnz_LU": op.lu.nnz,
-                            "max_residual": op.max_residual})
+                            "max_residual": op.max_residual,
+                            "factor_dtype": op.factor_dtype.name,
+                            "n_refinements": op.n_refinements,
+                            "max_refinements": op.max_refinements})
             if cfg.vtk:
                 write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
                                 space, state())

@@ -75,7 +75,8 @@ class ReducedProblem:
 
     The tracking data (K, M, M_c, d, c_d) and the factor of P do not need
     A_II's factor, so `StateOperator`'s worker thread builds them while
-    A_II is factored.
+    A_II is factored. The factor is complex128: refined complex64 solves
+    cost 3-4x as much, and a run makes about 50 solves per factor.
     """
 
     def __init__(self, mesh, space, config):
@@ -93,7 +94,8 @@ class ReducedProblem:
                 config.beta + RIESZ_MASS) * self.M).tocsc(),
                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
-        self.op = StateOperator(mesh, space, config, alongside=tracking_data)
+        self.op = StateOperator(mesh, space, config, alongside=tracking_data,
+                                factor_dtype=np.complex128)
         self.n_evaluations = 0
 
     def _evaluate(self, z):

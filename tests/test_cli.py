@@ -85,14 +85,19 @@ def test_console_script_is_installed(tmp_path):
     assert _summary(out)["ok"] is True
 
 
-def _assert_solver_records(s, tags):
-    # one record per completed level: matrix size, factor fill, and the
-    # largest residual, within the default solver_tol
+def _assert_solver_records(s, tags, factor_dtype):
+    # one record per completed level: matrix size, factor fill, the
+    # largest residual, within the default solver_tol, and the factor's
+    # precision with its refinement steps (none in complex128)
     assert [lv["level"] for lv in s["levels"]] == tags
     for lv in s["levels"]:
         assert isinstance(lv["nnz_A_II"], int) and lv["nnz_A_II"] > 0
         assert isinstance(lv["nnz_LU"], int) and lv["nnz_LU"] > 0
         assert 0.0 < lv["max_residual"] <= 1e-10
+        assert lv["factor_dtype"] == factor_dtype
+        assert 0 <= lv["max_refinements"] <= lv["n_refinements"]
+        if factor_dtype == "complex128":
+            assert lv["n_refinements"] == 0
 
 
 def test_validate_reports_second_order_rate(tmp_path):
@@ -105,7 +110,7 @@ def test_validate_reports_second_order_rate(tmp_path):
     s = _summary(out)
     assert s["ok"] is True and s["order"] == 1
     assert s["rate"] >= 1.8 and s["rate_target"] == 1.8
-    _assert_solver_records(s, ["1x6x2", "2x12x4"])
+    _assert_solver_records(s, ["1x6x2", "2x12x4"], "complex64")
     header, rows = _read_csv(os.path.join(out, "convergence.csv"))
     assert header == ["level", "h", "n_dofs", "hcurl_error", "seconds",
                       "peak_rss_mb"]
@@ -230,7 +235,7 @@ def test_optimize_two_level_study(tmp_path):
     assert s["ok"] is True and s["levels_completed"] == 2
     assert len(s["gaps"]) == 1 and s["gaps"][0]["level"] == "L0"
     assert s["gaps"][0]["gap_J"] > 0
-    _assert_solver_records(s, ["L0", "L1"])
+    _assert_solver_records(s, ["L0", "L1"], "complex128")
     header, rows = _read_csv(os.path.join(out, "study.csv"))
     assert header[:5] == ["level", "h", "n_dofs", "n_controls", "J"]
     assert header[11:13] == ["seconds", "peak_rss_mb"]

@@ -13,12 +13,13 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from eddyopt.mesh import (
     MeshError, generate_cube, generate_cylinder, parse_msh, write_msh)
-from eddyopt.analytic import ElectrodeParams, exact_J
+from eddyopt.analytic import (
+    ElectrodeParams, exact_H, exact_J, exact_curl_H)
 from eddyopt import nedelec
 from eddyopt.nedelec import (
-    FESpace, ProblemConfig, assemble, assemble_load, interpolate)
+    FESpace, ProblemConfig, assemble, assemble_load, hcurl_error, interpolate)
 from eddyopt.solver import (
-    LEAF, SolverError, StateOperator, _dof_points, _graph, _nested_dissection,
+    LEAF, MAX_REFINEMENTS, SolverError, StateOperator, _dof_points, _graph, _nested_dissection,
     _vertex_cover)
 from eddyopt.trace import lift
 from oracles import tangential_trace
@@ -164,18 +165,58 @@ def test_wrong_length_control_is_rejected():
 
 
 def test_residual_check_rejects_an_unreachable_tolerance():
-    # a relative residual of 1e-20 is below the float64 floor of any solve
+    # a relative residual of 1e-20 is below the float64 floor of any solve:
+    # each solve refines MAX_REFINEMENTS times, then raises
     mesh = generate_cube(2)
     space = FESpace(mesh, 0)
     op = StateOperator(mesh, space, ProblemConfig(solver_tol=1e-20))
     rng = np.random.default_rng(13)
-    with pytest.raises(SolverError):
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match=f"after {MAX_REFINEMENTS} "):
         op.solve_state(_random_control(mesh, rng))
     rho = (rng.standard_normal(space.n_dofs)
            + 1j * rng.standard_normal(space.n_dofs))
     with pytest.raises(SolverError):
         op.solve_adjoint(rho)
+    assert time.perf_counter() - start < 10.0
     assert (op.n_state_solves, op.n_adjoint_solves) == (0, 0)
+    assert op.n_refinements == 2 * op.max_refinements == 2 * MAX_REFINEMENTS
+    assert 0.0 < op.max_residual
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_single_precision_factor_is_refined_to_the_tolerance(k):
+    # a criterion-1 level (2x12x4): the default complex64 factor needs at
+    # least one refinement step to reach solver_tol, and then gives the
+    # complex128 factor's H(curl) error; the complex128 factor never refines
+    el = ElectrodeParams()
+    mesh = generate_cylinder(el.R, el.L, 2, 12, 4)
+    space = FESpace(mesh, k)
+    cfg = ProblemConfig(mu=1.0 / el.sigma, kappa=el.mu, omega=el.omega)
+    exact, curl = (lambda x: exact_H(x, el)), (lambda x: exact_curl_H(x, el))
+    g = interpolate(space, exact)
+    single = StateOperator(mesh, space, cfg)
+    double = StateOperator(mesh, space, cfg, factor_dtype=np.complex128)
+    err = [hcurl_error(space, op.solve_dirichlet(g), exact, curl)
+           for op in (single, double)]
+    assert single.factor_dtype == np.complex64
+    assert 1 <= single.n_refinements == single.max_refinements
+    assert (double.n_refinements, double.max_refinements) == (0, 0)
+    for op in (single, double):
+        assert 0.0 < op.max_residual <= cfg.solver_tol
+    assert abs(err[0] - err[1]) <= 1e-9 * err[1]
+
+
+def test_data_far_outside_single_precision_solve_exactly_to_scale():
+    # each right-hand side enters the complex64 factor scaled by a power of
+    # two, so data whose entries complex64 cannot hold solve as well, and
+    # bitwise to scale
+    mesh = generate_cube(2)
+    op = StateOperator(mesh, FESpace(mesh, 0), ProblemConfig())
+    z = _random_control(mesh, np.random.default_rng(29))
+    u = op.solve_state(z)
+    for c in (2.0 ** -160, 2.0 ** 160):  # about 7e-49 and 1e48
+        assert np.array_equal(op.solve_state(c * z), c * u)
 
 
 @pytest.mark.parametrize("bad", ["j_c", "control", "adjoint"])

@@ -367,6 +367,9 @@ def test_bfgs_minimizes_the_reduced_cost():
     # accepted try becomes the next iterate without being solved again
     assert prob.n_evaluations == prob.op.n_state_solves
     assert prob.op.n_state_solves == prob.op.n_adjoint_solves
+    # the optimizer's factor is complex128 and never refines a solve
+    assert prob.op.factor_dtype == np.complex128
+    assert (prob.op.n_refinements, prob.op.max_refinements) == (0, 0)
     # the found control actually beats its neighbours
     base = prob.cost(z).J
     rng = np.random.default_rng(37)
