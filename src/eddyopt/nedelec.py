@@ -22,12 +22,13 @@ Phi^ = span C the unit tet's (one moment inversion per order) and s the
 per-dof scale |e|/|e^| (1 for face dofs).
 
 `_cells` is the one loop over tets. It evaluates Phi^ (or curl Phi^) at
-the rule's points once per pass and, per tet, the 3 x 3 map A (J^-T or
-J / det J) and s: element matrices are one (tets, 9 points) x (9 points,
-S^2) product of the metrics w A^T coeff A with outer products of Phi^,
-loads and fields one product with Phi^ and one 3 x 3 product per tet. It
-visits CHUNK tets at a time, so its largest array, a load's field values
-at k = 1, is 0.8 MB (64 points, complex); no loop builds Phi.
+the rule's points, or for element matrices their outer products, once per
+pass and, per tet, the 3 x 3 map A (J^-T or J / det J) and s: element
+matrices are one (tets, 9 points) x (9 points, S^2) product of the
+metrics w A^T coeff A with that table, loads and fields one product with
+Phi^ and one 3 x 3 product per tet. It visits CHUNK tets at a time, so
+its largest array, a load's field values at k = 1, is 0.8 MB (64 points,
+complex); no loop builds Phi.
 """
 
 import numbers
@@ -41,9 +42,11 @@ from .quadrature import gauss_01, simplex_rule
 from .trace import lifting_matrix, symmetric_csr
 
 CHUNK = 256  # tets per pass: no slower than 2048, an eighth of the memory
-# Edge Gauss points and face-rule degree of the moment interpolant.
+# Edge Gauss points, face-rule degree and edges or faces per call of the
+# moment interpolant (k = 0 on 5x30x10: 1.5 MB peak, 12.1 MB all at once).
 INTERP_GAUSS = 8
 INTERP_FACE_DEGREE = 8
+INTERP_CHUNK = 1024
 
 
 class AssemblyError(ValueError):
@@ -112,8 +115,11 @@ def _reference_coeffs(k):
     """C (S, S) of the unit tet's basis Phi^ = span C dual to its moments:
     the one moment inversion of order k, read-only as every caller shares
     it."""
-    C = np.linalg.inv(_moments(_UNIT_TET, lambda p: _span(k, p, False),
-                               _EDGES, _FACES, k, k + 2, 2))
+    span = lambda p: _span(k, p, False)
+    moments = [_edge_moments(_UNIT_TET, span, _EDGES, k, k + 2)]
+    if k:
+        moments.append(_face_moments(_UNIT_TET, span, _FACES, 2))
+    C = np.linalg.inv(np.concatenate(moments))
     C.flags.writeable = False
     return C
 
@@ -266,13 +272,11 @@ def _vector_field_at(f, pts):
     return np.broadcast_to(v, pts.shape)
 
 
-def _moments(vertices, f, edges, faces, k, n_gauss, face_degree):
-    """The dof functionals of f on edges (..., 2) and, for k = 1, faces
-    (..., 3), ids into vertices ascending in each row.
-
-    f maps points (..., n, 3) to fields (..., n, 3, S). Returns (..., m, S)
-    in dof order: k + 1 moments per edge, then two per face.
-    """
+def _edge_moments(vertices, f, edges, k, n_gauss):
+    """The k + 1 dof functionals of f on each of edges (..., E, 2), ids
+    into vertices ascending in each row, by n_gauss Gauss points: f maps
+    points (..., n, 3) to fields (..., n, 3, S); returns (..., (k + 1) E,
+    S) in dof order."""
     lo, hi = vertices[edges[..., 0]], vertices[edges[..., 1]]
     u, w = gauss_01(n_gauss)
     t = hi - lo
@@ -281,17 +285,20 @@ def _moments(vertices, f, edges, faces, k, n_gauss, face_degree):
     vt = np.einsum("...nds,...d->...ns", vals, t)
     # the mean weight, then (k = 1) the odd linear one
     rows = np.stack([w, 3.0 * (2.0 * u - 1.0) * w][:k + 1]) @ vt
-    rows = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
-    if k == 0:
-        return rows
+    return rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
+
+
+def _face_moments(vertices, f, faces, degree):
+    """The two face dof functionals of f on each of faces (..., F, 3), ids
+    as in `_edge_moments`, by the triangle rule of the given degree;
+    returns (..., 2 F, S) in dof order."""
     verts = vertices[faces]
-    rp, rw = simplex_rule(2, face_degree)
+    rp, rw = simplex_rule(2, degree)
     q = verts[..., 1:, :] - verts[..., :1, :]  # rows x1 - x0, x2 - x0
     pts = (verts[..., :1, :] + rp[:, :1] * q[..., :1, :]
            + rp[:, 1:] * q[..., 1:, :])
     face = 2.0 * np.einsum("...nds,...ed,n->...es", f(pts), q, rw)
-    face = face.reshape(face.shape[:-3] + (-1, face.shape[-1]))
-    return np.concatenate([rows, face], axis=-2)
+    return face.reshape(face.shape[:-3] + (-1, face.shape[-1]))
 
 
 def _cells(space, rule, fn):
@@ -302,15 +309,19 @@ def _cells(space, rule, fn):
     are the points x0 + J x^ of each tet's ascending frame, w the weights
     times |det J| = 6 * volume, and local(curls) returns (ref, A, s) with
     Phi = s A Phi^: Phi^ (curls False) or curl Phi^ (curls True) at the
-    points, (S, 3, m), evaluated once per pass when first asked for; the
-    maps A (cells, 3, 3), J^-T or J / det J; and the scales s (cells, S).
+    points, (S, 3, m); the maps A (cells, 3, 3), J^-T or J / det J; and
+    the scales s (cells, S); with outer=True, in place of ref the table of
+    its outer products, (9 m, S^2). Each is built once per pass, if asked.
     """
     mesh, (ref_pts, weights) = space.mesh, rule
     C = _reference_coeffs(space.k)
 
     @cache
-    def reference(curls):
-        return np.transpose(_span(space.k, ref_pts, curls) @ C, (2, 1, 0))
+    def reference(curls, outer):
+        ref = np.transpose(_span(space.k, ref_pts, curls) @ C, (2, 1, 0))
+        if not outer:
+            return ref
+        return np.einsum("maq,nbq->qabmn", ref, ref).reshape(-1, len(ref) ** 2)
 
     def chunk(sl):
         x = mesh.vertices[space.tets[sl]]
@@ -319,8 +330,8 @@ def _cells(space, rule, fn):
         det = np.einsum("ci,ci->c", E[:, 0], cof[:, 0])
         maps = (cof, E)  # A^T det J for values and for curls
 
-        def local(curls):
-            return (reference(curls),
+        def local(curls, outer=False):
+            return (reference(curls, outer),
                     np.swapaxes(maps[curls], 1, 2) / det[:, None, None],
                     space.scale[sl])
         return fn(sl, x[:, :1] + ref_pts @ E, weights * np.abs(det)[:, None],
@@ -329,19 +340,18 @@ def _cells(space, rule, fn):
     return [chunk(slice(lo, min(lo + CHUNK, n))) for lo in range(0, n, CHUNK)]
 
 
-def _gram(w, coeff, ref, A, s):
+def _gram(w, coeff, table, A, s):
     """Element matrices s_m s_n sum_q w_q (A Phi^_m) . coeff (A Phi^_n):
     the metrics w A^T coeff A (C, 9 q) times the outer products of Phi^
     (9 q, S^2), then the scales. w (C, q) are weights times Jacobians,
-    coeff is per point from `_coeff_at`, (ref, A, s) from `_cells`' local.
-    """
+    coeff per point from `_coeff_at`, (table, A, s) from `_cells`' local
+    with outer=True."""
     At = np.swapaxes(A, 1, 2)
     if coeff.ndim > w.ndim:  # matrix-valued: A^T coeff A at every point
         metric = w[..., None, None] * (At[:, None] @ coeff @ A[:, None])
     else:
         metric = (w * coeff)[..., None, None] * (At @ A)[:, None]
-    table = np.einsum("maq,nbq->qabmn", ref, ref).reshape(-1, len(ref) ** 2)
-    G = (metric.reshape(len(w), -1) @ table).reshape(len(w), len(ref), -1)
+    G = (metric.reshape(len(w), -1) @ table).reshape(len(w), s.shape[1], -1)
     return s[:, :, None] * G * s[:, None, :]
 
 
@@ -367,7 +377,7 @@ def assemble_curl_mass(mesh, space, mu=1.0, kappa=1.0, degree=None):
 def _mass_matrix(space, degree):
     """M of `assemble_curl_mass` for kappa = 1, without the curls."""
     Mel = _cells(space, simplex_rule(3, degree), lambda sl, phys, w, local:
-                 _gram(w, np.ones(()), *local(False)))
+                 _gram(w, np.ones(()), *local(False, outer=True)))
     return symmetric_csr(np.concatenate(Mel), space.cell_dofs, space.n_dofs)
 
 
@@ -379,8 +389,9 @@ def assemble(mesh, space, config):
     def chunk(sl, phys, w, local):
         mu_at = _coeff_at(config.mu, phys, "mu")
         mu_inv = np.linalg.inv(mu_at) if mu_at.ndim > w.ndim else 1.0 / mu_at
-        return _gram(w, mu_inv, *local(True)) + 1j * config.omega * _gram(
-            w, _coeff_at(config.kappa, phys, "kappa"), *local(False))
+        kappa = _coeff_at(config.kappa, phys, "kappa")
+        return (_gram(w, mu_inv, *local(True, outer=True)) + 1j * config.omega
+                * _gram(w, kappa, *local(False, outer=True)))
     Ael = np.concatenate(_cells(space, simplex_rule(
         3, config.quad_degree(space.k)), chunk))  # frees the chunks first
     return symmetric_csr(Ael, space.cell_dofs, space.n_dofs)
@@ -413,11 +424,17 @@ def assemble_load(mesh, space, j_c, degree=None):
 
 
 def interpolate(space, v):
-    """Moment interpolant of a smooth field v (callable or constant)."""
-    mesh = space.mesh
+    """Moment interpolant of a smooth field v (callable or constant),
+    evaluated INTERP_CHUNK edges or faces at a time."""
+    mesh, n = space.mesh, INTERP_CHUNK
     f = lambda pts: _vector_field_at(v, pts)[..., None]
-    return _moments(mesh.vertices, f, mesh.edges, mesh.faces, space.k,
-                    INTERP_GAUSS, INTERP_FACE_DEGREE)[:, 0]
+    blocks = lambda ids: (ids[lo:lo + n] for lo in range(0, len(ids), n))
+    parts = [_edge_moments(mesh.vertices, f, e, space.k, INTERP_GAUSS)
+             for e in blocks(mesh.edges)]
+    if space.k:
+        parts += [_face_moments(mesh.vertices, f, F, INTERP_FACE_DEGREE)
+                  for F in blocks(mesh.faces)]
+    return np.concatenate(parts)[:, 0]
 
 
 def _field(local, curls, coef):

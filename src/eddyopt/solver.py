@@ -35,14 +35,10 @@ SolverError. A complex128 factor has met the tolerance at its first
 check in every measured run, so the optimizer's iterates are unchanged
 by the loop.
 
-Set-up uses two threads. SuperLU releases the GIL while it factors, so
-one worker thread meanwhile builds what does not need the factor: the j_c
-load and what the caller hands over (`ReducedProblem`: its tracking data
-and Riesz factor). It is the only worker; nothing on it submits work or
-waits on the calling thread.
+Set-up runs on the calling thread and starts no other: A, its interior
+slices, the ordering and the j_c load are built first, then A_II is
+factored, so no assembly transient is live while the factor grows.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,15 +168,9 @@ class StateOperator:
     relative residual of any solve so far; n_refinements counts the
     refinement steps of all solves, max_refinements those of the solve
     that took the most.
-
-    While this thread factors, the worker (module docstring) computes `load`
-    and then calls `alongside()`, if given, which must not need the factor.
-    The worker is joined before `__init__` returns or raises; its error is
-    raised here unless the factor failed first (SolverError).
     """
 
-    def __init__(self, mesh, space, config, alongside=None,
-                 factor_dtype=np.complex64):
+    def __init__(self, mesh, space, config, factor_dtype=np.complex64):
         self.space = space
         self.config = config
         self.factor_dtype = np.dtype(factor_dtype)
@@ -190,23 +180,14 @@ class StateOperator:
         self.A_IB = rows[:, B].tocsr()
         del rows  # not held through the factor
         p = self.perm = _nested_dissection(_dof_points(space)[I], self.A_II)
-
-        def rest_of_setup():
-            self.load = assemble_load(mesh, space, config.j_c,
-                                      config.quad_degree(space.k) + 2)
-            if alongside is not None:
-                alongside()
-        # leaving the block joins the worker, also when splu raises
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            done = worker.submit(rest_of_setup)
-            try:
-                self.lu = spla.splu(
-                    self.A_II[p][:, p].astype(self.factor_dtype),
-                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
-            except RuntimeError as err:
-                raise SolverError(f"singular interior block: {err}") from None
-            done.result()
+        self.load = assemble_load(mesh, space, config.j_c,
+                                  config.quad_degree(space.k) + 2)
+        try:
+            self.lu = spla.splu(self.A_II[p][:, p].astype(self.factor_dtype),
+                                permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
+        except RuntimeError as err:
+            raise SolverError(f"singular interior block: {err}") from None
         self.n_state_solves = 0
         self.n_adjoint_solves = 0
         self.max_residual = 0.0

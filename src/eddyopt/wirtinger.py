@@ -35,7 +35,7 @@ from itertools import count
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .nedelec import _load, _mass_matrix
+from .nedelec import _check_pair, _load, _mass_matrix
 from .solver import StateOperator
 from .trace import surface_curl_matrix, surface_mass_matrix
 
@@ -73,29 +73,27 @@ class ReducedProblem:
     matrix with its own small factor; `riesz` solves with it, and that
     solve is not a volume solve.
 
-    The tracking data (K, M, M_c, d, c_d) and the factor of P do not need
-    A_II's factor, so `StateOperator`'s worker thread builds them while
-    A_II is factored. The factor is complex128: refined complex64 solves
-    cost 3-4x as much, and a run makes about 50 solves per factor.
+    The tracking data (K, M, M_c, d, c_d) and the factor of P are built
+    before A_II is factored, so their transients are freed before the
+    factor grows. The factor is complex128: refined complex64 solves cost
+    3-4x as much, and a run makes about 50 solves per factor.
     """
 
     def __init__(self, mesh, space, config):
+        _check_pair(mesh, space)
         self.config = config
-
-        def tracking_data():
-            # surface-curl and surface mass Gram matrices of the controls
-            self.K = surface_curl_matrix(space.mesh)
-            self.M = surface_mass_matrix(space.mesh)
-            q = config.quad_degree(space.k)
-            self.M_c = _mass_matrix(space, q)
-            self.d, self.c_d = _load(space, config.u_d, q + 2)
-            # P is symmetric positive definite: diagonal pivots are safe
-            self.riesz_lu = splu((config.alpha * self.K + (
-                config.beta + RIESZ_MASS) * self.M).tocsc(),
-                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
-        self.op = StateOperator(mesh, space, config, alongside=tracking_data,
-                                factor_dtype=np.complex128)
+        # surface-curl and surface mass Gram matrices of the controls
+        self.K = surface_curl_matrix(mesh)
+        self.M = surface_mass_matrix(mesh)
+        q = config.quad_degree(space.k)
+        self.M_c = _mass_matrix(space, q)
+        self.d, self.c_d = _load(space, config.u_d, q + 2)
+        # P is symmetric positive definite: diagonal pivots are safe
+        self.riesz_lu = splu((config.alpha * self.K + (
+            config.beta + RIESZ_MASS) * self.M).tocsc(),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
+        self.op = StateOperator(mesh, space, config, factor_dtype=np.complex128)
         self.n_evaluations = 0
 
     def _evaluate(self, z):

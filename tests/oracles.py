@@ -8,7 +8,7 @@ it checks. Tests import them with `from oracles import ...`.
 import numpy as np
 
 from eddyopt.mesh import LOCAL_EDGES, LOCAL_FACES, MeshError
-from eddyopt.nedelec import _moments, _span
+from eddyopt.nedelec import _edge_moments, _face_moments, _span
 from eddyopt.quadrature import simplex_rule
 from eddyopt.trace import _face_table, face_lambda_gradients
 
@@ -50,8 +50,10 @@ def inverted_element_basis(space, ref_pts, sl=slice(None)):
         loc = (pts - centers.reshape(shape)) / scales.reshape(shape[:-1] + (1,))
         return _span(k, loc, curls)
 
-    V = _moments(mesh.vertices, span, tets[:, LOCAL_EDGES],
-                 tets[:, LOCAL_FACES], k, k + 2, 2)
+    V = _edge_moments(mesh.vertices, span, tets[:, LOCAL_EDGES], k, k + 2)
+    if k:
+        V = np.concatenate([V, _face_moments(mesh.vertices, span,
+                                             tets[:, LOCAL_FACES], 2)], axis=-2)
     C = np.linalg.inv(V)
     phys, jac = map_to_tets(verts, ref_pts)
     Phi = np.swapaxes(span(phys) @ C[:, None], -1, -2)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -298,7 +299,7 @@ def test_optimize_failure_keeps_its_traceback(tmp_path, monkeypatch, error):
     problem = {"u_d": [0.1, 0.0, 0.2]}
     if error == "SolverError":  # no solve reaches this tolerance
         problem["solver_tol"] = 1e-20
-    else:  # raised on the worker thread that builds the tracking data
+    else:  # raised while ReducedProblem builds the tracking data
         def _load(*args):
             raise nedelec.AssemblyError("u_d is not finite")
         monkeypatch.setattr(wirtinger, "_load", _load)
@@ -312,8 +313,9 @@ def test_optimize_failure_keeps_its_traceback(tmp_path, monkeypatch, error):
     assert s["ok"] is False and s["levels_completed"] == 0
     assert s["failure"].startswith(f"level L0: {error}: ")
     assert "Traceback" in s["traceback"] and error in s["traceback"]
-    if error == "AssemblyError":  # the worker's frames are kept
-        assert "in tracking_data" in s["traceback"]
+    if error == "AssemblyError":  # the frames that built the data are kept
+        assert re.search(r'wirtinger\.py", line \d+, in __init__',
+                         s["traceback"])
         assert "in _load" in s["traceback"]
     for name in ("history.csv", "study.csv"):  # written, with no rows
         assert _read_csv(os.path.join(out, name))[1] == []

@@ -1,6 +1,7 @@
 """Edge-element spaces: basis correctness, interpolation, assembly."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from eddyopt import nedelec
+from eddyopt.analytic import ElectrodeParams, exact_H
 from eddyopt.mesh import build_mesh, generate_cube, generate_cylinder
 from eddyopt.nedelec import (
     AssemblyError, FESpace, ProblemConfig, assemble, assemble_curl_mass,
@@ -413,7 +415,8 @@ def test_span_first_gram_matches_the_element_basis(k, coeff):
     phys, jac, Phi, curlPhi = inverted_element_basis(space, pts)
     c = nedelec._coeff_at(coeff, phys, "c")
     got = nedelec._cells(space, (pts, rw), lambda sl, phys, w, local: [
-        nedelec._gram(w, nedelec._coeff_at(coeff, phys, "c"), *local(curls))
+        nedelec._gram(w, nedelec._coeff_at(coeff, phys, "c"),
+                      *local(curls, outer=True))
         for curls in (False, True)])
     for curls, basis in ((False, Phi), (True, curlPhi)):
         if c.ndim > 2:
@@ -627,6 +630,28 @@ def test_element_loop_holds_two_basis_sized_arrays(run):
     finally:
         tracemalloc.stop()
     assert peak <= 7.9e6
+
+
+@pytest.mark.parametrize("k, cylinder", [(0, (5, 30, 10)), (1, (3, 18, 6))])
+def test_interpolate_holds_one_block_of_points(monkeypatch, k, cylinder):
+    # all at once, the field at every edge's Gauss points and every face's
+    # rule points peaked at 12.1 MB (k = 0, 5x30x10) and 13.6 MB (k = 1,
+    # 3x18x6) for a 0.18 MB result; a block of INTERP_CHUNK faces holds
+    # 1024 x 25 points x 3 complex values = 1.2 MB, and the peak (1.5 and
+    # 3.8 MB) stays below 5 MB. Each point is rounded as in one call, so
+    # the blocks give the one-block interpolant bit for bit.
+    m = generate_cylinder(0.5, 1.0, *cylinder)
+    space = FESpace(m, k)
+    exact = partial(exact_H, params=ElectrodeParams())
+    tracemalloc.start()
+    try:
+        got = interpolate(space, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+    monkeypatch.setattr(nedelec, "INTERP_CHUNK", m.n_edges + len(m.faces))
+    assert np.array_equal(got, interpolate(space, exact))
 
 
 def _symmetric_csr_int64(local, dofs, n):

@@ -428,9 +428,8 @@ def test_zero_control_zero_load_gives_zero_state():
     assert np.abs(u).max() == 0.0
 
 
-# StateOperator builds its j_c load on one worker thread while it factors
-# A_II; the tests below wait on that worker with a timeout, never forever.
-OVERLAP_TIMEOUT_S = 30.0
+# StateOperator sets up on the calling thread: it assembles, orders and
+# builds the j_c load, then factors A_II, and starts no thread.
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -450,54 +449,43 @@ def test_worker_load_and_factor_equal_direct_calls(k):
     assert op.lu.nnz == lu.nnz
 
 
-def test_load_is_built_while_the_block_is_factored(monkeypatch):
-    # the factor waits for the worker's load to start: if the two ran one
-    # after the other, the wait would time out and the test fail
-    started, waited, unchanged = threading.Event(), [], []
-    load, splu = nedelec._load, spla.splu
+def _record_load_then_factor(monkeypatch, splu=spla.splu):
+    """Patch the load and the factor to append "load" and "factor" to the
+    returned list when each returns or starts; splu replaces the factor.
+    The load is slowed, so a factor run alongside it would start first."""
+    events, load = [], nedelec._load
 
-    def signalling_load(space, *args):
-        # the worker reads no lazily built state of the space: it adds no
-        # attribute to it
-        before = set(vars(space))
-        started.set()
-        out = load(space, *args)
-        unchanged.append(set(vars(space)) == before)
+    def recording_load(*args):
+        out = load(*args)
+        time.sleep(0.02)
+        events.append("load")
         return out
 
-    def waiting_splu(*args, **kwargs):
-        waited.append(started.wait(OVERLAP_TIMEOUT_S))
+    def recording_splu(*args, **kwargs):
+        events.append("factor")
         return splu(*args, **kwargs)
-    monkeypatch.setattr(nedelec, "_load", signalling_load)
-    monkeypatch.setattr(spla, "splu", waiting_splu)
+    monkeypatch.setattr(nedelec, "_load", recording_load)
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return events
+
+
+def test_load_is_built_before_the_block_is_factored(monkeypatch):
+    # the j_c load is complete when the factor starts, so no load
+    # transient is live while the factor grows
+    events = _record_load_then_factor(monkeypatch)
     mesh = generate_cube(2)
-    start = threading.active_count()
     op = StateOperator(mesh, FESpace(mesh, 0),
                        ProblemConfig(j_c=np.array([0.0, 0.0, 1.0])))
-    assert waited == [True] and unchanged == [True]
-    assert threading.active_count() == start
+    assert events == ["load", "factor"]
     assert op.load.any()
 
 
-def test_a_failed_factor_raises_solver_error_after_joining_the_worker(
-        monkeypatch):
-    finished = []
-    load = nedelec._load
-
-    def slow_load(*args):
-        time.sleep(0.2)  # still running when the factor fails
-        out = load(*args)
-        finished.append(True)
-        return out
-
+def test_a_failed_factor_raises_solver_error_after_the_load(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(nedelec, "_load", slow_load)
-    monkeypatch.setattr(spla, "splu", singular)
+    events = _record_load_then_factor(monkeypatch, singular)
     mesh = generate_cube(1)
-    start = threading.active_count()
     with pytest.raises(SolverError, match="singular interior block: Factor"):
         StateOperator(mesh, FESpace(mesh, 0), ProblemConfig())
-    assert finished == [True]
-    assert threading.active_count() == start
+    assert events == ["load", "factor"]
 

@@ -1,6 +1,7 @@
 """Reduced cost/gradient calculus, finite-difference checks, and BFGS."""
 
 import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -495,8 +496,7 @@ def _same_sparse(A, B):
 @pytest.mark.parametrize("k", [0, 1])
 def test_a_space_built_on_another_mesh_is_refused(k):
     # the entry points that take (mesh, space) read every array from the
-    # space; a mesh that is not the space's own raises before any work, so
-    # ReducedProblem starts no worker thread
+    # space; a mesh that is not the space's own raises before any work
     m = generate_cylinder(0.5, 1.0, 1, 6, 2)
     other, space = build_mesh(2 * m.vertices, m.tets), FESpace(m, k)
     cfg = ProblemConfig(u_d=np.array([1.0, 0.0, 0.0]))
@@ -513,8 +513,8 @@ def test_a_space_built_on_another_mesh_is_refused(k):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_tracking_data_built_alongside_the_factor_equals_direct_calls(k):
-    # StateOperator's worker builds the tracking data while A_II is
-    # factored; every array is the one a direct call gives, bit for bit
+    # ReducedProblem builds the tracking data before A_II is factored;
+    # every array is the one a direct call gives, bit for bit
     mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
     space = FESpace(mesh, k)
     u_d = partial(exact_H, params=ElectrodeParams())
@@ -538,25 +538,46 @@ def test_tracking_data_built_alongside_the_factor_equals_direct_calls(k):
     assert np.array_equal(prob.riesz_lu.solve(v), lu.solve(v))
 
 
-def test_tracking_data_is_built_while_the_state_block_is_factored(
+def test_tracking_data_is_built_before_the_state_block_is_factored(
         monkeypatch):
-    # the state factor waits for the u_d load to start, with a timeout: a
-    # serial set-up would fail here, not hang
-    started, waited = threading.Event(), []
-    load, state_splu = wirtinger._load, spla.splu
+    # every tracking array and the Riesz factor are complete when the
+    # state factor starts, so their transients are freed before it grows;
+    # each step is slowed, so a factor run alongside would start first
+    built, at_factor = [], []
+    for name in ("surface_curl_matrix", "surface_mass_matrix",
+                 "_mass_matrix", "_load", "splu"):
+        def recording(*args, fn=getattr(wirtinger, name), name=name,
+                      **kwargs):
+            out = fn(*args, **kwargs)
+            time.sleep(0.02)
+            built.append(name)
+            return out
+        monkeypatch.setattr(wirtinger, name, recording)
+    state_splu = spla.splu
 
-    def signalling_load(*args):
-        started.set()
-        return load(*args)
-
-    def waiting_splu(*args, **kwargs):
-        waited.append(started.wait(30.0))
+    def recording_splu(*args, **kwargs):
+        at_factor.append(sorted(built))
         return state_splu(*args, **kwargs)
-    monkeypatch.setattr(wirtinger, "_load", signalling_load)
-    monkeypatch.setattr(spla, "splu", waiting_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     prob = _small_problem()
-    assert waited == [True]
+    assert at_factor == [["_load", "_mass_matrix", "splu",
+                          "surface_curl_matrix", "surface_mass_matrix"]]
     assert prob.d.any()
+
+
+def test_set_up_starts_no_thread(monkeypatch):
+    # a thread started anywhere in set-up would raise here
+    def refuse(self):
+        raise AssertionError("set-up started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    mesh = generate_cylinder(0.5, 1.0, 1, 6, 2)
+    space = FESpace(mesh, 1)
+    cfg = ProblemConfig(j_c=np.array([0.0, 0.0, 1.0]),
+                        u_d=np.array([0.1, 0.0, 0.2]))
+    op = StateOperator(mesh, space, cfg)
+    prob = ReducedProblem(mesh, space, cfg)
+    assert op.load.any() and prob.d.any()
+    assert np.array_equal(prob.op.load, op.load)
 
 
 def test_an_error_building_the_tracking_data_is_raised(monkeypatch):
