@@ -199,8 +199,12 @@ def load_config(path, command, out=None, order=None, seed=None):
             raise ConfigError(f"mesh: a {layout} mesh with keys "
                               f"{', '.join(sorted(spec))} does not read "
                               f"{', '.join(sorted(unread))}")
+        for key, v in (("out", raw.get("out", "")),
+                       ("mesh.file", spec.get("file", ""))):
+            if not isinstance(v, str):
+                raise ConfigError(f"{key} must be a string, got {v!r}")
         if "file" in spec:
-            with open(spec["file"], encoding="utf-8") as fh:
+            with open(spec["file"], "rb") as fh:
                 mesh = parse_msh(fh)
             family = [("file", lambda _: mesh)]
         elif kind == "cube":

@@ -185,93 +185,74 @@ def build_mesh(vertices, tets):
 
 
 def parse_msh(src):
-    """Parse an MSH v2.2 ASCII stream (str, bytes, or file-like) into a Mesh.
+    """Parse MSH v2.2 ASCII, as str, UTF-8 bytes or a file-like object.
 
-    Tetrahedra are element type 4. Triangles (type 2), if present, are
-    cross-checked against the derived boundary; other element types are
-    ignored. Tets with negative signed volume are reordered and counted.
+    Reads $MeshFormat, $Nodes and $Elements and skips other sections. Tets
+    are element type 4, triangles (type 2) must be boundary faces, other
+    types are ignored, and inverted tets are reordered and counted. Every
+    malformed line raises MeshError naming its section: a section missing,
+    unterminated or empty, a count that does not match its lines, a line
+    too short for its fields, or a field that is not a number where one is
+    needed (integer ids, counts, types and tags; finite coordinates).
     """
     if hasattr(src, "read"):
         src = src.read()
     if isinstance(src, bytes):
-        src = src.decode("utf-8")
-    lines = [ln.strip() for ln in src.splitlines()]
-    lines = [ln for ln in lines if ln]
+        src = src.decode("utf-8", errors="replace")  # a bad byte is no number
+    lines = [ln for ln in map(str.strip, src.splitlines()) if ln]
 
-    sections = {}
-    i = 0
-    while i < len(lines):
-        if lines[i].startswith("$") and not lines[i].startswith("$End"):
-            name = lines[i][1:]
-            j = i + 1
-            while j < len(lines) and lines[j] != f"$End{name}":
-                j += 1
-            if j == len(lines):
-                raise MeshError(f"unterminated section ${name}")
-            sections[name] = lines[i + 1:j]
-            i = j + 1
-        else:
-            i += 1
+    def section(name, read, counted=True):
+        # read(fields) of each line of $name after its count line, or of its
+        # first line only; IndexError or ValueError marks a malformed line
+        try:
+            start = lines.index(f"${name}") + 1
+            body = lines[start:lines.index(f"$End{name}", start)]
+        except ValueError:
+            raise MeshError(f"${name} missing or unterminated") from None
+        rows = []
+        for k, ln in enumerate(body if counted else body[:1]):
+            try:
+                rows.append(read(ln.split()) if k >= counted else int(ln))
+            except (IndexError, ValueError):
+                raise MeshError(f"${name} line {ln!r} is too short for its "
+                                "fields or has a field that is not a number"
+                                ) from None
+        if not rows or counted and rows[0] != len(rows) - 1:
+            raise MeshError(f"${name} is empty or does not match its count")
+        return rows[counted:]
 
-    for name in ("MeshFormat", "Nodes", "Elements"):
-        if not sections.get(name):
-            raise MeshError(f"missing or empty ${name} section")
-    fmt = sections["MeshFormat"][0].split()
-    if len(fmt) < 2:
-        raise MeshError(f"$MeshFormat line {sections['MeshFormat'][0]!r} "
-                        "has fewer than 2 fields")
+    def element(f):  # id, type, ntags, the tags, the nodes: all integers
+        v = [int(p) for p in f]
+        if not 0 <= v[2] <= len(v) - 3:
+            raise ValueError
+        return v[1], v[3 + v[2]:]
+
+    fmt = section("MeshFormat", lambda f: (f[0], f[1]), counted=False)[0]
     if fmt[0] != "2.2":
         raise MeshError(f"unsupported MSH version {fmt[0]}, need 2.2")
     if fmt[1] != "0":
         raise MeshError("binary MSH files are not supported")
+    nodes = section("Nodes", lambda f: (int(f[0]), float(f[1]), float(f[2]),
+                                        float(f[3])))
+    xyz = np.array([n[1:] for n in nodes], dtype=float)
+    if not np.isfinite(xyz).all():
+        raise MeshError("$Nodes holds a coordinate that is not finite")
+    id2idx = {n[0]: k for k, n in enumerate(nodes)}
 
-    node_lines = sections["Nodes"]
-    n_nodes = int(node_lines[0])
-    if len(node_lines) - 1 != n_nodes:
-        raise MeshError("node count does not match $Nodes body")
-    ids = np.empty(n_nodes, dtype=np.int64)
-    xyz = np.empty((n_nodes, 3), dtype=float)
-    for k, ln in enumerate(node_lines[1:]):
-        parts = ln.split()
-        if len(parts) < 4:
-            raise MeshError(f"$Nodes line {ln!r} has fewer than 4 fields")
-        ids[k] = int(parts[0])
-        xyz[k] = [float(parts[1]), float(parts[2]), float(parts[3])]
-    id2idx = {int(v): k for k, v in enumerate(ids)}
-
-    elem_lines = sections["Elements"]
-    n_elem = int(elem_lines[0])
-    if len(elem_lines) - 1 != n_elem:
-        raise MeshError("element count does not match $Elements body")
-    tets, tris = [], []
-    for ln in elem_lines[1:]:
-        parts = [int(p) for p in ln.split()]
-        if len(parts) < 3 or len(parts) < 3 + parts[2]:
-            raise MeshError(f"$Elements line {ln!r} is shorter than its "
-                            "tag count implies")
-        etype, ntags = parts[1], parts[2]
-        nodes = parts[3 + ntags:]
-        try:
-            nodes = [id2idx[v] for v in nodes]
-        except KeyError as err:
-            raise MeshError(f"element references unknown node {err}") from None
-        if etype == 4:
-            if len(nodes) != 4:
-                raise MeshError("tetrahedron element without 4 nodes")
-            tets.append(nodes)
-        elif etype == 2:
-            tris.append(nodes)
-
+    elements = section("Elements", element)
+    unknown = {v for _, ids in elements for v in ids} - id2idx.keys()
+    if unknown:
+        raise MeshError(f"element references unknown node {min(unknown)}")
+    tets = [[id2idx[v] for v in ids] for etype, ids in elements if etype == 4]
+    tris = [[id2idx[v] for v in ids] for etype, ids in elements if etype == 2]
+    if any(len(t) != 4 for t in tets):
+        raise MeshError("tetrahedron element without 4 nodes")
     if not tets:
         raise MeshError("file contains no tetrahedra")
     mesh = build_mesh(xyz, np.array(tets, dtype=np.int64))
-
-    if tris:
-        bset = {tuple(sorted(f)) for f in mesh.boundary_faces.tolist()}
-        for f in tris:
-            if tuple(sorted(f)) not in bset:
-                raise MeshError(
-                    "surface triangle in file is not a boundary face")
+    bset = {tuple(sorted(f)) for f in mesh.boundary_faces.tolist()}
+    if any(tuple(sorted(f)) not in bset for f in tris):
+        raise MeshError("surface triangle in file is not a boundary face")
     return mesh
 
 

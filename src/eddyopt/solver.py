@@ -175,9 +175,9 @@ class StateOperator:
         self.config = config
         self.factor_dtype = np.dtype(factor_dtype)
         I, B = space.interior_dofs, space.boundary_dofs
-        rows = assemble(mesh, space, config).tocsc()[I]
+        rows = assemble(mesh, space, config)[I]
         self.A_II = rows[:, I].tocsc()
-        self.A_IB = rows[:, B].tocsr()
+        self.A_IB = rows[:, B]
         del rows  # not held through the factor
         p = self.perm = _nested_dissection(_dof_points(space)[I], self.A_II)
         self.load = assemble_load(mesh, space, config.j_c,

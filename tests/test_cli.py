@@ -540,6 +540,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  id="kind-next-to-file"),
     pytest.param("gen-mesh", {"mesh": {"file": "cube.msh", "levels": [2]}},
                  id="levels-next-to-file"),
+    # checked even where --out overrides it; true would open stdout's fd
+    pytest.param("gen-mesh", {"out": 5, "mesh": {"kind": "cube", "n": 1}},
+                 id="out-not-a-string"),
+    pytest.param("gen-mesh", {"mesh": {"file": True}},
+                 id="mesh-file-not-a-string"),
 ])
 def test_bad_config_values_exit_two(tmp_path, monkeypatch, capsys, command,
                                     payload):
@@ -551,6 +556,38 @@ def test_bad_config_values_exit_two(tmp_path, monkeypatch, capsys, command,
     assert capsys.readouterr().err.startswith("eddyctl:")
     # checked before any output
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"out": 5, "mesh": {"kind": "cube", "n": 1}}, "out"),
+    ({"mesh": {"file": True}}, "mesh.file")], ids=["out", "mesh-file"])
+def test_a_path_that_is_not_a_string_names_its_key(tmp_path, capsys, payload,
+                                                   key):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["gen-mesh", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert f"{key} must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, bad, section", [
+    (b"\n1 0.0 0.0 0.0\n", b"\n1 0.0 x 0.0\n", "$Nodes"),
+    (b"\n1 0.0 0.0 0.0\n", b"\n1.5 0.0 0.0 0.0\n", "$Nodes"),
+    (b"\n1 0.0 0.0 0.0\n", b"\n1 0.0 \xff 0.0\n", "$Nodes"),
+    (b"\n8\n", b"\n8.0\n", "$Nodes"),
+    (b"\n1 2 2 0 1 ", b"\n1 2 2 0.5 1 ", "$Elements")],
+    ids=["non-numeric-coordinate", "fractional-node-id", "not-utf-8",
+         "non-integer-count", "non-integer-tag"])
+def test_a_mesh_file_with_a_bad_field_names_its_section(tmp_path, capsys, field,
+                                                        bad, section):
+    msh = tmp_path / "bad.msh"
+    msh.write_bytes(write_msh(generate_cube(1)).encode().replace(field, bad, 1))
+    cfg = _write(tmp_path, "cfg.json", {"mesh": {"file": str(msh)}})
+    assert main(["gen-mesh", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eddyctl:") and section in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_grad_check_keeps_the_quadrature_order(tmp_path, monkeypatch):

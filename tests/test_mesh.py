@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import string
+import struct
 
 import numpy as np
 import pytest
@@ -218,6 +220,89 @@ def test_msh_parser_errors():
             parse_msh(io.StringIO(good.replace(body, "", 1)))
     with pytest.raises(MeshError, match=r"\$MeshFormat"):
         parse_msh(io.StringIO(good.replace("2.2 0 8", "2.2", 1)))
+
+
+def with_token(text, at, col, token):
+    """text with field col of its line at replaced by token."""
+    lines = text.splitlines()
+    fields = lines[at].split()
+    fields[col] = token
+    lines[at] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+# each a field the reader needs as an integer or a finite number
+BAD_FIELDS = [
+    pytest.param("Nodes", 1, 2, "x", id="non-numeric-coordinate"),
+    pytest.param("Nodes", 1, 0, "1.5", id="fractional-node-id"),
+    pytest.param("Nodes", 0, 0, "8.0", id="non-integer-node-count"),
+    pytest.param("Nodes", 3, 3, "nan", id="nan-coordinate"),
+    pytest.param("Nodes", 2, 1, "-inf", id="infinite-coordinate"),
+    pytest.param("Elements", 0, 0, "x", id="non-integer-element-count"),
+    pytest.param("Elements", 1, 3, "0.5", id="non-integer-element-tag"),
+    pytest.param("Elements", 2, 1, "tet", id="non-integer-element-type"),
+    pytest.param("Elements", 3, 7, "1e0", id="non-integer-element-node"),
+]
+
+
+@pytest.mark.parametrize("section, row, col, token", BAD_FIELDS)
+def test_msh_bad_field_names_its_section(section, row, col, token):
+    # row 0 is the count line of the section's body
+    good = write_msh(generate_cube(1))
+    at = good.splitlines().index(f"${section}") + 1 + row
+    with pytest.raises(MeshError, match=rf"\${section}"):
+        parse_msh(with_token(good, at, col, token))
+
+
+def test_msh_bytes_that_are_not_utf8_name_their_section():
+    good = write_msh(generate_cube(1)).encode()
+    with pytest.raises(MeshError, match=r"\$Nodes"):
+        parse_msh(io.BytesIO(good.replace(b" 0.0\n", b" \xff\n", 1)))
+
+
+def test_msh_binary_file_is_reported_as_binary():
+    # a binary file follows the format line with the integer 1 in binary,
+    # and its nodes are packed doubles that are not UTF-8
+    binary = (b"$MeshFormat\n2.2 1 8\n" + struct.pack("<i", 1)
+              + b"\n$EndMeshFormat\n$Nodes\n1\n"
+              + struct.pack("<i3d", 1, 0.1, 0.5, 2.0) + b"\n$EndNodes\n")
+    with pytest.raises(MeshError, match="binary"):
+        parse_msh(binary)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(
+    st.builds(generate_cube, st.integers(1, 3)),
+    st.builds(generate_cylinder, st.just(0.5), st.just(1.0),
+              st.integers(1, 2), st.integers(3, 8), st.integers(1, 2))))
+def test_msh_round_trip_is_bitwise(m):
+    text = write_msh(m)
+    for src in (text, text.encode("utf-8"), io.StringIO(text)):
+        back = parse_msh(src)
+        assert np.array_equal(back.vertices, m.vertices)
+        assert np.array_equal(back.tets, m.tets)
+        assert np.array_equal(back.boundary_faces, m.boundary_faces)
+
+
+TEXTS = [write_msh(generate_cube(1)),
+         write_msh(generate_cylinder(0.5, 1.0, 1, 4, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TEXTS), st.data(),
+       st.text(alphabet=string.ascii_letters + ".+-_$", min_size=1,
+               max_size=8))
+def test_msh_any_non_numeric_token_parses_or_raises_mesh_error(
+        text, data, token):
+    # the token may be a section name, "nan" or "inf"; whatever it
+    # replaces, the reader returns a Mesh or raises MeshError
+    at, col = data.draw(st.sampled_from(
+        [(i, j) for i, ln in enumerate(text.splitlines())
+         for j in range(len(ln.split()))]))
+    try:
+        parse_msh(with_token(text, at, col, token))
+    except MeshError:
+        pass
 
 
 def test_mesh_to_json_round_trips_counts():
