@@ -108,11 +108,20 @@ def resolve_field(spec, electrode, name):
     return re + 1j * im
 
 
-# The mesh keys each layout reads; `levels` excludes `n` and `base`, and
-# `base` is read only with `refine`.
+def _number(v, key, positive=False):
+    """float(v) of a JSON number, else ConfigError naming key (a bool or a
+    string is not one); with ``positive``, also finite and positive."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {v!r}")
+    if positive and not 0 < v < np.inf:  # also false for NaN
+        raise ConfigError(f"{key} must be finite and positive, got {v!r}")
+    return float(v)
+
+
+# The mesh keys each layout reads
 _MESH_KEYS = {"file": ("file", "refine"),
-              "cube": ("kind", "n", "levels", "refine"),
-              "cylinder": ("kind", "R", "L", "levels", "base", "refine")}
+              "cube": ("kind", "levels", "refine"),
+              "cylinder": ("kind", "R", "L", "levels", "refine")}
 
 # The keys each config block may hold, the root first: one config file
 # serves every command, so any other key is a misspelling and exits 2.
@@ -145,8 +154,9 @@ def load_config(path, command, out=None, order=None, seed=None):
             if key not in known:
                 raise ConfigError(f"unknown config key {prefix}{key}")
     try:
-        electrode = ElectrodeParams(**{k: float(v) for k, v in
-                                       raw.get("electrode", {}).items()})
+        electrode = ElectrodeParams(**{
+            k: _number(v, f"electrode.{k}")
+            for k, v in raw.get("electrode", {}).items()})
         order = whole(raw.get("order", 0)) if order is None else order
         if order not in (0, 1):
             raise ConfigError(f"order must be 0 or 1, got {order}")
@@ -155,8 +165,9 @@ def load_config(path, command, out=None, order=None, seed=None):
         parse = {"j_c": lambda v: resolve_field(v, electrode, "j_c"),
                  "u_d": lambda v: resolve_field(v, electrode, "u_d"),
                  "quad_order": lambda v: None if v is None else whole(v)}
-        problem = ProblemConfig(**{k: parse.get(k, float)(v) for k, v in
-                                   raw.get("problem", {}).items()})
+        problem = ProblemConfig(**{
+            k: parse[k](v) if k in parse else _number(v, f"problem.{k}")
+            for k, v in raw.get("problem", {}).items()})
         if command == "validate":  # the rod's physics, no source, no target
             problem = replace(problem, mu=1.0 / electrode.sigma,
                               kappa=electrode.mu, omega=electrode.omega,
@@ -168,33 +179,28 @@ def load_config(path, command, out=None, order=None, seed=None):
             raise ConfigError("optimize requires problem.u_d")
 
         opt = raw.get("optimize", {})
-        tol = float(opt.get("tol", TOL))
+        tol = _number(opt.get("tol", TOL), "optimize.tol")
         max_iter = whole(opt.get("max_iter", MAX_ITER))
         check_stopping(tol, max_iter)
         gc = raw.get("gradcheck", {})
         n_probes = whole(gc.get("n_probes", 3))
-        t_list = np.geomspace(float(gc.get("t_max", 1e-1)),
-                              float(gc.get("t_min", 1e-9)),
-                              whole(gc.get("n_t", 17)))
-        fit_floor = float(gc.get("fit_floor", 1e-5))
+        t_max, t_min, fit_floor = (
+            _number(gc.get(k, d), f"gradcheck.{k}", positive=True) for k, d in
+            (("t_max", 1e-1), ("t_min", 1e-9), ("fit_floor", 1e-5)))
+        t_list = np.geomspace(t_max, t_min, whole(gc.get("n_t", 17)))
         if n_probes < 1 or np.count_nonzero(t_list >= fit_floor) < 2:
             raise ConfigError("gradcheck needs n_probes >= 1 and at least two "
                               "step sizes t >= fit_floor to fit a slope")
 
-        # Two layouts: generator levels (each level its own mesh, the lateral
-        # polygon refines with n_theta), or ``refine`` applied to one level
-        # (cylinder: ``base``), which keeps the polyhedral domain fixed: the
-        # right family when comparing cost values across levels, and the
-        # optimize default.  A key the layout does not read exits 2.
-        default = {"base": [1, 8, 2], "refine": 3} if command == "optimize" else {}
-        spec = raw.get("mesh", default)
+        # Two layouts: generator levels (each its own mesh, the lateral polygon
+        # refines with n_theta), or ``refine`` of one level, which keeps the
+        # polyhedral domain fixed: the family for comparing costs across
+        # levels, and the optimize default.  A key it does not read exits 2.
+        spec = raw.get("mesh", {"levels": [[1, 8, 2]], "refine": 3}
+                       if command == "optimize" else {})
         kind = spec.get("kind", "cylinder")
         layout = "file" if "file" in spec else kind
         unread = set(spec) - set(_MESH_KEYS.get(layout, spec))
-        if "levels" in spec:
-            unread |= {"n", "base"} & set(spec)
-        if "refine" not in spec:
-            unread |= {"base"} & set(spec)
         if unread:
             raise ConfigError(f"mesh: a {layout} mesh with keys "
                               f"{', '.join(sorted(spec))} does not read "
@@ -208,14 +214,13 @@ def load_config(path, command, out=None, order=None, seed=None):
                 mesh = parse_msh(fh)
             family = [("file", lambda _: mesh)]
         elif kind == "cube":
-            ns = [cube_size(n) for n in spec.get("levels", [spec.get("n", 2)])]
+            ns = [cube_size(n) for n in spec.get("levels", [2])]
             family = [(f"n{n}", lambda _, n=n: generate_cube(n)) for n in ns]
         elif kind == "cylinder":
-            R = float(spec.get("R", electrode.R))
-            L = float(spec.get("L", electrode.L))
-            levels = ([spec["base"]] if "base" in spec
-                      else spec.get("levels", _DEFAULT_LEVELS[order]))
-            levels = [cylinder_size(R, L, *lv) for lv in levels]
+            R = _number(spec.get("R", electrode.R), "mesh.R")
+            L = _number(spec.get("L", electrode.L), "mesh.L")
+            levels = [cylinder_size(R, L, *lv)
+                      for lv in spec.get("levels", _DEFAULT_LEVELS[order])]
             family = [("x".join(map(str, lv)),
                        lambda _, lv=lv: generate_cylinder(R, L, *lv))
                       for lv in levels]

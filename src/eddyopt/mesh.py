@@ -319,8 +319,9 @@ def cube_size(n):
 def cylinder_size(R, L, n_r, n_theta, n_z):
     """generate_cylinder's counts as ints; MeshError if an argument is
     outside its limits."""
-    if not (R > 0 and L > 0):
-        raise MeshError("need positive radius and height")
+    for name, v in (("R", R), ("L", L)):
+        if not 0 < v < np.inf:  # also false for NaN
+            raise MeshError(f"{name} must be finite and positive, got {v!r}")
     n_r, n_theta, n_z = whole(n_r), whole(n_theta), whole(n_z)
     if n_r < 1 or n_theta < 3 or n_z < 1:
         raise MeshError("need n_r >= 1, n_theta >= 3, n_z >= 1")

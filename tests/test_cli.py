@@ -40,7 +40,8 @@ def _summary(outdir):
 
 
 def test_gen_mesh_writes_msh_json_and_summary(tmp_path):
-    cfg = _write(tmp_path, "cfg.json", {"mesh": {"kind": "cube", "n": 2}})
+    cfg = _write(tmp_path, "cfg.json",
+                 {"mesh": {"kind": "cube", "levels": [2]}})
     out = str(tmp_path / "out")
     assert main(["gen-mesh", "--config", cfg, "--out", out]) == 0
     info = _summary(out)["mesh"]
@@ -78,7 +79,8 @@ def test_gen_mesh_output_feeds_back_as_mesh_file(tmp_path):
 
 
 def test_console_script_is_installed(tmp_path):
-    cfg = _write(tmp_path, "cfg.json", {"mesh": {"kind": "cube", "n": 1}})
+    cfg = _write(tmp_path, "cfg.json",
+                 {"mesh": {"kind": "cube", "levels": [1]}})
     out = str(tmp_path / "out")
     res = subprocess.run(["eddyctl", "gen-mesh", "--config", cfg, "--out", out],
                          capture_output=True, text=True)
@@ -175,8 +177,9 @@ def test_grad_check_seed_override_changes_probes(tmp_path):
 @pytest.mark.parametrize("command", ["gen-mesh", "validate", "optimize"])
 def test_seed_flag_exists_only_on_grad_check(tmp_path, capsys, command):
     # only grad-check draws random numbers, so only it takes --seed
-    cfg = _write(tmp_path, "cfg.json", {"mesh": {"kind": "cube", "n": 1},
-                                        "problem": {"u_d": [1, 0, 0]}})
+    cfg = _write(tmp_path, "cfg.json",
+                 {"mesh": {"kind": "cube", "levels": [1]},
+                  "problem": {"u_d": [1, 0, 0]}})
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg, "--out", str(out), "--seed", "1"])
@@ -226,7 +229,7 @@ def test_validate_takes_its_physics_from_the_electrode(tmp_path):
 
 def test_optimize_two_level_study(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 8, 2], "refine": 2},
+        "mesh": {"kind": "cylinder", "levels": [[1, 8, 2]], "refine": 2},
         "problem": {"u_d": "exact_H", "alpha": 1e-3, "beta": 0.0},
         "optimize": {"tol": 1e-9, "max_iter": 400},
     })
@@ -265,7 +268,7 @@ def test_optimize_two_level_study(tmp_path):
 
 def test_optimize_trivial_target_returns_zero_control(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 1},
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]], "refine": 1},
         "problem": {"u_d": [0, 0, 0], "alpha": 1e-3, "beta": 1e-3},
         "optimize": {"tol": 1e-11},
     })
@@ -279,7 +282,7 @@ def test_optimize_trivial_target_returns_zero_control(tmp_path):
     # two levels: the gap relative to the finest J* = 0 is undefined, so it
     # is null in summary.json (strict JSON) and an empty cell in study.csv
     cfg = _write(tmp_path, "cfg2.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]], "refine": 2},
         "problem": {"u_d": [0, 0, 0], "alpha": 1e-3, "beta": 1e-3},
         "optimize": {"tol": 1e-11},
     })
@@ -304,7 +307,7 @@ def test_optimize_failure_keeps_its_traceback(tmp_path, monkeypatch, error):
             raise nedelec.AssemblyError("u_d is not finite")
         monkeypatch.setattr(wirtinger, "_load", _load)
     cfg = _write(tmp_path, "cfg.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]], "refine": 2},
         "problem": problem,
     })
     out = str(tmp_path / "out")
@@ -323,7 +326,7 @@ def test_optimize_failure_keeps_its_traceback(tmp_path, monkeypatch, error):
 
 def test_optimize_writes_vtk_state(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 1},
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]], "refine": 1},
         "problem": {"u_d": [0.1, 0.0, 0.2], "alpha": 1e-3},
         "vtk": True,
     })
@@ -363,7 +366,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "sphere" in capsys.readouterr().err
 
     cfg = _write(tmp_path, "field.json", {
-        "mesh": {"kind": "cube", "n": 1},
+        "mesh": {"kind": "cube", "levels": [1]},
         "problem": {"u_d": "exact_Q"},
     })
     assert main(["grad-check", "--config", cfg, "--out",
@@ -371,12 +374,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "exact_Q" in capsys.readouterr().err
 
     cfg = _write(tmp_path, "noud.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 1}})
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]], "refine": 1}})
     assert main(["optimize", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
     assert "u_d" in capsys.readouterr().err
 
-    cfg = _write(tmp_path, "seed.json", {"mesh": {"kind": "cube", "n": 1}})
+    cfg = _write(tmp_path, "seed.json",
+                 {"mesh": {"kind": "cube", "levels": [1]}})
     assert main(["grad-check", "--config", cfg, "--out",
                  str(tmp_path / "o"), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
@@ -422,7 +426,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("validate", {"electrode": {"omega": float("nan")}},
                  id="electrode-omega-nan"),
     pytest.param("optimize", {"order": "x"}, id="order-not-int"),
-    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": "x"}},
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "levels": ["x"]}},
                  id="cube-n-not-int"),
     pytest.param("optimize", {"problem": {"u_d": ["a", 0, 0]}},
                  id="field-not-numeric"),
@@ -438,8 +442,8 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("gen-mesh", {"mesh": {"file": "no-such-dir/mesh.msh"}},
                  id="mesh-file-missing"),
     # an empty family would report "ok" without solving anything
-    pytest.param("optimize", {"mesh": {"kind": "cylinder", "base": [1, 6, 2],
-                                       "refine": 0},
+    pytest.param("optimize", {"mesh": {"kind": "cylinder",
+                                       "levels": [[1, 6, 2]], "refine": 0},
                               "problem": {"u_d": "exact_H"}},
                  id="refine-zero"),
     pytest.param("validate", {"mesh": {"levels": []}}, id="levels-empty"),
@@ -458,23 +462,24 @@ def test_config_errors_exit_two(tmp_path, capsys):
     # fractional counts, which int() would truncate to a valid run
     pytest.param("validate", {"mesh": {"levels": [[1.5, 6.9, 2]]}},
                  id="level-fractional"),
-    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": 1.9}},
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "levels": [1.9]}},
                  id="cube-n-fractional"),
     pytest.param("validate", {"order": 1.7}, id="order-fractional"),
-    pytest.param("optimize", {"mesh": {"kind": "cylinder", "base": [1, 6, 2],
-                                       "refine": 1.5},
+    pytest.param("optimize", {"mesh": {"kind": "cylinder",
+                                       "levels": [[1, 6, 2]], "refine": 1.5},
                               "problem": {"u_d": "exact_H"}},
                  id="refine-fractional"),
     # JSON true is a Python bool, and int(True) == 1
-    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "n": True}},
+    pytest.param("gen-mesh", {"mesh": {"kind": "cube", "levels": [True]}},
                  id="count-boolean"),
     pytest.param("grad-check", {"seed": -1}, id="seed-negative"),
     pytest.param("validate", {"vtk": "false"}, id="vtk-not-bool"),
     # only a level study writes VTK files
-    pytest.param("gen-mesh", {"vtk": True, "mesh": {"kind": "cube", "n": 1}},
+    pytest.param("gen-mesh", {"vtk": True,
+                              "mesh": {"kind": "cube", "levels": [1]}},
                  id="vtk-on-gen-mesh"),
     pytest.param("grad-check", {"vtk": True,
-                                "mesh": {"kind": "cube", "n": 1}},
+                                "mesh": {"kind": "cube", "levels": [1]}},
                  id="vtk-on-grad-check"),
     # non-finite or non-positive physics, which would fail in a solve or
     # the assembly after the output directory was written
@@ -541,10 +546,32 @@ def test_config_errors_exit_two(tmp_path, capsys):
     pytest.param("gen-mesh", {"mesh": {"file": "cube.msh", "levels": [2]}},
                  id="levels-next-to-file"),
     # checked even where --out overrides it; true would open stdout's fd
-    pytest.param("gen-mesh", {"out": 5, "mesh": {"kind": "cube", "n": 1}},
+    pytest.param("gen-mesh", {"out": 5,
+                              "mesh": {"kind": "cube", "levels": [1]}},
                  id="out-not-a-string"),
     pytest.param("gen-mesh", {"mesh": {"file": True}},
                  id="mesh-file-not-a-string"),
+    # an infinite radius made numpy warn and the prism split fail
+    pytest.param("gen-mesh", {"mesh": {"kind": "cylinder", "R": INF,
+                                       "levels": [[1, 6, 2]]}},
+                 id="R-infinite"),
+    # float() reads true as 1.0, false as 0.0 and "0.5" as 0.5
+    pytest.param("optimize", {"problem": {"alpha": True, "u_d": "exact_H"}},
+                 id="alpha-true"),
+    pytest.param("validate", {"electrode": {"iota1": False},
+                              "mesh": {"levels": [[1, 6, 2]]}},
+                 id="iota1-false"),
+    pytest.param("optimize", {"problem": {"u_d": "exact_H"},
+                              "optimize": {"tol": "0.5"}}, id="tol-string"),
+    pytest.param("gen-mesh", {"electrode": {"R": "0.5"}},
+                 id="electrode-R-string"),
+    pytest.param("grad-check", {"problem": {"mu": "2"},
+                                "mesh": {"kind": "cube", "levels": [1]}},
+                 id="mu-string"),
+    pytest.param("gen-mesh", {"mesh": {"L": "2", "levels": [[1, 6, 2]]}},
+                 id="mesh-L-string"),
+    # checked before np.geomspace, which warns on an infinite end point
+    pytest.param("grad-check", {"gradcheck": {"t_max": INF}}, id="t-max-inf"),
 ])
 def test_bad_config_values_exit_two(tmp_path, monkeypatch, capsys, command,
                                     payload):
@@ -559,7 +586,7 @@ def test_bad_config_values_exit_two(tmp_path, monkeypatch, capsys, command,
 
 
 @pytest.mark.parametrize("payload, key", [
-    ({"out": 5, "mesh": {"kind": "cube", "n": 1}}, "out"),
+    ({"out": 5, "mesh": {"kind": "cube", "levels": [1]}}, "out"),
     ({"mesh": {"file": True}}, "mesh.file")], ids=["out", "mesh-file"])
 def test_a_path_that_is_not_a_string_names_its_key(tmp_path, capsys, payload,
                                                    key):
@@ -567,6 +594,33 @@ def test_a_path_that_is_not_a_string_names_its_key(tmp_path, capsys, payload,
     assert main(["gen-mesh", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 2
     assert f"{key} must be a string" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"problem": {"alpha": True}}, "problem.alpha must be a number, got True"),
+    ({"electrode": {"iota1": False}},
+     "electrode.iota1 must be a number, got False"),
+    ({"optimize": {"tol": "0.5"}}, "optimize.tol must be a number, got '0.5'"),
+    ({"electrode": {"R": "0.5"}}, "electrode.R must be a number, got '0.5'"),
+    ({"problem": {"mu": "2"}}, "problem.mu must be a number, got '2'"),
+    ({"mesh": {"L": "2"}}, "mesh.L must be a number, got '2'"),
+    ({"gradcheck": {"t_max": INF}},
+     "gradcheck.t_max must be finite and positive, got inf"),
+    ({"gradcheck": {"t_min": 0}},
+     "gradcheck.t_min must be finite and positive, got 0"),
+    ({"gradcheck": {"fit_floor": NAN}},
+     "gradcheck.fit_floor must be finite and positive, got nan"),
+    ({"mesh": {"R": INF}}, "R must be finite and positive, got inf"),
+    ({"mesh": {"L": -1}}, "L must be finite and positive, got -1.0"),
+], ids=["alpha-true", "iota1-false", "tol-string", "electrode-R-string",
+        "mu-string", "mesh-L-string", "t-max-inf", "t-min-zero",
+        "fit-floor-nan", "R-infinite", "L-negative"])
+def test_a_bad_number_names_its_key(tmp_path, capsys, payload, message):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["gen-mesh", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -653,7 +707,7 @@ def test_optimizer_that_stops_short_records_no_convergence(tmp_path):
     # one iteration cannot reach the gradient tolerance: the run ends with a
     # failure record, every level still solved, and no traceback to keep
     cfg = _write(tmp_path, "cfg.json", {
-        "mesh": {"kind": "cylinder", "base": [1, 6, 2], "refine": 2},
+        "mesh": {"kind": "cylinder", "levels": [[1, 6, 2]], "refine": 2},
         "problem": {"u_d": "exact_H"},
         "optimize": {"max_iter": 1},
     })
@@ -668,7 +722,8 @@ def test_optimizer_that_stops_short_records_no_convergence(tmp_path):
 
 
 def test_out_naming_a_file_exits_two(tmp_path, capsys):
-    cfg = _write(tmp_path, "cfg.json", {"mesh": {"kind": "cube", "n": 1}})
+    cfg = _write(tmp_path, "cfg.json",
+                 {"mesh": {"kind": "cube", "levels": [1]}})
     out = tmp_path / "taken"
     out.write_text("", encoding="utf-8")
     assert main(["gen-mesh", "--config", cfg, "--out", str(out)]) == 2
@@ -677,12 +732,12 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, payload", [
-    ("gen-mesh", {"mesh": {"kind": "cube", "n": 1}}),
+    ("gen-mesh", {"mesh": {"kind": "cube", "levels": [1]}}),
     # one level fits no rate: ok is false, with no failure
     ("validate", {"mesh": {"kind": "cylinder", "levels": [[1, 6, 2]]}}),
-    ("grad-check", {"mesh": {"kind": "cube", "n": 1},
+    ("grad-check", {"mesh": {"kind": "cube", "levels": [1]},
                     "gradcheck": {"n_probes": 1, "n_t": 9}}),
-    ("optimize", {"mesh": {"kind": "cube", "n": 1},
+    ("optimize", {"mesh": {"kind": "cube", "levels": [1]},
                   "problem": {"u_d": [0.1, 0, 0.2]}}),
 ])
 def test_every_command_writes_the_same_summary_record(tmp_path, command,
@@ -711,6 +766,11 @@ def test_a_summary_json_cannot_hold_leaves_no_file(tmp_path):
     ("optimize", {"problem": {"u_d": [1, 0, 0]},
                   "optimize": {"maxiter": 3}}, "optimize.maxiter"),
     ("grad-check", {"gradcheck": {"n_probe": 1}}, "gradcheck.n_probe"),
+    # a family is stated by levels only: n was a cube's one level and base
+    # a cylinder's one level before refine
+    ("gen-mesh", {"mesh": {"kind": "cube", "n": 1}}, "mesh.n"),
+    ("optimize", {"problem": {"u_d": [1, 0, 0]},
+                  "mesh": {"base": [1, 8, 2], "refine": 3}}, "mesh.base"),
 ])
 def test_a_misspelled_config_key_exits_two(tmp_path, capsys, command,
                                            payload, key):
@@ -725,7 +785,7 @@ def test_a_misspelled_config_key_exits_two(tmp_path, capsys, command,
 def test_keys_a_command_does_not_read_are_accepted(tmp_path):
     # one config file serves every command
     cfg = _write(tmp_path, "cfg.json", {
-        "seed": 3, "vtk": False, "mesh": {"kind": "cube", "n": 1},
+        "seed": 3, "vtk": False, "mesh": {"kind": "cube", "levels": [1]},
         "optimize": {"tol": 1e-8, "max_iter": 10},
         "gradcheck": {"n_probes": 2}})
     assert main(["gen-mesh", "--config", cfg, "--out",

@@ -351,6 +351,15 @@ def test_generate_cylinder_rejects_bad_params():
         generate_cylinder(0.5, 1.0, 1, 2, 2)
 
 
+@pytest.mark.parametrize("R, L, name", [
+    (np.inf, 1.0, "R"), (0.5, -np.inf, "L"), (np.nan, 1.0, "R"),
+    (0.5, np.inf, "L")])
+def test_generate_cylinder_names_a_size_that_is_not_finite(R, L, name):
+    # an infinite size would reach the vertex coordinates as inf and NaN
+    with pytest.raises(MeshError, match=f"^{name} must be finite and positive"):
+        generate_cylinder(R, L, 1, 6, 2)
+
+
 @pytest.mark.parametrize("make", [
     lambda: generate_cube(1.9), lambda: generate_cylinder(0.5, 1.0, 1.5, 6, 2),
     lambda: generate_cylinder(0.5, 1.0, 1, 6.9, 2),
