@@ -82,7 +82,8 @@ def resolve_field(spec, electrode, name):
 
     Strings name the analytic cylinder fields ("exact_H", "exact_E",
     "exact_J", "zero"); otherwise a constant complex 3-vector, [a, b, c]
-    (real) or {"re": [...], "im": [...]} (no other key), all finite.
+    (real) or {"re": [...], "im": [...]} (no other key), of finite JSON
+    numbers: a bool or a string entry is a ConfigError naming its key.
     """
     if spec is None or spec == "zero":
         return None
@@ -93,15 +94,20 @@ def resolve_field(spec, electrode, name):
             raise ConfigError(f"{name}: unknown field name {spec!r}")
         fn = fns[spec]
         return lambda x: fn(x, electrode)
+
+    def vector(v, key):
+        # entry by entry: np.asarray(dtype=float) reads true and "1" as 1.0
+        if not isinstance(v, (list, tuple)) or len(v) != 3:
+            raise ConfigError(f"{name}: expected a real or complex 3-vector")
+        return np.array([_number(x, key) for x in v])
+
     if isinstance(spec, dict):
         if extra := sorted(spec.keys() - {"re", "im"}):
             raise ConfigError(f"{name}: unknown key {extra[0]!r} (re, im)")
-        re = np.asarray(spec.get("re", [0, 0, 0]), dtype=float)
-        im = np.asarray(spec.get("im", [0, 0, 0]), dtype=float)
+        re = vector(spec.get("re", [0, 0, 0]), f"{name}.re")
+        im = vector(spec.get("im", [0, 0, 0]), f"{name}.im")
     else:
-        re, im = np.asarray(spec, dtype=float), np.zeros(3)
-    if re.shape != (3,) or im.shape != (3,):
-        raise ConfigError(f"{name}: expected a real or complex 3-vector")
+        re, im = vector(spec, name), np.zeros(3)
     # checked apart: combining an inf with 1j would warn and make NaNs
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ConfigError(f"{name}: entries must be finite")
@@ -298,20 +304,30 @@ def _failure(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+def _solver_record(op, **extra):
+    """A level's record in summary.json: nonzeros of the interior block
+    and its factor, largest solve residual, the factor's dtype, and the
+    refinement steps in all and in the one solve that took the most; then
+    the entries of ``extra``."""
+    return {"nnz_A_II": op.A_II.nnz, "nnz_LU": op.lu.nnz,
+            "max_residual": op.max_residual,
+            "factor_dtype": op.factor_dtype.name,
+            "n_refinements": op.n_refinements,
+            "max_refinements": op.max_refinements, **extra}
+
+
 def _level_study(cfg, solve, summary):
     """Run ``solve(tag, space)`` on every level of the family.
 
-    ``solve`` returns the level's table entries (a dict), its StateOperator
-    and a callable giving the state for the VTK dump.  Each row starts with
-    the level tag, mesh size and dof count and ends with the seconds the
-    level took and the process's peak resident memory so far in MB
-    (ru_maxrss, KiB on Linux).  The study stops at the first level that
+    ``solve`` returns the level's table entries (a dict), its solver record
+    (`_solver_record`) and a callable giving the state for the VTK dump.
+    Each row starts with the level tag, mesh size and dof count and ends
+    with the seconds the level took and the process's peak resident memory
+    so far in MB (ru_maxrss, KiB on Linux).  The study stops at the first level that
     raises and records it in ``summary`` as ``failure`` with its
     ``traceback``; the tables keep the levels before it.  ``summary`` also
-    gets ``levels``, one solver record per completed level (nonzeros of the
-    interior block and its factor, largest solve residual, the factor's
-    dtype, and the refinement steps in all and in the one solve that took
-    the most), and ``levels_completed``.  Returns the rows.
+    gets ``levels``, one solver record per completed level, and
+    ``levels_completed``.  Returns the rows.
     """
     rows, records, m = [], [], None
     for tag, step in cfg.family:
@@ -319,17 +335,12 @@ def _level_study(cfg, solve, summary):
         t0 = time.perf_counter()
         try:
             space = FESpace(m, cfg.order)
-            entries, op, state = solve(tag, space)
+            entries, record, state = solve(tag, space)
             rows.append({"level": tag, "h": mesh_size(m),
                          "n_dofs": space.n_dofs, **entries,
                          "seconds": time.perf_counter() - t0,
                          "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024})
-            records.append({"level": tag, "nnz_A_II": op.A_II.nnz,
-                            "nnz_LU": op.lu.nnz,
-                            "max_residual": op.max_residual,
-                            "factor_dtype": op.factor_dtype.name,
-                            "n_refinements": op.n_refinements,
-                            "max_refinements": op.max_refinements})
+            records.append({"level": tag, **record})
             if cfg.vtk:
                 write_vtk_state(os.path.join(cfg.out, f"state_{tag}.vtk"),
                                 space, state())
@@ -380,7 +391,8 @@ def cmd_validate(cfg, summary):
     def solve(tag, space):
         op = StateOperator(space.mesh, space, cfg.problem)
         u = op.solve_dirichlet(interpolate(space, exact))
-        return {"hcurl_error": hcurl_error(space, u, exact, exact_curl)}, op, lambda: u
+        return ({"hcurl_error": hcurl_error(space, u, exact, exact_curl)},
+                _solver_record(op), lambda: u)
 
     rows = _level_study(cfg, solve, summary)
     header = ["level", "h", "n_dofs", "hcurl_error", "seconds", "peak_rss_mb"]
@@ -482,7 +494,10 @@ def cmd_optimize(cfg, summary):
                  "J3": last.J3, "grad_norm": last.grad_norm,
                  "iterations": last.iteration,
                  "state_solves": rp.op.n_state_solves},
-                rp.op, lambda: rp.op.solve_state(z))
+                _solver_record(rp.op, evaluations=rp.n_evaluations,
+                               state_solves=rp.op.n_state_solves,
+                               adjoint_solves=rp.op.n_adjoint_solves),
+                lambda: rp.op.solve_state(z))
 
     rows = _level_study(cfg, solve, summary)
     _write_csv(os.path.join(cfg.out, "history.csv"),

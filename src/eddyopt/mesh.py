@@ -16,6 +16,7 @@ IMR 1999). Extruding the diagonally cut square grid gives the Kuhn
 """
 
 from dataclasses import dataclass
+from functools import wraps
 
 import json
 import numpy as np
@@ -27,6 +28,21 @@ LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 class MeshError(ValueError):
     pass
+
+
+def _no_overflow(fn):
+    """fn with a floating-point overflow raised as MeshError: a face's
+    cross product grows as the square of the coordinates and its norm
+    as their fourth power, so coordinates past about 1e77 overflow."""
+    @wraps(fn)
+    def checked(*args):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args)
+        except FloatingPointError as e:
+            raise MeshError(f"coordinates too large for the geometry: {e}") \
+                from None
+    return checked
 
 
 @dataclass(frozen=True)
@@ -104,6 +120,7 @@ def _edge_key(pairs, n):
     return pairs[..., 0].astype(np.int64) * n + pairs[..., 1]
 
 
+@_no_overflow
 def build_mesh(vertices, tets):
     """Construct a full Mesh from vertex coordinates and tet connectivity."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -339,6 +356,7 @@ _CUTS = np.array([[(0, 1, 2, 5), (0, 1, 5, 4), (0, 4, 5, 3)],
                   [(0, 1, 2, 4), (0, 4, 2, 5), (0, 4, 5, 3)]])
 
 
+@_no_overflow
 def _extrude(section, tris, zs):
     """Vertices and tets of a triangulated 2D section extruded over the
     ascending heights zs.

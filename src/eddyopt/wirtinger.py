@@ -11,9 +11,11 @@ and G (the conjugate Wirtinger derivative) is assembled from one adjoint
 solve plus surface-matrix products: G = (T + alpha K z + beta M z) / 2
 with T the adjoint pairing against each basis function. The optimizer
 runs on z itself with the real inner product Re(a^H b), under which the
-gradient of j is 2G. The state map is complex linear, so j is a quadratic:
-along a search line it is the parabola through j(0), j'(0) and j(1), and
-the line search takes the unit step or that parabola's minimizer.
+gradient of j is 2G. The state map is complex linear, so j is a quadratic
+and G is affine: one evaluation at the trial point z + p gives the
+curvature along p, the exact minimizer along the line and G there, and
+BFGS with exact line searches makes the conjugate-gradient iterates on a
+quadratic (Nazareth 1979). So each iteration evaluates once.
 
 The controls are regularized by the surface curl, so the gradient's
 natural representative is its Riesz representative P^-1 G under the real
@@ -22,9 +24,10 @@ problem. Each report carries the map v -> P^-1 v, and L-BFGS takes P^-1
 as its initial inverse Hessian, which keeps its evaluation count nearly
 level under refinement (Schwedes, Ham, Funke & Piggott 2017), though not
 constant: from z = 0 at order 0, alpha = 1e-3, beta = 0, levels L0-L3 of
-the [1, 8, 2] cylinder take 20 / 24 / 24 / 27 evaluations against
-24 / 31 / 69 / 159 in the Euclidean metric, and the benchmark's random
-starts on L2 (optimize-o0, seeds 1-10) take 26-29.
+the [1, 8, 2] cylinder take 17 / 20 / 20 / 23 evaluations against
+21 / 26 / 58 / 141 in the Euclidean metric (at order 1, L0-L2 take
+14 / 17 / 20), and the benchmark's random starts on L2 (optimize-o0,
+seeds 1-10) take 23-24.
 """
 
 import numbers
@@ -41,8 +44,8 @@ from .trace import surface_curl_matrix, surface_mass_matrix
 
 LBFGS_PAIRS = 20  # stored (s, y) pairs of the limited-memory BFGS
 # Mass shift of the Riesz map P = alpha K + (beta + RIESZ_MASS) M. At the
-# bench's seed-1 start, 0.01 / 0.1 / 1 take 48 / 27 / 51 evaluations on
-# optimize-o0 and 50 / 24 / 42 on optimize-o1.
+# bench's seed-1 start, 0.01 / 0.1 / 1 take 39 / 24 / 42 evaluations on
+# optimize-o0 and 36 / 21 / 36 on optimize-o1.
 RIESZ_MASS = 0.1
 TOL, MAX_ITER = 1e-9, 500  # default stopping rule of bfgs_minimize
 
@@ -52,7 +55,9 @@ class CostReport:
     """Cost value and its parts: J = J1 + J2 + J3 with J1 the tracking
     misfit, J2 the surface-curl penalty, J3 the surface mass penalty.
     riesz is the Riesz map v -> P^-1 v of the control space, or None for
-    the Euclidean one (P = I)."""
+    the Euclidean one (P = I). A `bfgs_minimize` history entry at an
+    iterate that was not evaluated holds J and grad_norm from the
+    quadratic's identities and None for J1, J2, J3 and riesz."""
 
     J: float
     J1: float
@@ -101,7 +106,9 @@ class ReducedProblem:
         state u that the gradient reuses, each formed once."""
         self.n_evaluations += 1
         u = self.op.solve_state(z)
-        Mu, Kz, Mz = self.M_c @ u, self.K @ z, self.M @ z
+        # two real products: M_c @ u would upcast M_c's data on every call
+        Mu = self.M_c @ u.real + 1j * (self.M_c @ u.imag)
+        Kz, Mz = self.K @ z, self.M @ z
         J1 = 0.5 * (np.vdot(u, Mu).real - 2.0 * np.vdot(self.d, u).real
                     + self.c_d)
         J2 = 0.5 * self.config.alpha * np.vdot(z, Kz).real
@@ -214,12 +221,17 @@ def bfgs_minimize(fun, z0, tol=TOL, max_iter=MAX_ITER):
     initial inverse Hessian is gamma P^-1, and the first step and the
     steepest-descent fallback go along -P^-1 (2G). A plain float cost, or
     a report without a map, is the case P = I. The cost must be quadratic,
-    as `ReducedProblem`'s is: then phi(a) = f(z + a p) is the parabola
-    through phi(0), phi'(0) < 0 and phi(1). Each iteration takes the unit
-    step if it decreases f, else phi's minimizer a* = -phi'(0) / (2 (phi(1)
-    - phi(0) - phi'(0))) in (0, 1/2], so it evaluates at most twice. Stops
-    when ||G|| <= tol, or when a* brings no decrease either (a wrong
-    gradient), leaving ||G|| > tol in the last history entry. tol must be
+    as `ReducedProblem`'s is: then G is affine along p, and each iteration
+    evaluates once, at the trial point z + p. Its G1 gives the curvature
+    c = Re<2 (G1 - G), p> = phi'(1) - phi'(0) of phi(a) = f(z + a p), and
+    the iteration steps to the exact minimizer a* = -phi'(0) / c with
+    G <- G + a* (G1 - G) and f <- f + a* phi'(0) + a*^2 c / 2. c <= 0 (a
+    wrong gradient) stops the run, with ||G|| > tol in the last history
+    entry. A trial point with ||G1|| <= tol ends the run there; when the
+    updated G meets tol, or max_iter ends the run, one more evaluation
+    confirms the iterate, and the run goes on if its ||G|| > tol. So the
+    history (one entry per iterate, with the step that reached it) starts
+    and ends with evaluations, the last at the returned z. tol must be
     finite and positive and max_iter an integer >= 0 (`check_stopping`,
     before the first evaluation): ValueError otherwise. Returns (z,
     history of CostReports).
@@ -228,13 +240,18 @@ def bfgs_minimize(fun, z0, tol=TOL, max_iter=MAX_ITER):
     vg = _as_value_grad(fun)
     z = np.asarray(z0, dtype=complex)
     rep, G = vg(z)
-    f, P_inv = rep.J, rep.riesz or (lambda v: v)
+    P_inv = rep.riesz or (lambda v: v)
     history = []
     pairs = deque(maxlen=LBFGS_PAIRS)  # (s, y, 1 / s.y), oldest first
     for it in count():
-        rep.iteration, rep.grad_norm = it, float(np.linalg.norm(G))
+        grad_norm = float(np.linalg.norm(G))
+        if rep.J1 is None and (grad_norm <= tol or it >= max_iter):
+            # the run ends here: confirm the interpolated iterate
+            step, (rep, G) = rep.step, vg(z)
+            rep.step, grad_norm = step, float(np.linalg.norm(G))
+        rep.iteration, rep.grad_norm = it, grad_norm
         history.append(rep)
-        if rep.grad_norm <= tol or it >= max_iter:
+        if grad_norm <= tol or it >= max_iter:
             break
         g = 2.0 * G
         p = -_two_loop(pairs, g, P_inv)
@@ -244,19 +261,21 @@ def bfgs_minimize(fun, z0, tol=TOL, max_iter=MAX_ITER):
             pairs.clear()
             p = -P_inv(g)
             dphi0 = np.vdot(g, p).real
-        # the unit step, else the parabola's minimizer, else stop
-        a, z_new = 1.0, z + p
-        rep_new, G_new = vg(z_new)
-        if not rep_new.J < f:
-            a = -dphi0 / (2.0 * (rep_new.J - f - dphi0))
-            z_new = z + a * p
-            rep_new, G_new = vg(z_new)
-            if not rep_new.J < f:
-                break
-        s, y = z_new - z, 2.0 * (G_new - G)
+        rep1, G1 = vg(z + p)
+        dG = G1 - G
+        c = np.vdot(2.0 * dG, p).real  # phi'(1) - phi'(0) = phi''
+        if not c > 0.0:
+            break  # no minimizer along p: the gradient is wrong
+        if np.linalg.norm(G1) <= tol:
+            z, G, rep, a = z + p, G1, rep1, 1.0
+        else:
+            a = -dphi0 / c
+            z, G = z + a * p, G + a * dG
+            rep = CostReport(J=rep.J + a * dphi0 + 0.5 * a * a * c,
+                             J1=None, J2=None, J3=None)
+        s, y = a * p, 2.0 * a * dG
         sy = np.vdot(s, y).real
         if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-        z, f, G, rep = z_new, rep_new.J, G_new, rep_new
         rep.step = a
     return z, history

@@ -241,8 +241,16 @@ def test_optimize_two_level_study(tmp_path):
     assert s["gaps"][0]["gap_J"] > 0
     _assert_solver_records(s, ["L0", "L1"], "complex128")
     header, rows = _read_csv(os.path.join(out, "study.csv"))
-    assert header[:5] == ["level", "h", "n_dofs", "n_controls", "J"]
-    assert header[11:13] == ["seconds", "peak_rss_mb"]
+    # one state and one adjoint solve per evaluation; an evaluation at the
+    # start and one per iteration, plus a confirming one unless the run
+    # ends at a trial point; study.csv keeps its columns
+    for lv, r in zip(s["levels"], rows):
+        assert lv["state_solves"] == lv["adjoint_solves"] == lv["evaluations"]
+        assert lv["state_solves"] == int(r[header.index("state_solves")])
+        assert lv["evaluations"] - int(r[header.index("iterations")]) in (1, 2)
+    assert header == ["level", "h", "n_dofs", "n_controls", "J", "J1", "J2",
+                      "J3", "grad_norm", "iterations", "state_solves",
+                      "seconds", "peak_rss_mb", "gap_J", "gap_J1"]
     assert all(float(r[12]) > 0 for r in rows)
     assert [r[0] for r in rows] == ["L0", "L1"]
     assert int(rows[0][3]) == 72 and int(rows[1][3]) == 288
@@ -494,6 +502,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  id="u-d-unknown-key"),
     pytest.param("grad-check", {"problem": {"j_c": {"real": [0, 0, 1]}}},
                  id="j-c-unknown-key"),
+    # np.asarray(..., dtype=float) read true and "1" as 1.0
+    pytest.param("grad-check", {"problem": {"u_d": [True, 0, 0]}},
+                 id="u-d-entry-true"),
+    pytest.param("grad-check", {"problem": {"u_d": [0, "1", 0]}},
+                 id="u-d-entry-string"),
+    pytest.param("grad-check", {"problem": {"j_c": {"re": [0, 0, False]}}},
+                 id="j-c-re-entry-false"),
+    pytest.param("grad-check", {"problem": {"u_d": {"im": ["0.5", 0, 0]}}},
+                 id="u-d-im-entry-string"),
+    pytest.param("grad-check", {"problem": {"u_d": [[1, 0, 0]]}},
+                 id="u-d-nested"),
     pytest.param("grad-check", {"problem": {"mu": NAN}}, id="mu-nan"),
     pytest.param("grad-check", {"problem": {"kappa": INF}}, id="kappa-inf"),
     pytest.param("grad-check", {"problem": {"mu": -1.0}}, id="mu-negative"),
@@ -613,9 +632,13 @@ def test_a_path_that_is_not_a_string_names_its_key(tmp_path, capsys, payload,
      "gradcheck.fit_floor must be finite and positive, got nan"),
     ({"mesh": {"R": INF}}, "R must be finite and positive, got inf"),
     ({"mesh": {"L": -1}}, "L must be finite and positive, got -1.0"),
+    ({"problem": {"u_d": [True, "1", 0]}}, "u_d must be a number, got True"),
+    ({"problem": {"j_c": {"im": [0, "1", 0]}}},
+     "j_c.im must be a number, got '1'"),
 ], ids=["alpha-true", "iota1-false", "tol-string", "electrode-R-string",
         "mu-string", "mesh-L-string", "t-max-inf", "t-min-zero",
-        "fit-floor-nan", "R-infinite", "L-negative"])
+        "fit-floor-nan", "R-infinite", "L-negative", "u-d-entry-true",
+        "j-c-im-entry-string"])
 def test_a_bad_number_names_its_key(tmp_path, capsys, payload, message):
     cfg = _write(tmp_path, "cfg.json", payload)
     assert main(["gen-mesh", "--config", cfg, "--out",
@@ -716,7 +739,7 @@ def test_optimizer_that_stops_short_records_no_convergence(tmp_path):
     s = _summary(out)  # strict JSON: NaN or Infinity would raise
     assert s["ok"] is False and s["command"] == "optimize"
     assert s["failure"] == ("level L1: no convergence "
-                            "(grad_norm=1.731e-03 > 1.0e-09)")
+                            "(grad_norm=1.282e-03 > 1.0e-09)")
     assert s["traceback"] is None
     assert s["levels_completed"] == 2
 

@@ -360,6 +360,32 @@ def test_generate_cylinder_names_a_size_that_is_not_finite(R, L, name):
         generate_cylinder(R, L, 1, 6, 2)
 
 
+@pytest.mark.parametrize("R, L", [(1e100, 1.0), (1e200, 1.0), (1.0, 1e200)])
+def test_generate_cylinder_too_large_for_its_geometry_is_a_mesh_error(R, L):
+    # finite sizes whose geometry overflows: R^4 in a face's cross product
+    # norm at R = 1e100, R^2 in the prism check at R = 1e200 and L^2 in the
+    # edge lengths at L = 1e200
+    with pytest.raises(MeshError, match="coordinates too large"):
+        generate_cylinder(R, L, 1, 6, 2)
+
+
+def test_generate_cylinder_keeps_large_finite_sizes():
+    m = generate_cylinder(1e70, 1e70, 1, 6, 2)
+    assert np.isfinite(m.boundary_areas).all() and m.n_tets == 36
+
+
+def test_msh_with_coordinates_too_large_is_a_mesh_error():
+    head, rest = write_msh(generate_cube(1)).split("$Nodes\n", 1)
+    nodes, tail = rest.split("$EndNodes\n", 1)
+    count, *rows = nodes.splitlines()
+    rows = [" ".join([r.split()[0]] + [repr(1e200 * float(x))
+                                       for x in r.split()[1:]])
+            for r in rows]
+    text = "\n".join([head + "$Nodes", count, *rows, "$EndNodes", tail])
+    with pytest.raises(MeshError, match="coordinates too large"):
+        parse_msh(io.StringIO(text))
+
+
 @pytest.mark.parametrize("make", [
     lambda: generate_cube(1.9), lambda: generate_cylinder(0.5, 1.0, 1.5, 6, 2),
     lambda: generate_cylinder(0.5, 1.0, 1, 6.9, 2),
