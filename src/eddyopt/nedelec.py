@@ -27,8 +27,8 @@ pass and, per tet, the 3 x 3 map A (J^-T or J / det J) and s: element
 matrices are one (tets, 9 points) x (9 points, S^2) product of the
 metrics w A^T coeff A with that table, loads and fields one product with
 Phi^ and one 3 x 3 product per tet. It visits CHUNK tets at a time, so
-its largest array, a load's field values at k = 1, is 0.8 MB (64 points,
-complex); no loop builds Phi.
+its temporaries do not grow with the mesh (a load's field values at k = 1
+are 0.3 MB: 24 points, complex); no loop builds Phi.
 """
 
 import numbers

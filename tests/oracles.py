@@ -5,12 +5,38 @@ formula, or from the expanded element basis, rather than by the code path
 it checks. Tests import them with `from oracles import ...`.
 """
 
+from functools import reduce
+
 import numpy as np
+from scipy.special import roots_jacobi
 
 from eddyopt.mesh import LOCAL_EDGES, LOCAL_FACES, MeshError
 from eddyopt.nedelec import _edge_moments, _face_moments, _span
 from eddyopt.quadrature import simplex_rule
 from eddyopt.trace import _face_table, face_lambda_gradients
+
+
+def conical_rule(dim, degree):
+    """The conical-product rule on the reference triangle (dim 2) or tet
+    (dim 3), exact to degree, built operation for operation as
+    `simplex_rule` builds every rule it does not tabulate: Gauss-Jacobi
+    rules with alpha = dim - 1, ..., 1 in the collapsed coordinates u_i,
+    then Gauss-Legendre; coordinate i is u_i (1 - u_0) ... (1 - u_{i-1})."""
+    n = max(1, (int(degree) + 2) // 2)
+    rules = []
+    for a in range(dim - 1, 0, -1):
+        x, w = roots_jacobi(n, float(a), 0.0)
+        rules.append((0.5 * (x + 1.0), w / 2.0 ** (a + 1.0)))
+    x, w = np.polynomial.legendre.leggauss(n)
+    rules.append((0.5 * (x + 1.0), 0.5 * w))
+    grids = np.meshgrid(*(u for u, _ in rules), indexing="ij")
+    coords = []
+    for i, x in enumerate(grids):
+        for u in grids[:i]:
+            x = x * (1.0 - u)
+        coords.append(x.ravel())
+    w = reduce(np.multiply.outer, (w for _, w in rules))
+    return np.stack(coords, axis=1), w.ravel()
 
 
 def map_to_tets(verts, pts):

@@ -616,10 +616,10 @@ def test_hcurl_error_contracts_coefficients_first(k):
     lambda space, f: hcurl_error(space, np.zeros(space.n_dofs), f, f),
 ], ids=["assemble_load", "hcurl_error"])
 def test_element_loop_holds_two_basis_sized_arrays(run):
-    # at order 1 and the default load degree one chunk's basis values
-    # would be CHUNK x 64 points x 3 x 20 doubles = 7.9 MB; the loop builds
-    # none, only the reference table, the per-tet maps and arrays of
-    # CHUNK x 64 x 3 values (0.8 MB complex), so its peak (4.1 MB) stays
+    # at order 1 and the default load degree (24 points) one chunk's basis
+    # values would be CHUNK x 24 points x 3 x 20 doubles = 2.9 MB; the loop
+    # builds none, only the reference table, the per-tet maps and arrays of
+    # CHUNK x 24 x 3 values (0.3 MB complex), so its peak (1.8 MB) stays
     # below one such array
     m = generate_cylinder(0.5, 1.0, 3, 18, 6)
     space = FESpace(m, 1)
@@ -629,7 +629,7 @@ def test_element_loop_holds_two_basis_sized_arrays(run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.9e6
+    assert peak <= 2.9e6
 
 
 @pytest.mark.parametrize("k, cylinder", [(0, (5, 30, 10)), (1, (3, 18, 6))])

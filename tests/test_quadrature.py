@@ -5,6 +5,7 @@ The oracle is the factorial formula on the unit simplex:
   tet:      int x^a y^b z^c dV       = a! b! c! / (a+b+c+3)!
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eddyopt.quadrature import gauss_01, simplex_rule
-from oracles import map_to_tets
+from oracles import conical_rule, map_to_tets
+
+SYMMETRIC_POINTS = {2: 4, 4: 14, 5: 14, 6: 24}  # tet degree: points
 
 
 def tri_monomial(a, b):
@@ -64,6 +67,43 @@ def test_tet_rule_monomial_exactness():
                     got = (w * pts[:, 0]**a * pts[:, 1]**b * pts[:, 2]**c).sum()
                     assert got == pytest.approx(tet_monomial(a, b, c),
                                                 abs=1e-15)
+
+
+@pytest.mark.parametrize("degree", sorted(SYMMETRIC_POINTS))
+def test_symmetric_tet_rules_are_fixed_by_every_vertex_permutation(degree):
+    # permuting the barycentric coordinates maps each point onto a point
+    # of the same weight, one to one, for all 24 permutations
+    pts, w = simplex_rule(3, degree)
+    assert len(w) == SYMMETRIC_POINTS[degree]
+    assert pts.min() > 0.0 and pts.sum(axis=1).max() < 1.0  # interior
+    bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
+    for perm in itertools.permutations(range(4)):
+        moved = bary[:, perm][:, 1:]
+        dist = np.abs(moved[:, None] - pts[None]).max(axis=-1)
+        match = dist.argmin(axis=1)
+        assert np.array_equal(np.sort(match), np.arange(len(w)))
+        assert dist.min(axis=1).max() <= 1e-15
+        assert np.abs(w[match] - w).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim, degree", [(3, d) for d in (0, 1, 3, 7, 8)]
+                         + [(2, d) for d in range(11)])
+def test_untabulated_rules_are_the_conical_product_bitwise(dim, degree):
+    pts, w = simplex_rule(dim, degree)
+    want_pts, want_w = conical_rule(dim, degree)
+    assert pts.tobytes() == want_pts.tobytes()
+    assert w.tobytes() == want_w.tobytes()
+
+
+@pytest.mark.parametrize("dim, degree", [(2, 4), (3, 3), (3, 4), (3, 6)])
+def test_returned_rules_are_read_only(dim, degree):
+    # one rule per (dim, degree) is shared by every caller in the process
+    pts, w = simplex_rule(dim, degree)
+    assert simplex_rule(dim, degree)[0] is pts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        w *= 2.0
 
 
 @settings(max_examples=30, deadline=None)
